@@ -86,8 +86,8 @@ def cmd_table10(args, out) -> int:
     status = 0
     keys = deformation.family_keys()
     if args.only:
-        wanted = args.only.split(",")
-        keys = [k for k in keys if any(w and w in k for w in wanted)]
+        wanted = set(args.only.split(","))
+        keys = [k for k in keys if k in wanted]
     for key in keys:
         try:
             data = deformation.family(key)
@@ -154,6 +154,8 @@ def cmd_common_factor(args, out) -> int:
 
 
 def cmd_count(args, out) -> int:
+    if args.scan_ext < 1:
+        raise CliError(f"--scan-ext must be at least 1, got {args.scan_ext}")
     p, k = parse_prime_power(args.q)
     if args.ext != 1:
         k *= args.ext
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_table = sub.add_parser("table10", help="summary table of the ten built-in families")
-    p_table.add_argument("--only", default="", help="comma-separated key substrings to include")
+    p_table.add_argument("--only", default="", help="comma-separated family keys to include")
     p_table.set_defaults(func=cmd_table10)
 
     p_inv = sub.add_parser("invariants", help="invariant monomial types of a family")

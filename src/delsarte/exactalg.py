@@ -58,10 +58,6 @@ class IntMatrix:
             )
         )
 
-    def transpose(self) -> IntMatrix:
-        n = self.n
-        return IntMatrix(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
-
     def scaled(self, c: int) -> IntMatrix:
         return IntMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
 

@@ -21,7 +21,11 @@ DEFAULT_MAX_Q = 2**20
 
 
 def _max_q() -> int:
-    return int(os.environ.get("DELSARTE_MAX_Q", DEFAULT_MAX_Q))
+    raw = os.environ.get("DELSARTE_MAX_Q", DEFAULT_MAX_Q)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"DELSARTE_MAX_Q must be an integer, got {raw!r}") from None
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -396,6 +400,8 @@ def is_general_position(spec: HypersurfaceSpec, field: FiniteField, max_ext: int
     has no projective solution over F_{q^j} for every j <= max_ext.  This
     checks the stated extensions only, not the algebraic closure.
     """
+    if max_ext < 1:
+        raise ValueError(f"max_ext must be at least 1, got {max_ext}")
     base_terms = [t for t in spec.all_terms() if t[1] % field.p != 0]
     n1 = len(spec.weights)
     for j in range(1, max_ext + 1):

@@ -15,7 +15,9 @@ characteristic-polynomial divisibility checks run in Z[T].
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from dataclasses import field as dc_field
 from math import gcd
 
 from .cyclotomic import CyclotomicElement
@@ -75,17 +77,45 @@ class CharacterTable:
     """A multiplicative character of exact order d on F_q*.
 
     chi(g^j) = zeta_d^j for the chosen generator g; chi_log[code] is the
-    zeta-exponent of the nonzero field element with that code.
+    zeta-exponent of the nonzero field element with that code.  The table
+    also memoizes the two-character Jacobi sums and the per-orbit
+    characteristic polynomials computed with it, so a table shared between
+    calls shares that work; both caches live and die with the table.
     """
 
     field: FiniteField
     order: int
     generator: int
     chi_log: tuple[int, ...]
+    log_pairs: tuple[tuple[int, int, int], ...] = dc_field(init=False, repr=False, compare=False)
+    pair_sums: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    orbit_polys: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # (chi_log[v], chi_log[1 - v], multiplicity) over v != 0, 1
+        field = self.field
+        one = field.from_int(1)
+        counts = Counter(
+            (self.chi_log[v], self.chi_log[field.sub(one, v)]) for v in range(1, field.q) if v != one
+        )
+        object.__setattr__(self, "log_pairs", tuple((x, y, c) for (x, y), c in counts.items()))
 
     def chi_power_at(self, power: int, code: int) -> int:
         """zeta-exponent of chi^power at a nonzero element."""
         return (power * self.chi_log[code]) % self.order
+
+    def pair_sum(self, a: int, b: int) -> CyclotomicElement:
+        """J(chi^a, chi^b) = sum over v != 0, 1 of chi^a(v) * chi^b(1 - v)."""
+        d = self.order
+        key = tuple(sorted((a % d, b % d)))  # J(chi^a, chi^b) = J(chi^b, chi^a)
+        value = self.pair_sums.get(key)
+        if value is None:
+            a, b = key
+            coeffs = [0] * d
+            for x, y, c in self.log_pairs:
+                coeffs[(a * x + b * y) % d] += c
+            value = self.pair_sums[key] = CyclotomicElement(d, coeffs)
+        return value
 
 
 def multiplicative_character(field: FiniteField, d: int, generator: int | None = None) -> CharacterTable:
@@ -115,39 +145,34 @@ def multiplicative_character(field: FiniteField, d: int, generator: int | None =
 
 
 def _jacobi_sum(table: CharacterTable, powers) -> CyclotomicElement:
-    """J(chi^p1, ..., chi^pm) = sum over v_1 + ... + v_m = 1, v_i nonzero."""
-    field = table.field
+    """J(chi^p1, ..., chi^pm) = sum over v_1 + ... + v_m = 1, v_i nonzero.
+
+    Every character must be nontrivial.  The sum is built from pair sums
+    (Ireland-Rosen, ch. 8; Berndt-Evans-Williams, ch. 2): with
+    psi = chi^(p1 + ... + p(i-1)),
+      J(.., chi^pi) = J(.., chi^p(i-1)) * J(psi, chi^pi)        if psi != 1,
+      J(.., chi^pi) = chi^p(i-1)(-1) * q * J(.., chi^p(i-2))    if psi == 1,
+    starting from J(chi^p1) = 1.
+    """
     d = table.order
-    q = field.q
-    p = field.p
-    m = len(powers)
-    if m < 1:
+    powers = [e % d for e in powers]
+    if not powers:
         raise ValueError("need at least one character")
-    chi_log = table.chi_log
-    coeffs = [0] * d
-    if m == 1:
-        # single character: J = chi(1) = 1 when the character is nontrivial
-        coeffs[0] = 1
-        return CyclotomicElement(d, coeffs)
-
-    def accumulate(prefix_exp: int, remaining: int, total_code: int) -> None:
-        if remaining == 1:
-            last = field.sub(field.from_int(1), total_code)
-            if last == 0:
-                return
-            e = (prefix_exp + powers[-1] * chi_log[last]) % d
-            coeffs[e] += 1
-            return
-        idx = m - remaining
-        for v in range(1, q):
-            accumulate(
-                (prefix_exp + powers[idx] * chi_log[v]) % d,
-                remaining - 1,
-                field.add(total_code, v),
-            )
-
-    accumulate(0, m, 0)
-    return CyclotomicElement(d, coeffs)
+    if 0 in powers:
+        raise ValueError("every character must be nontrivial")
+    field = table.field
+    minus_one = field.sub(0, field.from_int(1))
+    before, current = None, CyclotomicElement.constant(d, 1)
+    psi = powers[0]
+    for i in range(1, len(powers)):
+        if psi:
+            nxt = current * table.pair_sum(psi, powers[i])
+        else:
+            sign = CyclotomicElement.zeta(d, table.chi_power_at(powers[i - 1], minus_one))
+            nxt = sign * before * field.q
+        before, current = current, nxt
+        psi = (psi + powers[i]) % d
+    return current
 
 
 def _count_term(k, table: CharacterTable) -> CyclotomicElement:
@@ -205,29 +230,17 @@ def fermat_point_count_via_sums(d: int, n: int, field: FiniteField) -> int:
     return main + value
 
 
-def char_poly_invariant(types, d: int, field: FiniteField, generator: int | None = None) -> CharPoly:
-    """prod (1 - j(k) T) over a Galois-stable set of interior types, in Z[T].
+def _expand(factors, d: int) -> CharPoly:
+    """prod (1 - alpha T) over the given elements of Z[zeta_d], in Z[T].
 
-    The product is expanded over Z[zeta_d]; every coefficient must pass
-    the exact rationality test (reduction modulo the d-th cyclotomic
-    polynomial), which succeeds precisely because the set is stable under
-    k -> u*k for units u.
+    Every coefficient must pass the exact rationality test (reduction
+    modulo the d-th cyclotomic polynomial).
     """
-    types = sorted(tuple(e % d for e in k) for k in types)
-    type_set = set(types)
-    for u in range(2, d):
-        if gcd(u, d) != 1:
-            continue
-        for k in types:
-            if tuple((u * e) % d for e in k) not in type_set:
-                raise ValueError("coefficients not rational: type set is not Galois stable")
-    table = multiplicative_character(field, d, generator)
     coeffs = [CyclotomicElement.constant(d, 1)]
-    for k in types:
-        ev = jacobi_eigenvalue(k, table)
+    for alpha in factors:
         new = coeffs + [CyclotomicElement.constant(d, 0)]
         for i in range(len(coeffs)):
-            new[i + 1] = new[i + 1] - ev * coeffs[i]
+            new[i + 1] = new[i + 1] - alpha * coeffs[i]
         coeffs = new
     out = []
     for c in coeffs:
@@ -239,6 +252,51 @@ def char_poly_invariant(types, d: int, field: FiniteField, generator: int | None
             raise RationalityError(f"coefficient not a rational integer: {value}")
         out.append(value)
     return CharPoly(tuple(out))
+
+
+def char_poly_invariant(
+    types, d: int, field: FiniteField, generator: int | None = None, table: CharacterTable | None = None
+) -> CharPoly:
+    """prod (1 - j(k) T) over a Galois-stable set of interior types, in Z[T].
+
+    The types split into orbits under k -> u*k for units u mod d.  One
+    eigenvalue per orbit is a Jacobi sum; the others are its conjugates
+    j(u*k) = sigma_u(j(k)).  Each orbit's product is expanded over
+    Z[zeta_d] and must pass the exact rationality test, which succeeds
+    precisely because the orbit is Galois stable; the integer orbit
+    polynomials are then multiplied in Z[T].  Passing `table` (a character
+    table of order d on `field`) shares its memoized orbit polynomials.
+    """
+    types = sorted(tuple(e % d for e in k) for k in types)
+    type_set = set(types)
+    units = [1] + [u for u in range(2, d) if gcd(u, d) == 1]
+    orbits = {}  # representative -> (conjugating unit per member, types in the orbit)
+    rep_of = {}
+    for k in types:
+        if k not in rep_of:
+            members = {}
+            for u in units:
+                image = tuple((u * e) % d for e in k)
+                if image not in type_set:
+                    raise ValueError("coefficients not rational: type set is not Galois stable")
+                members.setdefault(image, u)
+                rep_of[image] = k
+            orbits[k] = (members, [])
+        orbits[rep_of[k]][1].append(k)
+    if table is None:
+        table = multiplicative_character(field, d, generator)
+    elif table.order != d or table.field is not field:
+        raise ValueError("character table does not match the degree and field")
+    poly = CharPoly((1,))
+    for rep, (members, group) in orbits.items():
+        key = tuple(group)
+        orbit_poly = table.orbit_polys.get(key)
+        if orbit_poly is None:
+            ev = jacobi_eigenvalue(rep, table)
+            orbit_poly = _expand([ev.galois(members[k]) for k in group], d)
+            table.orbit_polys[key] = orbit_poly
+        poly = poly * orbit_poly
+    return poly
 
 
 def lift_types(types, d_from: int, d_to: int) -> list[tuple[int, ...]]:
@@ -291,8 +349,10 @@ def verify_common_factor(data_list, field: FiniteField) -> CommonFactorReport:
         for item in data_list
     ]
     common = set.intersection(*lifted)
-    common_poly = char_poly_invariant(common, d_joint, field)
-    family_polys = tuple(char_poly_invariant(s, d_joint, field) for s in lifted)
+    # one table for the whole call: every orbit's polynomial is computed once
+    table = multiplicative_character(field, d_joint)
+    common_poly = char_poly_invariant(common, d_joint, field, table=table)
+    family_polys = tuple(char_poly_invariant(s, d_joint, field, table=table) for s in lifted)
     divides = tuple(common_poly.divides(fp) for fp in family_polys)
     return CommonFactorReport(
         joint_degree=d_joint,

@@ -1,10 +1,16 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 These deliberately avoid the shortcuts used by the implementation: the
-invariance oracle enumerates the values m*B directly, and the reduction
-oracle rewrites forms by explicit polynomial differentiation.
+invariance oracle enumerates the values m*B directly, the reduction
+oracle rewrites forms by explicit polynomial differentiation, the Jacobi
+sum oracle enumerates every tuple of nonzero field elements, and the
+characteristic-polynomial oracle expands one type at a time from those
+direct sums.
 """
 from fractions import Fraction
+
+from delsarte.cyclotomic import CyclotomicElement
+from delsarte.zetafermat import CharPoly, multiplicative_character
 
 
 def image_by_enumeration(data):
@@ -86,3 +92,61 @@ def oracle_reduce(exponents, d):
         coeff *= Fraction(dg_coeff, rhs_coeff)
         numer = dg_exps
         t -= 1
+
+
+def direct_jacobi_sum(table, powers):
+    """J(chi^p1, ..., chi^pm) by enumerating v_1 + ... + v_m = 1, v_i nonzero.
+
+    (q - 1)^(m - 1) tuples; any powers, trivial characters included.
+    """
+    field = table.field
+    d = table.order
+    m = len(powers)
+    chi_log = table.chi_log
+    coeffs = [0] * d
+    if m == 1:
+        # single character: J = chi(1) = 1
+        coeffs[0] = 1
+        return CyclotomicElement(d, coeffs)
+    one = field.from_int(1)
+
+    def accumulate(prefix_exp, remaining, total_code):
+        if remaining == 1:
+            last = field.sub(one, total_code)
+            if last == 0:
+                return
+            coeffs[(prefix_exp + powers[-1] * chi_log[last]) % d] += 1
+            return
+        idx = m - remaining
+        for v in range(1, field.q):
+            accumulate(
+                (prefix_exp + powers[idx] * chi_log[v]) % d,
+                remaining - 1,
+                field.add(total_code, v),
+            )
+
+    accumulate(0, m, 0)
+    return CyclotomicElement(d, coeffs)
+
+
+def direct_eigenvalue(k, table):
+    """(-1)^(n-1) * chi^(k_n)(-1) * J(chi^(k_0), ..., chi^(k_(n-1))), from the direct sum."""
+    d = table.order
+    k = tuple(e % d for e in k)
+    field = table.field
+    minus_one = field.sub(0, field.from_int(1))
+    term = CyclotomicElement.zeta(d, table.chi_power_at(k[-1], minus_one)) * direct_jacobi_sum(table, k[:-1])
+    return term if (len(k) - 2) % 2 == 0 else -term
+
+
+def char_poly_by_types(types, d, field, generator=None):
+    """prod (1 - j(k) T) expanded one type at a time over Z[zeta_d]."""
+    table = multiplicative_character(field, d, generator)
+    coeffs = [CyclotomicElement.constant(d, 1)]
+    for k in sorted(tuple(e % d for e in k) for k in types):
+        ev = direct_eigenvalue(k, table)
+        new = coeffs + [CyclotomicElement.constant(d, 0)]
+        for i in range(len(coeffs)):
+            new[i + 1] = new[i + 1] - ev * coeffs[i]
+        coeffs = new
+    return CharPoly(tuple(c.rational_value() for c in coeffs))

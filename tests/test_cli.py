@@ -69,6 +69,15 @@ def test_table10_filter_and_empty():
     assert text.splitlines() == ["family\tF0\td\tb\tPF\tdimW\tc"]
 
 
+def test_table10_only_matches_whole_keys():
+    status, text = run_cli(["table10", "--only", "family1"])
+    assert status == 0
+    lines = text.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("family1\t")
+    status, text = run_cli(["table10", "--only", "family10,family1"])
+    assert [line.split("\t")[0] for line in text.splitlines()[1:]] == ["family1", "family10"]
+
+
 def test_table10_diagnostic_row(monkeypatch):
     monkeypatch.setitem(
         deformation.FAMILIES, "family1", (((1, 1), (1, 1)), (1, 1))
@@ -166,6 +175,22 @@ def test_count_scan():
     assert len(lines) == 5
     assert lines[0] == "lambda\t0\tgeneral_position\ttrue"
     assert any(line.endswith("false") for line in lines)
+
+
+def test_count_scan_ext_must_be_positive(capsys):
+    status = run_main(["count", "family1", "--q", "5", "--scan", "--scan-ext", "0"])
+    assert status == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--scan-ext" in captured.err and "Traceback" not in captured.err
+
+
+def test_max_q_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("DELSARTE_MAX_Q", "abc")
+    status = run_main(["count", "family1", "--q", "5"])
+    assert status == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "DELSARTE_MAX_Q" in err and "'abc'" in err and "Traceback" not in err
 
 
 def test_verify_appendix():

@@ -75,6 +75,9 @@ def test_field_size_bound(monkeypatch):
     with pytest.raises(ValueError, match="bound"):
         FiniteField(101)
     FiniteField(97)  # within the bound
+    monkeypatch.setenv("DELSARTE_MAX_Q", "abc")
+    with pytest.raises(ValueError, match="DELSARTE_MAX_Q must be an integer, got 'abc'"):
+        FiniteField(5)
 
 
 def test_nonprime_rejected():
@@ -152,6 +155,8 @@ def test_lambda_term_changes_count():
 def test_fermat_general_position():
     f = FiniteField(5)
     assert is_general_position(fermat_hypersurface(4, 3), f, max_ext=2)
+    with pytest.raises(ValueError, match="max_ext"):
+        is_general_position(fermat_hypersurface(4, 3), f, max_ext=0)
 
 
 def test_singular_lambda_detected_by_scan():

@@ -1,14 +1,19 @@
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import char_poly_by_types, direct_eigenvalue, direct_jacobi_sum
 
 from delsarte.cyclotomic import CyclotomicElement
-from delsarte.deformation import family
+from delsarte.deformation import FAMILIES, family
 from delsarte.monomials import enumerate_basis, g_invariant_types, gmax_invariant_types
 from delsarte.pointcount import FiniteField, count_points, fermat_hypersurface
 from delsarte.zetafermat import (
     CharPoly,
     RationalityError,
+    _jacobi_sum,
     char_poly_invariant,
     fermat_point_count_via_sums,
     jacobi_eigenvalue,
@@ -111,6 +116,152 @@ def test_eigenvalue_rejects_bad_types():
         jacobi_eigenvalue((1, 1, 1, 2), table)  # sum not 0 mod 4
     with pytest.raises(ValueError):
         jacobi_eigenvalue((4, 1, 1, 2), table)  # boundary entry
+
+
+# -- fast Jacobi sums against the direct sum ----------------------------------------
+
+# (p, k) for every field with q = p^k <= 49, prime and extension fields
+SMALL_FIELDS = [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)] + [
+    (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _small_table(p, k, d):
+    return multiplicative_character(FiniteField(p, k), d)
+
+
+@st.composite
+def _field_and_order(draw, max_order=48):
+    """(p, k, d) with 2 <= d <= max_order and d | q - 1."""
+    orders = {
+        (p, k): [d for d in range(2, max_order + 1) if (p**k - 1) % d == 0] for p, k in SMALL_FIELDS
+    }
+    p, k = draw(st.sampled_from([pk for pk, ds in orders.items() if ds]))
+    return p, k, draw(st.sampled_from(orders[p, k]))
+
+
+@st.composite
+def _jacobi_inputs(draw):
+    p, k, d = draw(_field_and_order())
+    m = draw(st.integers(2, 4))
+    powers = draw(st.lists(st.integers(1, d - 1), min_size=m, max_size=m))
+    # optionally make the prefix of length j multiply to the trivial
+    # character (j = m: the full product), the case the pair step skips
+    j = draw(st.integers(1, m))
+    fix = -sum(powers[: j - 1]) % d
+    if j >= 2 and fix:
+        powers[j - 1] = fix
+    return p, k, d, powers
+
+
+@settings(max_examples=80)
+@given(_jacobi_inputs())
+def test_jacobi_sum_matches_direct_sum(inputs):
+    p, k, d, powers = inputs
+    table = _small_table(p, k, d)
+    assert _jacobi_sum(table, powers) == direct_jacobi_sum(table, powers)
+
+
+def test_jacobi_sum_trivial_partial_products():
+    # F_13 and F_25 with d = 12: chi^3 * chi^9 is trivial, and so is the
+    # full product in the second tuple
+    for p, k in ((13, 1), (5, 2)):
+        table = _small_table(p, k, 12)
+        for powers in ((3, 9, 5), (3, 9, 5, 7), (1, 11, 4, 8), (2, 5, 5)):
+            assert _jacobi_sum(table, powers) == direct_jacobi_sum(table, powers), (p, k, powers)
+
+
+def test_jacobi_sum_single_and_trivial_characters():
+    table = _small_table(13, 1, 12)
+    assert _jacobi_sum(table, (5,)) == 1
+    with pytest.raises(ValueError, match="nontrivial"):
+        _jacobi_sum(table, (3, 12, 5))
+    with pytest.raises(ValueError):
+        _jacobi_sum(table, ())
+
+
+def test_pair_sums_are_memoized_per_table():
+    table = multiplicative_character(FiniteField(13), 12)
+    first = table.pair_sum(3, 5)
+    assert table.pair_sum(5, 3) is first
+    assert table.pair_sum(15, -7) is first
+    assert first == direct_jacobi_sum(table, (3, 5))
+    fresh = multiplicative_character(FiniteField(13), 12)
+    assert not fresh.pair_sums
+
+
+@st.composite
+def _galois_stable_types(draw):
+    p, k, d = draw(_field_and_order(max_order=16))
+    n = draw(st.integers(2, 3))
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    types = set()
+    for _ in range(draw(st.integers(1, 2))):
+        head = draw(st.lists(st.integers(1, d - 1), min_size=n, max_size=n))
+        last = -sum(head) % d
+        if last == 0:
+            continue
+        k0 = tuple(head) + (last,)
+        types |= {tuple(u * e % d for e in k0) for u in units}
+    return p, k, d, sorted(types)
+
+
+@settings(max_examples=40)
+@given(_galois_stable_types())
+def test_char_poly_matches_type_by_type_oracle(inputs):
+    p, k, d, types = inputs
+    field = _small_table(p, k, d).field
+    assert char_poly_invariant(types, d, field) == char_poly_by_types(types, d, field)
+
+
+@settings(max_examples=40)
+@given(_field_and_order(), st.integers(2, 3), st.data())
+def test_eigenvalue_matches_direct_sum(field_order, n, data):
+    p, k, d = field_order
+    head = data.draw(st.lists(st.integers(1, d - 1), min_size=n, max_size=n))
+    last = -sum(head) % d
+    if last:
+        table = _small_table(p, k, d)
+        k0 = tuple(head) + (last,)
+        assert jacobi_eigenvalue(k0, table) == direct_eigenvalue(k0, table)
+
+
+def _smallest_field(d):
+    """F_q for the least prime power q with d | q - 1."""
+    q = d + 1
+    while True:
+        p = next(x for x in range(2, q + 1) if q % x == 0)
+        k, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if rest == 1:
+            return FiniteField(p, k)
+        q += d
+
+
+def test_char_poly_matches_oracle_on_all_families():
+    for key in FAMILIES:
+        data = family(key)
+        field = _smallest_field(data.degree)
+        types = g_invariant_types(data)
+        assert char_poly_invariant(types, data.degree, field) == char_poly_by_types(
+            types, data.degree, field
+        ), (key, field.q)
+
+
+def test_char_poly_shared_table():
+    f = FiniteField(17)
+    types = g_invariant_types(family("family2"))
+    table = multiplicative_character(f, 8)
+    shared = char_poly_invariant(types, 8, f, table=table)
+    assert table.orbit_polys
+    assert char_poly_invariant(types, 8, f, table=table) == shared == char_poly_invariant(types, 8, f)
+    with pytest.raises(ValueError, match="table"):
+        char_poly_invariant(types, 8, FiniteField(17), table=table)
+    with pytest.raises(ValueError, match="table"):
+        char_poly_invariant(types, 16, f, table=table)
 
 
 # -- characteristic polynomials ----------------------------------------------------
