@@ -78,9 +78,9 @@ class CharacterTable:
 
     chi(g^j) = zeta_d^j for the chosen generator g; chi_log[code] is the
     zeta-exponent of the nonzero field element with that code.  The table
-    also memoizes the two-character Jacobi sums and the per-orbit
-    characteristic polynomials computed with it, so a table shared between
-    calls shares that work; both caches live and die with the table.
+    also memoizes the per-orbit characteristic polynomials computed with
+    it, so a table shared between calls shares that work; the cache lives
+    and dies with the table.
     """
 
     field: FiniteField
@@ -88,7 +88,6 @@ class CharacterTable:
     generator: int
     chi_log: tuple[int, ...]
     log_pairs: tuple[tuple[int, int, int], ...] = dc_field(init=False, repr=False, compare=False)
-    pair_sums: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     orbit_polys: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,15 +106,10 @@ class CharacterTable:
     def pair_sum(self, a: int, b: int) -> CyclotomicElement:
         """J(chi^a, chi^b) = sum over v != 0, 1 of chi^a(v) * chi^b(1 - v)."""
         d = self.order
-        key = tuple(sorted((a % d, b % d)))  # J(chi^a, chi^b) = J(chi^b, chi^a)
-        value = self.pair_sums.get(key)
-        if value is None:
-            a, b = key
-            coeffs = [0] * d
-            for x, y, c in self.log_pairs:
-                coeffs[(a * x + b * y) % d] += c
-            value = self.pair_sums[key] = CyclotomicElement(d, coeffs)
-        return value
+        coeffs = [0] * d
+        for x, y, c in self.log_pairs:
+            coeffs[(a * x + b * y) % d] += c
+        return CyclotomicElement(d, coeffs)
 
 
 def multiplicative_character(field: FiniteField, d: int, generator: int | None = None) -> CharacterTable:
@@ -254,9 +248,7 @@ def _expand(factors, d: int) -> CharPoly:
     return CharPoly(tuple(out))
 
 
-def char_poly_invariant(
-    types, d: int, field: FiniteField, generator: int | None = None, table: CharacterTable | None = None
-) -> CharPoly:
+def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
     """prod (1 - j(k) T) over a Galois-stable set of interior types, in Z[T].
 
     The types split into orbits under k -> u*k for units u mod d.  One
@@ -264,37 +256,31 @@ def char_poly_invariant(
     j(u*k) = sigma_u(j(k)).  Each orbit's product is expanded over
     Z[zeta_d] and must pass the exact rationality test, which succeeds
     precisely because the orbit is Galois stable; the integer orbit
-    polynomials are then multiplied in Z[T].  Passing `table` (a character
-    table of order d on `field`) shares its memoized orbit polynomials.
+    polynomials are then multiplied in Z[T].  The types live mod
+    d = table.order; calls with the same table share its memoized orbit
+    polynomials.
     """
+    d = table.order
     types = sorted(tuple(e % d for e in k) for k in types)
     type_set = set(types)
     units = [1] + [u for u in range(2, d) if gcd(u, d) == 1]
-    orbits = {}  # representative -> (conjugating unit per member, types in the orbit)
-    rep_of = {}
-    for k in types:
-        if k not in rep_of:
-            members = {}
-            for u in units:
-                image = tuple((u * e) % d for e in k)
-                if image not in type_set:
-                    raise ValueError("coefficients not rational: type set is not Galois stable")
-                members.setdefault(image, u)
-                rep_of[image] = k
-            orbits[k] = (members, [])
-        orbits[rep_of[k]][1].append(k)
-    if table is None:
-        table = multiplicative_character(field, d, generator)
-    elif table.order != d or table.field is not field:
-        raise ValueError("character table does not match the degree and field")
+    seen = set()
     poly = CharPoly((1,))
-    for rep, (members, group) in orbits.items():
-        key = tuple(group)
+    for k in types:
+        if k in seen:
+            continue
+        orbit = {}  # member -> a unit u with u*k = member
+        for u in units:
+            image = tuple((u * e) % d for e in k)
+            if image not in type_set:
+                raise ValueError("coefficients not rational: type set is not Galois stable")
+            orbit.setdefault(image, u)
+        seen.update(orbit)
+        key = tuple(sorted(orbit))
         orbit_poly = table.orbit_polys.get(key)
         if orbit_poly is None:
-            ev = jacobi_eigenvalue(rep, table)
-            orbit_poly = _expand([ev.galois(members[k]) for k in group], d)
-            table.orbit_polys[key] = orbit_poly
+            ev = jacobi_eigenvalue(k, table)
+            orbit_poly = table.orbit_polys[key] = _expand([ev.galois(u) for u in orbit.values()], d)
         poly = poly * orbit_poly
     return poly
 
@@ -351,8 +337,8 @@ def verify_common_factor(data_list, field: FiniteField) -> CommonFactorReport:
     common = set.intersection(*lifted)
     # one table for the whole call: every orbit's polynomial is computed once
     table = multiplicative_character(field, d_joint)
-    common_poly = char_poly_invariant(common, d_joint, field, table=table)
-    family_polys = tuple(char_poly_invariant(s, d_joint, field, table=table) for s in lifted)
+    common_poly = char_poly_invariant(common, table)
+    family_polys = tuple(char_poly_invariant(s, table) for s in lifted)
     divides = tuple(common_poly.divides(fp) for fp in family_polys)
     return CommonFactorReport(
         joint_degree=d_joint,

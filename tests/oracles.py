@@ -10,7 +10,7 @@ direct sums.
 from fractions import Fraction
 
 from delsarte.cyclotomic import CyclotomicElement
-from delsarte.zetafermat import CharPoly, multiplicative_character
+from delsarte.zetafermat import CharPoly
 
 
 def image_by_enumeration(data):
@@ -139,9 +139,9 @@ def direct_eigenvalue(k, table):
     return term if (len(k) - 2) % 2 == 0 else -term
 
 
-def char_poly_by_types(types, d, field, generator=None):
+def char_poly_by_types(types, table):
     """prod (1 - j(k) T) expanded one type at a time over Z[zeta_d]."""
-    table = multiplicative_character(field, d, generator)
+    d = table.order
     coeffs = [CyclotomicElement.constant(d, 1)]
     for k in sorted(tuple(e % d for e in k) for k in types):
         ev = direct_eigenvalue(k, table)

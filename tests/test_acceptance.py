@@ -153,14 +153,14 @@ def test_criterion_07_rationality_and_generator_independence():
     for i in (1, 2, 3):
         data = family(f"family{i}")
         types = lift_types(g_invariant_types(data), data.degree, 8)
-        polys = {char_poly_invariant(types, 8, f17, generator=g) for g in gens17}
+        polys = {char_poly_invariant(types, multiplicative_character(f17, 8, g)) for g in gens17}
         ok = ok and len(polys) == 1
     f73 = FiniteField(73)
     gens73 = [g for g in range(2, 73) if math.gcd(f73.log[g], 72) == 1][:2]
     for i in (6, 7):
         data = family(f"family{i}")
         types = lift_types(g_invariant_types(data), data.degree, 24)
-        polys = {char_poly_invariant(types, 24, f73, generator=g) for g in gens73}
+        polys = {char_poly_invariant(types, multiplicative_character(f73, 24, g)) for g in gens73}
         ok = ok and len(polys) == 1
     _report(7, "integer coefficients, independent of the chosen generator", ok)
 

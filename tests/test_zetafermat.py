@@ -181,16 +181,6 @@ def test_jacobi_sum_single_and_trivial_characters():
         _jacobi_sum(table, ())
 
 
-def test_pair_sums_are_memoized_per_table():
-    table = multiplicative_character(FiniteField(13), 12)
-    first = table.pair_sum(3, 5)
-    assert table.pair_sum(5, 3) is first
-    assert table.pair_sum(15, -7) is first
-    assert first == direct_jacobi_sum(table, (3, 5))
-    fresh = multiplicative_character(FiniteField(13), 12)
-    assert not fresh.pair_sums
-
-
 @st.composite
 def _galois_stable_types(draw):
     p, k, d = draw(_field_and_order(max_order=16))
@@ -211,8 +201,9 @@ def _galois_stable_types(draw):
 @given(_galois_stable_types())
 def test_char_poly_matches_type_by_type_oracle(inputs):
     p, k, d, types = inputs
-    field = _small_table(p, k, d).field
-    assert char_poly_invariant(types, d, field) == char_poly_by_types(types, d, field)
+    # a fresh table: the cached one would answer from its orbit memo
+    table = multiplicative_character(_small_table(p, k, d).field, d)
+    assert char_poly_invariant(types, table) == char_poly_by_types(types, table)
 
 
 @settings(max_examples=40)
@@ -246,22 +237,18 @@ def test_char_poly_matches_oracle_on_all_families():
         data = family(key)
         field = _smallest_field(data.degree)
         types = g_invariant_types(data)
-        assert char_poly_invariant(types, data.degree, field) == char_poly_by_types(
-            types, data.degree, field
-        ), (key, field.q)
+        table = multiplicative_character(field, data.degree)
+        assert char_poly_invariant(types, table) == char_poly_by_types(types, table), (key, field.q)
 
 
 def test_char_poly_shared_table():
     f = FiniteField(17)
     types = g_invariant_types(family("family2"))
     table = multiplicative_character(f, 8)
-    shared = char_poly_invariant(types, 8, f, table=table)
+    shared = char_poly_invariant(types, table)
     assert table.orbit_polys
-    assert char_poly_invariant(types, 8, f, table=table) == shared == char_poly_invariant(types, 8, f)
-    with pytest.raises(ValueError, match="table"):
-        char_poly_invariant(types, 8, FiniteField(17), table=table)
-    with pytest.raises(ValueError, match="table"):
-        char_poly_invariant(types, 16, f, table=table)
+    fresh = multiplicative_character(f, 8)
+    assert char_poly_invariant(types, table) == shared == char_poly_invariant(types, fresh)
 
 
 # -- characteristic polynomials ----------------------------------------------------
@@ -269,12 +256,12 @@ def test_char_poly_shared_table():
 
 def test_char_poly_empty():
     f = FiniteField(5)
-    assert char_poly_invariant([], 4, f) == CharPoly((1,))
+    assert char_poly_invariant([], multiplicative_character(f, 4)) == CharPoly((1,))
 
 
 def test_char_poly_family1_gmax():
     f = FiniteField(5)
-    poly = char_poly_invariant(gmax_invariant_types(family("family1")), 4, f)
+    poly = char_poly_invariant(gmax_invariant_types(family("family1")), multiplicative_character(f, 4))
     assert poly.degree == 3
     table = multiplicative_character(f, 4)
     for k in gmax_invariant_types(family("family1")):
@@ -283,7 +270,7 @@ def test_char_poly_family1_gmax():
 
 def test_char_poly_family2_full_invariant_set():
     f = FiniteField(17)
-    poly = char_poly_invariant(g_invariant_types(family("family2")), 8, f)
+    poly = char_poly_invariant(g_invariant_types(family("family2")), multiplicative_character(f, 8))
     assert poly.degree == 15
 
 
@@ -291,14 +278,14 @@ def test_char_poly_generator_independent():
     f = FiniteField(17)
     types = g_invariant_types(family("family2"))
     gens = [g for g in range(2, 17) if math.gcd(f.log[g], 16) == 1]
-    polys = {char_poly_invariant(types, 8, f, generator=g) for g in gens[:3]}
+    polys = {char_poly_invariant(types, multiplicative_character(f, 8, g)) for g in gens[:3]}
     assert len(polys) == 1
 
 
 def test_char_poly_requires_galois_stable_input():
     f = FiniteField(17)
     with pytest.raises(ValueError, match="not rational"):
-        char_poly_invariant([(1, 1, 1, 5)], 8, f)
+        char_poly_invariant([(1, 1, 1, 5)], multiplicative_character(f, 8))
 
 
 def test_char_poly_divides():
@@ -328,8 +315,8 @@ def test_lifted_char_poly_matches_native():
     # a joint cover degree
     f = FiniteField(73)
     data = family("family6")
-    native = char_poly_invariant(g_invariant_types(data), 12, f)
-    lifted = char_poly_invariant(lift_types(g_invariant_types(data), 12, 24), 24, f)
+    native = char_poly_invariant(g_invariant_types(data), multiplicative_character(f, 12))
+    lifted = char_poly_invariant(lift_types(g_invariant_types(data), 12, 24), multiplicative_character(f, 24))
     assert native == lifted
 
 
@@ -386,12 +373,12 @@ def _functional_equation_ok(poly, q):
 def test_functional_equation_weight_two():
     f5, f17, f73 = FiniteField(5), FiniteField(17), FiniteField(73)
     assert _functional_equation_ok(
-        char_poly_invariant(gmax_invariant_types(family("family1")), 4, f5), 5
+        char_poly_invariant(gmax_invariant_types(family("family1")), multiplicative_character(f5, 4)), 5
     )
     for i in (1, 2, 3):
         data = family(f"family{i}")
         types = lift_types(g_invariant_types(data), data.degree, 8)
-        assert _functional_equation_ok(char_poly_invariant(types, 8, f17), 17)
+        assert _functional_equation_ok(char_poly_invariant(types, multiplicative_character(f17, 8)), 17)
     report = verify_common_factor([family("family6"), family("family7")], f73)
     assert _functional_equation_ok(report.common_poly, 73)
 
