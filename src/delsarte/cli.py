@@ -24,10 +24,10 @@ class CliError(Exception):
     pass
 
 
-def resolve_family(ref: str, lam: int | None = None) -> DeformationData:
+def resolve_family(ref: str) -> DeformationData:
     """Registry key or JSON path -> deformation data, with diagnostics."""
     if ref in deformation.FAMILIES:
-        return deformation.family(ref, lam)
+        return deformation.family(ref)
     if os.path.exists(ref):
         try:
             with open(ref, "r", encoding="utf-8") as handle:
@@ -35,28 +35,21 @@ def resolve_family(ref: str, lam: int | None = None) -> DeformationData:
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read family file {ref}: {exc}") from exc
         try:
-            return deformation.data_from_json(obj, lam)
+            return deformation.data_from_json(obj)
         except (DeformationError, ValueError) as exc:
             raise CliError(f"invalid family data in {ref}: {exc}") from exc
     raise CliError(f"unknown family {ref!r}: not a registry key and not a file")
 
 
 def parse_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    factors = pointcount.prime_factors(q)
+    if len(factors) != 1:
         raise CliError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise CliError(f"{q} is not a prime power")
-            return p, k
-        p += 1
-    return q, 1
+    p = factors[0]
+    k = 1
+    while p**k < q:
+        k += 1
+    return p, k
 
 
 def format_vector(v) -> str:
@@ -75,9 +68,9 @@ TABLE10_HEADER = "family\tF0\td\tb\tPF\tdimW\tc"
 
 
 def cmd_analyze(args, out) -> int:
-    data = resolve_family(args.family)
+    row = _analyze_row(args.family, resolve_family(args.family))
     print(ANALYZE_HEADER, file=out)
-    print(_analyze_row(args.family, data), file=out)
+    print(row, file=out)
     return 0
 
 
@@ -156,10 +149,10 @@ def cmd_common_factor(args, out) -> int:
 def cmd_count(args, out) -> int:
     if args.scan_ext < 1:
         raise CliError(f"--scan-ext must be at least 1, got {args.scan_ext}")
+    if args.ext < 1:
+        raise CliError(f"--ext must be at least 1, got {args.ext}")
     p, k = parse_prime_power(args.q)
-    if args.ext != 1:
-        k *= args.ext
-    field = pointcount.FiniteField(p, k)
+    field = pointcount.FiniteField(p, k * args.ext)
     data = resolve_family(args.family)
     if args.scan:
         for lam in range(field.p):

@@ -21,11 +21,7 @@ class DeformationError(ValueError):
 
 @dataclass(frozen=True)
 class DeformationData:
-    """The tuple (A, a, d, B, w, b) describing one family and its cover.
-
-    `lam` holds the deformation parameter: an integer representative in
-    the working prime field, or None when the parameter stays symbolic.
-    """
+    """The tuple (A, a, d, B, w, b) describing one family and its cover."""
 
     matrix: IntMatrix
     deformation: tuple[int, ...]
@@ -33,23 +29,11 @@ class DeformationData:
     map_matrix: IntMatrix
     weights: tuple[int, ...]
     cover_exponents: tuple[int, ...]
-    lam: int | None = None
 
     @property
     def n(self) -> int:
         """Ambient projective dimension (matrix size minus one)."""
         return self.matrix.n - 1
-
-    def with_lambda(self, lam: int | None) -> DeformationData:
-        return DeformationData(
-            self.matrix,
-            self.deformation,
-            self.degree,
-            self.map_matrix,
-            self.weights,
-            self.cover_exponents,
-            lam,
-        )
 
 
 def validate_coefficient_matrix(a: IntMatrix) -> list[str]:
@@ -75,7 +59,7 @@ def validate_coefficient_matrix(a: IntMatrix) -> list[str]:
     return problems
 
 
-def build(a_matrix: IntMatrix, deformation, lam: int | None = None) -> DeformationData:
+def build(a_matrix: IntMatrix, deformation) -> DeformationData:
     """Assemble full deformation data from (A, a), checking every invariant."""
     problems = validate_coefficient_matrix(a_matrix)
     if problems:
@@ -93,7 +77,7 @@ def build(a_matrix: IntMatrix, deformation, lam: int | None = None) -> Deformati
     if any(x < 0 for x in b_vec):
         raise DeformationError("negative cover exponent")
     assert sum(b_vec) == d
-    return DeformationData(a_matrix, a_vec, d, b_matrix, weights, b_vec, lam)
+    return DeformationData(a_matrix, a_vec, d, b_matrix, weights, b_vec)
 
 
 def common_cover(pairs, multiple: int = 1):
@@ -155,19 +139,19 @@ def family_keys() -> list[str]:
     return [f"family{i}" for i in range(1, 11)]
 
 
-def family(key: str, lam: int | None = None) -> DeformationData:
+def family(key: str) -> DeformationData:
     """Deformation data for one of the built-in families."""
     if key not in FAMILIES:
         raise KeyError(f"unknown family {key!r}; expected family1..family10")
     rows, a_vec = FAMILIES[key]
-    return build(IntMatrix(rows), a_vec, lam)
+    return build(IntMatrix(rows), a_vec)
 
 
-def data_from_json(obj: dict, lam: int | None = None) -> DeformationData:
+def data_from_json(obj: dict) -> DeformationData:
     """Build deformation data from {"matrix": [[int,...],...], "deformation": [int,...]}."""
     if not isinstance(obj, dict) or "matrix" not in obj or "deformation" not in obj:
         raise DeformationError('expected an object with "matrix" and "deformation" keys')
-    return build(IntMatrix(obj["matrix"]), obj["deformation"], lam)
+    return build(IntMatrix(obj["matrix"]), obj["deformation"])
 
 
 def equation_string(data: DeformationData) -> str:

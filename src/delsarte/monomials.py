@@ -17,14 +17,12 @@ from math import gcd
 
 from .cyclotomic import CyclotomicElement
 from .deformation import DeformationData
+from .exactalg import determinant
 
-# Hard cap for the torus-subgroup closure below; the built-in families
-# stay below 300 elements, the cap only guards pathological user input.
+# Hard cap on the order |det A| of the torus subgroup enumerated below;
+# the built-in families stay below 300 elements, the cap only guards
+# pathological user input.
 _SUBGROUP_LIMIT = 4_000_000
-
-
-def is_interior(k, d: int) -> bool:
-    return all(0 < e < d for e in k)
 
 
 def normalize_type(k, d: int) -> tuple[int, ...]:
@@ -95,7 +93,16 @@ def is_g_invariant(k, data: DeformationData) -> bool:
 
 
 def invariant_image(data: DeformationData) -> set[tuple[int, ...]]:
-    """The full subgroup {m*B mod d} of (Z/d)^(n+1), by additive closure."""
+    """The full subgroup {m*B mod d} of (Z/d)^(n+1), by additive closure.
+
+    Its order is |det A|: m*B == 0 (mod d) iff m lies in the row lattice
+    of A, because A*B = d*I.  Larger groups are refused before enumeration.
+    """
+    order = abs(determinant(data.matrix))
+    if order > _SUBGROUP_LIMIT:
+        raise ValueError(
+            f"quotient group of order |det A| = {order} exceeds the enumeration limit {_SUBGROUP_LIMIT}"
+        )
     d = data.degree
     rows = [tuple(x % d for x in row) for row in data.map_matrix.rows]
     zero = (0,) * len(rows)
@@ -106,8 +113,6 @@ def invariant_image(data: DeformationData) -> set[tuple[int, ...]]:
         for row in rows:
             nxt = tuple((x + y) % d for x, y in zip(base, row))
             if nxt not in seen:
-                if len(seen) >= _SUBGROUP_LIMIT:
-                    raise RuntimeError("invariant subgroup too large to enumerate")
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen

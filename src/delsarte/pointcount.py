@@ -28,7 +28,8 @@ def _max_q() -> int:
         raise ValueError(f"DELSARTE_MAX_Q must be an integer, got {raw!r}") from None
 
 
-def _prime_factors(n: int) -> list[int]:
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n in ascending order, by trial division."""
     out = []
     p = 2
     while p * p <= n:
@@ -40,17 +41,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 def _poly_mulmod(a, b, mod_poly, p):
@@ -91,7 +81,7 @@ def _is_irreducible(poly, p):
 
     if frob_power(k) != x:
         return False
-    for ell in _prime_factors(k):
+    for ell in prime_factors(k):
         diff = [(a - b) % p for a, b in zip(frob_power(k // ell), x)]
         if not any(diff):
             return False
@@ -156,7 +146,7 @@ class FiniteField:
     modulus: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if prime_factors(self.p) != [self.p]:
             raise ValueError(f"{self.p} is not prime")
         if self.k < 1:
             raise ValueError("extension degree must be positive")
@@ -187,13 +177,6 @@ class FiniteField:
         prod = _poly_mulmod(self._decode(a), self._decode(b), self.modulus, self.p)
         return self._encode(prod)
 
-    def _element_order_is_maximal(self, g: int) -> bool:
-        n = self.q - 1
-        for ell in _prime_factors(n):
-            if self._raw_pow(g, n // ell) == 1:
-                return False
-        return True
-
     def _raw_pow(self, a: int, e: int) -> int:
         result = 1
         base = a
@@ -205,8 +188,9 @@ class FiniteField:
         return result
 
     def _build_tables(self):
+        cofactors = [(self.q - 1) // ell for ell in prime_factors(self.q - 1)]
         for g in range(2, self.q):
-            if self._element_order_is_maximal(g):
+            if all(self._raw_pow(g, e) != 1 for e in cofactors):
                 self.generator = g
                 break
         else:
@@ -295,10 +279,8 @@ class HypersurfaceSpec:
         return self.terms + (self.lambda_term,)
 
 
-def family_hypersurface(data: DeformationData, lam: int | None = None) -> HypersurfaceSpec:
+def family_hypersurface(data: DeformationData, lam: int) -> HypersurfaceSpec:
     """The deformed family member X_lambda in P(w)."""
-    if lam is None:
-        lam = data.lam if data.lam is not None else 0
     return HypersurfaceSpec(
         weights=data.weights,
         terms=tuple((tuple(row), 1) for row in data.matrix.rows),

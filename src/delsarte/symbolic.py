@@ -11,9 +11,12 @@ between the three del Pezzo quotient surfaces of each family.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd, lcm
 
+from . import deformation
 from .cyclotomic import CyclotomicElement
 
 # Canonical variable order; every polynomial's variable tuple is a
@@ -280,9 +283,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def _sorted_keys(self, target_vars=None):
         terms = self.terms if target_vars is None else self._embedded(target_vars)
         return sorted(terms, key=lambda e: (sum(e), e), reverse=True)
@@ -492,14 +492,9 @@ def _v(name: str) -> MultiPoly:
 def _build_registry() -> dict[str, MultiPoly]:
     lam = _v("lam")
     u, v = _v("u"), _v("v")
-    x0, x1, x2, x3 = _v("x0"), _v("x1"), _v("x2"), _v("x3")
+    x2, x3 = _v("x2"), _v("x3")
     i_unit = MultiPoly.constant(root_i())
     reg: dict[str, MultiPoly] = {}
-    reg["f1"] = x0**4 + x1**4 + lam * x0 * x1 * x2 * x3
-    reg["f2"] = x0**3 * x1 + x0 * x1**3 + lam * x0 * x1 * x2 * x3
-    reg["g1"] = x2**4 + x3**4
-    reg["g2"] = x2**3 * x3 + x2 * x3**3
-    reg["g3"] = x2**3 * x3 + x3**4
     reg["h1"] = u**4 - 4 * u**2 * v + 2 * v**2 + lam * v * x2 * x3
     reg["h2"] = u**2 * v - 2 * v**2 + lam * v * x2 * x3
     reg["h3"] = u**4 + 4 * u**2 * v + 2 * v**2 + lam * v * x2 * x3
@@ -551,30 +546,37 @@ _REGISTRY = _build_registry()
 
 FAMILY_INDICES = (1, 2, 3, 6, 7)
 
-# Which f/g pair defines each of the five families with the extra
-# involution, and hence which h+g pairs cut out the quotient surfaces.
-_FG_PAIR = {1: ("f1", "g1"), 2: ("f1", "g2"), 3: ("f2", "g2"), 6: ("f1", "g3"), 7: ("f2", "g3")}
-_SIGMA_H = {"f1": "h1", "f2": "h2"}  # quotient by (x0, x1) -> (x1, x0)
-_TAU_H = {"f1": "h3", "f2": "h4"}  # quotient by (x0, x1) -> (-x1, -x0)
-
 
 def builtin(name: str) -> MultiPoly:
-    """Named reference polynomial (f1, f2, g1..g3, h1..h5, q1, q2, q3, q6, q7)."""
+    """Named reference polynomial (h1..h5, q1, q2, q3, q6, q7)."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown polynomial {name!r}")
     return _REGISTRY[name]
 
 
-def family_quartic(i: int) -> MultiPoly:
-    """Defining polynomial f + g of family i, for i in {1, 2, 3, 6, 7}."""
-    f_name, g_name = _fg(i)
-    return builtin(f_name) + builtin(g_name)
-
-
-def _fg(i: int) -> tuple[str, str]:
-    if i not in _FG_PAIR:
+def _family_entry(i: int) -> tuple:
+    if i not in FAMILY_INDICES:
         raise ValueError(f"family index must be one of {FAMILY_INDICES}")
-    return _FG_PAIR[i]
+    return deformation.FAMILIES[f"family{i}"]
+
+
+def family_quartic(i: int) -> MultiPoly:
+    """Defining polynomial sum x^row + lam*x^a of family i, for i in {1, 2, 3, 6, 7}.
+
+    Read from the exponent rows and deformation vector of
+    `deformation.FAMILIES`.
+    """
+    rows, a_vec = _family_entry(i)
+    terms = {(0, *row): 1 for row in rows}
+    terms[(1, *a_vec)] = 1
+    return MultiPoly(("lam", "x0", "x1", "x2", "x3"), terms)
+
+
+def family_split(i: int) -> tuple[MultiPoly, MultiPoly]:
+    """(f, g) with f + g the quartic of family i and g free of x0 and x1."""
+    quartic = family_quartic(i)
+    g = quartic.coeff_in("x0", 0).coeff_in("x1", 0)
+    return quartic - g, g
 
 
 def quotient_surface(i: int, sheet: int) -> MultiPoly:
@@ -582,17 +584,20 @@ def quotient_surface(i: int, sheet: int) -> MultiPoly:
 
     sheet 1: quotient by the plain swap of x0, x1 (coordinates u = x0+x1,
     v = x0*x1); sheet 2: quotient by the signed swap (u = x0-x1); sheet 3
-    (families 1, 2, 6 only): quotient by the order-4 signed swap.
+    (families 1, 2, 6 only): quotient by the order-4 signed swap.  The
+    (x0, x1) block of the family is either Fermat (x0^4 + x1^4, surfaces
+    h1, h3) or a loop (x0^3*x1 + x0*x1^3, surfaces h2, h4).
     """
-    f_name, g_name = _fg(i)
+    fermat = (4, 0, 0, 0) in _family_entry(i)[0]
+    g = family_split(i)[1]
     if sheet == 1:
-        return builtin(_SIGMA_H[f_name]) + builtin(g_name)
+        return builtin("h1" if fermat else "h2") + g
     if sheet == 2:
-        return builtin(_TAU_H[f_name]) + builtin(g_name)
+        return builtin("h3" if fermat else "h4") + g
     if sheet == 3:
         if i not in (1, 2, 6):
             raise ValueError("sheet 3 exists for families 1, 2, 6 only")
-        return builtin("h5") + builtin(g_name)
+        return builtin("h5") + g
     raise ValueError("sheet must be 1, 2 or 3")
 
 
@@ -602,11 +607,15 @@ def branch_quartic(i: int) -> MultiPoly:
 
 
 def verify_quotient_identity(j: int) -> bool:
-    """Check h_j(x0+x1, x0*x1, x2, x3) == f_j(x0, x1, x2, x3) exactly."""
+    """Check h_j(x0+x1, x0*x1, x2, x3) == f(x0, x1, x2, x3) exactly.
+
+    f is the (x0, x1) part of family 1 (Fermat block) for j = 1 and of
+    family 3 (loop block) for j = 2.
+    """
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
     h = builtin(f"h{j}")
-    f = builtin(f"f{j}")
+    f = family_split(1 if j == 1 else 3)[0]
     image = h.substitute({"u": _v("x0") + _v("x1"), "v": _v("x0") * _v("x1")})
     return (image - f).is_zero()
 
@@ -685,13 +694,6 @@ def _a2_isomorphism_registry():
     return entries
 
 
-def isomorphism_checks() -> list[tuple[str, bool]]:
-    return [
-        (name, verify_isomorphism(sub, source, target))
-        for name, sub, source, target in _a2_isomorphism_registry()
-    ]
-
-
 # -- bitangents ----------------------------------------------------------------
 
 
@@ -720,6 +722,7 @@ def bitangent_leading_factor(i: int) -> MultiPoly:
     return bitangent_restriction(i)[0]
 
 
+@cache
 def bitangent_eliminant(i: int) -> MultiPoly:
     """Eliminant in (lam, a2) whose roots give the slant bitangents.
 
@@ -730,7 +733,8 @@ def bitangent_eliminant(i: int) -> MultiPoly:
     polynomial conditions; eliminating a3 by a Sylvester resultant and
     stripping the spurious content (powers of a2 and of a2^4 - 1 coming
     from the cleared denominators) yields a primitive polynomial of
-    degree 20 (family 1) or 24 (families 2, 3, 6, 7) in a2.
+    degree 20 (family 1) or 24 (families 2, 3, 6, 7) in a2.  Cached: the
+    five eliminants are shared by several checks.
     """
     r0, r1, r2, r3, r4 = bitangent_restriction(i)
     c_lead = r0
@@ -869,13 +873,9 @@ def _product(polys) -> MultiPoly:
     return out
 
 
-def _random_spot_checks(seed: int) -> list[tuple[str, bool]]:
-    import random
-
+def _discriminant_spot_check(seed: int) -> bool:
     rng = random.Random(seed)
-    checks = []
-    v, x2, x3, lam = _v("v"), _v("x2"), _v("x3"), _v("lam")
-
+    v, x2, x3 = _v("v"), _v("x2"), _v("x3")
     ok = True
     for _ in range(5):
         # disc of A*(v - r)^2 vanishes identically for any A, r free of v;
@@ -891,8 +891,12 @@ def _random_spot_checks(seed: int) -> list[tuple[str, bool]]:
         lhs = discriminant_in(general, "v").substitute(spec)
         rhs = discriminant_in(general.substitute(spec), "v")
         ok = ok and (lhs - rhs).is_zero()
-    checks.append(("discriminant-double-root-spot-check", ok))
+    return ok
 
+
+def _resultant_spot_check(seed: int) -> bool:
+    rng = random.Random(seed)
+    v, x2, x3, lam = _v("v"), _v("x2"), _v("x3"), _v("lam")
     ok = True
     for _ in range(5):
         shared = v - rng.randint(-5, 5) * x2
@@ -902,53 +906,62 @@ def _random_spot_checks(seed: int) -> list[tuple[str, bool]]:
         p2 = v - rng.randint(1, 5) * x2
         q2 = v - rng.randint(6, 9) * x3
         ok = ok and not resultant(p2, q2, "v").is_zero()
-    checks.append(("resultant-shared-root-spot-check", ok))
-    return checks
+    return ok
+
+
+def _eliminant_is_even(i: int) -> bool:
+    eliminant = bitangent_eliminant(i)
+    return all(eliminant.coeff_in("a2", k).is_zero() for k in range(1, eliminant.degree_in("a2") + 1, 2))
 
 
 def appendix_checks(seed: int = 0, only=None) -> list[tuple[str, bool]]:
-    """Run every symbolic golden verification; returns (name, passed) pairs.
+    """Run the symbolic golden verifications; returns (name, passed) pairs.
 
     Everything is recomputed from the defining data: quotient identities,
     branch-quartic discriminants, surface isomorphisms, vertical
     bitangents, the leading factors, and the eliminants with their
-    factored forms, plus seeded property spot checks.
+    factored forms, plus seeded property spot checks.  With `only`, just
+    the checks whose name contains one of its tokens run, in the same
+    order; a token that matches no check is a ValueError.
     """
-    checks: list[tuple[str, bool]] = []
-    checks.append(("quotient-identity-h1", verify_quotient_identity(1)))
-    checks.append(("quotient-identity-h2", verify_quotient_identity(2)))
+    checks = [(f"quotient-identity-h{j}", partial(verify_quotient_identity, j)) for j in (1, 2)]
     for i in FAMILY_INDICES:
-        checks.append((f"discriminant-q{i}", (branch_quartic(i) - builtin(f"q{i}")).is_zero()))
-    for name, ok in isomorphism_checks():
-        checks.append((f"isomorphism {name}", ok))
+        checks.append((f"discriminant-q{i}", lambda i=i: (branch_quartic(i) - builtin(f"q{i}")).is_zero()))
+    for name, sub, source, target in _a2_isomorphism_registry():
+        checks.append((f"isomorphism {name}", partial(verify_isomorphism, sub, source, target)))
     for i in FAMILY_INDICES:
         checks.append(
-            (f"leading-factor-{i}", (bitangent_leading_factor(i) - expected_leading_factor(i)).is_zero())
+            (
+                f"leading-factor-{i}",
+                lambda i=i: (bitangent_leading_factor(i) - expected_leading_factor(i)).is_zero(),
+            )
         )
         checks.append(
             (
                 f"vertical-bitangents-{i}",
-                vertical_bitangents(i).equal_up_to_scalar(expected_vertical_bitangents(i)),
+                lambda i=i: vertical_bitangents(i).equal_up_to_scalar(expected_vertical_bitangents(i)),
             )
         )
     for i in FAMILY_INDICES:
-        eliminant = bitangent_eliminant(i)
         want_degree = 20 if i == 1 else 24
-        checks.append((f"eliminant-degree-{i}", eliminant.degree_in("a2") == want_degree))
+        checks.append(
+            (f"eliminant-degree-{i}", lambda i=i, n=want_degree: bitangent_eliminant(i).degree_in("a2") == n)
+        )
         if i != 1:
-            even = all(
-                eliminant.coeff_in("a2", k).is_zero()
-                for k in range(1, eliminant.degree_in("a2") + 1, 2)
-            )
-            checks.append((f"eliminant-even-{i}", even))
+            checks.append((f"eliminant-even-{i}", partial(_eliminant_is_even, i)))
         checks.append(
             (
                 f"eliminant-factors-{i}",
-                _product(expected_eliminant_factors(i)).equal_up_to_scalar(eliminant),
+                lambda i=i: _product(expected_eliminant_factors(i)).equal_up_to_scalar(
+                    bitangent_eliminant(i)
+                ),
             )
         )
-    checks.extend(_random_spot_checks(seed))
+    checks.append(("discriminant-double-root-spot-check", partial(_discriminant_spot_check, seed)))
+    checks.append(("resultant-shared-root-spot-check", partial(_resultant_spot_check, seed)))
     if only is not None:
-        wanted = set(only)
-        checks = [c for c in checks if any(w in c[0] for w in wanted)]
-    return checks
+        for token in only:
+            if not any(token in name for name, _ in checks):
+                raise ValueError(f"--only token {token!r} matches no check")
+        checks = [(name, run) for name, run in checks if any(token in name for token in only)]
+    return [(name, run()) for name, run in checks]

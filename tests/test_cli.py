@@ -185,6 +185,14 @@ def test_count_scan_ext_must_be_positive(capsys):
     assert "--scan-ext" in captured.err and "Traceback" not in captured.err
 
 
+def test_count_ext_must_be_positive(capsys):
+    status = run_main(["count", "family1", "--q", "5", "--ext", "0"])
+    assert status == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --ext must be at least 1, got 0" in captured.err
+
+
 def test_max_q_not_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("DELSARTE_MAX_Q", "abc")
     status = run_main(["count", "family1", "--q", "5"])
@@ -218,6 +226,14 @@ def test_verify_appendix_only():
     assert all("quotient" in line for line in text.splitlines())
 
 
+def test_verify_appendix_only_token_matching_nothing(capsys):
+    status = run_main(["verify-appendix", "--only", "quotinet"])
+    assert status == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --only token 'quotinet' matches no check" in captured.err
+
+
 def test_json_family_input(tmp_path):
     rows, a = deformation.FAMILIES["family6"]
     path = tmp_path / "fam.json"
@@ -234,6 +250,26 @@ def test_json_family_invalid(tmp_path, capsys):
     assert "invalid family" in capsys.readouterr().err
 
 
+def test_analyze_unequal_weights_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps({"matrix": [[2, 0, 0], [0, 4, 0], [0, 0, 4]], "deformation": [1, 1, 1]}))
+    assert run_main(["analyze", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unequal weights" in captured.err
+
+
+def test_huge_quotient_group_is_refused(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    matrix = [[50 if i == j else 0 for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps({"matrix": matrix, "deformation": [13, 13, 12, 12]}))
+    assert run_main(["invariants", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "|det A| = 6250000" in captured.err and "4000000" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_family(capsys):
     assert run_main(["analyze", "family99"]) == cli.USAGE_ERROR
     assert "unknown family" in capsys.readouterr().err
@@ -242,5 +278,8 @@ def test_unknown_family(capsys):
 def test_parse_prime_power():
     assert cli.parse_prime_power(25) == (5, 2)
     assert cli.parse_prime_power(17) == (17, 1)
-    with pytest.raises(cli.CliError):
-        cli.parse_prime_power(12)
+    assert cli.parse_prime_power(2) == (2, 1)
+    assert cli.parse_prime_power(1024) == (2, 10)
+    for q in (12, 1, 0, -4):
+        with pytest.raises(cli.CliError, match=f"{q} is not a prime power"):
+            cli.parse_prime_power(q)

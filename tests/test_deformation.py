@@ -139,9 +139,3 @@ def test_equation_string():
         equation_string(family("family2"))
         == "x0^4+x1^4+x2^3*x3+x2*x3^3+lam*x0*x1*x2*x3"
     )
-
-
-def test_lambda_marker():
-    data = family("family3", lam=5)
-    assert data.lam == 5
-    assert data.with_lambda(None).lam is None

@@ -1,6 +1,9 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from delsarte.exactalg import (
     IntMatrix,
@@ -96,25 +99,18 @@ def test_minimal_map_singular():
         minimal_map_matrix(IntMatrix([[1, 1], [1, 1]]))
 
 
-def test_minimal_map_properties_random():
-    rng = random.Random(23)
-    found = 0
-    while found < 25:
-        n = rng.choice([2, 3, 4])
-        m = IntMatrix([[rng.randint(0, 5) for _ in range(n)] for _ in range(n)])
-        det = determinant(m)
-        if det == 0:
-            continue
-        found += 1
-        d, b = minimal_map_matrix(m)
-        assert b * m == IntMatrix.identity(n).scaled(d)
-        assert abs(det) % d == 0
-        # minimality: no proper divisor d' of d makes d' * M^-1 integral
-        adj = adjugate(m)
-        for p in (2, 3, 5, 7, 11, 13):
-            if d % p == 0:
-                smaller = d // p
-                integral = all(
-                    (x * smaller) % det == 0 for row in adj.rows for x in row
-                )
-                assert not integral
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 5), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_minimal_map_properties_random(rows):
+    m = IntMatrix(rows)
+    det = determinant(m)
+    assume(det != 0)
+    d, b = minimal_map_matrix(m)
+    scalar = IntMatrix.identity(m.n).scaled(d)
+    assert d >= 1 and abs(det) % d == 0
+    assert b * m == scalar and m * b == scalar
+    # minimality: d/p * M^-1 = B/p is integral for no prime p | d
+    assert gcd(d, *(x for row in b.rows for x in row)) == 1

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from delsarte.cyclotomic import CyclotomicElement
-from delsarte.deformation import family, family_keys
+from delsarte.deformation import build, family, family_keys, validate_coefficient_matrix
+from delsarte.exactalg import IntMatrix, determinant
 from delsarte.monomials import (
     MonomialSubstitution,
     automorphism_action,
@@ -14,6 +17,7 @@ from delsarte.monomials import (
     format_type,
     g_invariant_types,
     gmax_invariant_types,
+    invariant_image,
     is_g_invariant,
     is_gmax_invariant,
     parse_type,
@@ -122,6 +126,35 @@ def test_invariance_oracle_large_families_sampled():
             k = head + (last,)
             assert is_g_invariant(k, data) == member_by_enumeration(k, halves, d)
             checked += 1
+
+
+@st.composite
+def _valid_families(draw):
+    """Diagonal-dominated coefficient matrices with at most one off-diagonal entry per row."""
+    n1 = draw(st.integers(2, 4))
+    rows = []
+    for i in range(n1):
+        row = [0] * n1
+        row[i] = draw(st.integers(1, 5))
+        j = draw(st.integers(0, n1 - 1))
+        if j != i:
+            row[j] = draw(st.integers(0, 3))
+        rows.append(row)
+    a = IntMatrix(rows)
+    assume(not validate_coefficient_matrix(a))
+    # any row of A is a deformation vector: its cover exponents are d*e_i
+    return build(a, rows[0])
+
+
+@given(_valid_families())
+def test_invariant_image_order_is_det(data):
+    assert len(invariant_image(data)) == abs(determinant(data.matrix))
+
+
+def test_invariant_image_order_on_families():
+    for key in family_keys():
+        data = family(key)
+        assert len(invariant_image(data)) == abs(determinant(data.matrix))
 
 
 def test_invariant_witness_roundtrip():

@@ -11,6 +11,7 @@ from delsarte.pointcount import (
     family_hypersurface,
     fermat_hypersurface,
     is_general_position,
+    prime_factors,
     verify_cover_map,
 )
 
@@ -83,6 +84,15 @@ def test_field_size_bound(monkeypatch):
 def test_nonprime_rejected():
     with pytest.raises(ValueError):
         FiniteField(6)
+    with pytest.raises(ValueError):
+        FiniteField(1)
+
+
+def test_prime_factors_vs_naive():
+    for n in range(1, 400):
+        naive = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+        assert prime_factors(n) == naive, n
+    assert prime_factors(0) == [] and prime_factors(2**20 * 3) == [2, 3]
 
 
 # -- counting ---------------------------------------------------------------------

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from delsarte import deformation, symbolic
 from delsarte.cyclotomic import CyclotomicElement
 from delsarte.symbolic import (
     FAMILY_INDICES,
@@ -20,7 +23,7 @@ from delsarte.symbolic import (
     expected_leading_factor,
     expected_vertical_bitangents,
     family_quartic,
-    isomorphism_checks,
+    family_split,
     quotient_surface,
     resultant,
     root_i,
@@ -89,6 +92,19 @@ def test_exact_div():
     assert not divides(V("u") + 1, V("u") ** 2 + 1)
 
 
+_rational_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=4,
+).map(lambda terms: MultiPoly(("u", "v", "x2"), terms))
+
+
+@given(_rational_polys, _rational_polys)
+def test_exact_div_recovers_factor(p, q):
+    assume(not q.is_zero())
+    assert exact_div(p * q, q) == p
+
+
 def test_canonical_string():
     # graded-lex over (lam, u, x2, x3): the lam^2 term has total degree 6
     q1 = builtin("q1")
@@ -98,13 +114,45 @@ def test_canonical_string():
 
 
 def test_builtin_registry_examples():
-    x2, x3, u, v, lam = V("x2"), V("x3"), V("u"), V("v"), V("lam")
-    assert builtin("g2") == x2**3 * x3 + x2 * x3**3  # x2*x3*(x2^2 + x3^2)
+    x0, x1, x2, x3, u, v, lam = V("x0"), V("x1"), V("x2"), V("x3"), V("u"), V("v"), V("lam")
+    assert family_split(2)[1] == x2**3 * x3 + x2 * x3**3  # x2*x3*(x2^2 + x3^2)
+    assert family_split(3)[0] == x0**3 * x1 + x0 * x1**3 + lam * x0 * x1 * x2 * x3
     assert builtin("h1") == u**4 - 4 * u**2 * v + 2 * v**2 + lam * v * x2 * x3
     i_unit = MultiPoly.constant(root_i())
     assert builtin("h5") == u**4 - 4 * i_unit * u**2 * v - 2 * v**2 + lam * v * x2 * x3
     with pytest.raises(KeyError):
         builtin("q4")
+    with pytest.raises(KeyError):
+        builtin("f1")
+
+
+def _golden_quartics():
+    """The five appendix quartics as printed, f + g with f the (x0, x1) part."""
+    x0, x1, x2, x3, lam = V("x0"), V("x1"), V("x2"), V("x3"), V("lam")
+    f1 = x0**4 + x1**4 + lam * x0 * x1 * x2 * x3
+    f2 = x0**3 * x1 + x0 * x1**3 + lam * x0 * x1 * x2 * x3
+    g1 = x2**4 + x3**4
+    g2 = x2**3 * x3 + x2 * x3**3
+    g3 = x2**3 * x3 + x3**4
+    return {1: (f1, g1), 2: (f1, g2), 3: (f2, g2), 6: (f1, g3), 7: (f2, g3)}
+
+
+def test_family_quartics_come_from_the_family_registry():
+    def monomial(exps):
+        out = MultiPoly.constant(1)
+        for j, e in enumerate(exps):
+            out = out * V(f"x{j}") ** e
+        return out
+
+    for i, (f, g) in _golden_quartics().items():
+        rows, a_vec = deformation.FAMILIES[f"family{i}"]
+        from_rows = sum((monomial(row) for row in rows), MultiPoly.zero()) + V("lam") * monomial(a_vec)
+        assert family_quartic(i) == from_rows == f + g, i
+        assert family_split(i) == (f, g), i
+    with pytest.raises(ValueError):
+        family_quartic(4)
+    with pytest.raises(ValueError):
+        quotient_surface(5, 1)
 
 
 def test_cyclotomic_coefficients():
@@ -169,13 +217,13 @@ def test_quotient_identities():
 
 def test_quotient_identity_negative_control():
     h1 = builtin("h1") + V("v")  # perturbed
-    f1 = builtin("f1")
+    f1 = family_split(1)[0]
     image = h1.substitute({"u": V("x0") + V("x1"), "v": V("x0") * V("x1")})
     assert not (image - f1).is_zero()
 
 
 def test_isomorphism_registry_all_true():
-    checks = isomorphism_checks()
+    checks = appendix_checks(only=["isomorphism"])
     assert len(checks) == 8
     assert all(ok for _, ok in checks)
 
@@ -261,3 +309,33 @@ def test_appendix_checks_all_pass():
 def test_appendix_checks_only_filter():
     results = appendix_checks(seed=0, only=["quotient"])
     assert results and all("quotient" in name for name, _ in results)
+
+
+def test_appendix_only_runs_just_the_selected_checks(monkeypatch):
+    def unexpected(i):
+        raise AssertionError(f"eliminant {i} computed for an unselected check")
+
+    monkeypatch.setattr(symbolic, "bitangent_eliminant", unexpected)
+    results = appendix_checks(only=["quotient-identity"])
+    assert results == [("quotient-identity-h1", True), ("quotient-identity-h2", True)]
+
+
+def test_appendix_computes_each_eliminant_once(monkeypatch):
+    eliminated = []
+    real_resultant = symbolic.resultant
+
+    def counting_resultant(p, q, name):
+        if name == "a3":
+            eliminated.append(name)
+        return real_resultant(p, q, name)
+
+    monkeypatch.setattr(symbolic, "resultant", counting_resultant)
+    bitangent_eliminant.cache_clear()
+    results = appendix_checks()
+    assert all(ok for _, ok in results)
+    assert len(eliminated) == len(FAMILY_INDICES)
+
+
+def test_appendix_only_token_must_match():
+    with pytest.raises(ValueError, match="'quotinet' matches no check"):
+        appendix_checks(only=["quotient", "quotinet"])
