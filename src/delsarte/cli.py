@@ -41,6 +41,18 @@ def resolve_family(ref: str) -> DeformationData:
     raise CliError(f"unknown family {ref!r}: not a registry key and not a file")
 
 
+def check_field_size(q: int, ext: int = 1) -> None:
+    """Refuse F_(q^ext) above the DELSARTE_MAX_Q bound before q is factored."""
+    if q < 2:
+        return  # parse_prime_power rejects it
+    bound = pointcount._max_q()
+    # q^ext >= 2^ext, so a huge ext exceeds the bound without being computed
+    if ext > max(bound, 1).bit_length():
+        raise CliError(f"field size {q}^{ext} exceeds the configured bound")
+    if q**ext > bound:
+        raise CliError(f"field size {q**ext} exceeds the configured bound")
+
+
 def parse_prime_power(q: int) -> tuple[int, int]:
     factors = pointcount.prime_factors(q)
     if len(factors) != 1:
@@ -127,6 +139,7 @@ def cmd_classes(args, out) -> int:
 
 def cmd_common_factor(args, out) -> int:
     data_list = [resolve_family(ref) for ref in args.families]
+    check_field_size(args.q)
     p, k = parse_prime_power(args.q)
     field = pointcount.FiniteField(p, k)
     try:
@@ -151,6 +164,7 @@ def cmd_count(args, out) -> int:
         raise CliError(f"--scan-ext must be at least 1, got {args.scan_ext}")
     if args.ext < 1:
         raise CliError(f"--ext must be at least 1, got {args.ext}")
+    check_field_size(args.q, args.ext)
     p, k = parse_prime_power(args.q)
     field = pointcount.FiniteField(p, k * args.ext)
     data = resolve_family(args.family)

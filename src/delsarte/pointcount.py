@@ -5,15 +5,17 @@ counts points on weighted-projective hypersurfaces by enumerating the
 affine cone, checks the toric general-position condition over bounded
 extensions, and verifies the monomial cover map fiber by fiber.
 
-Fields F_{p^k} are represented by discrete-log tables over a fixed
-multiplicative generator; elements are integer codes whose base-p digits
-are the coefficients of the residue polynomial.
+Fields F_{p^k} are integer codes whose base-p digits are the coefficients
+of the residue polynomial.  Arithmetic goes through discrete-log tables
+over a fixed multiplicative generator and a Zech-logarithm table, one
+path for every q.
 """
 from __future__ import annotations
 
 import itertools
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 from .deformation import DeformationData
 
@@ -130,11 +132,15 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 
 @dataclass
 class FiniteField:
-    """F_q, q = p^k, with exp/log tables over a fixed generator.
+    """F_q, q = p^k, with exp/log/Zech tables over a fixed generator g.
 
     Element codes are integers in [0, q): the base-p digits of a code are
     the coefficients of the residue polynomial.  The prime subfield embeds
-    as the codes 0..p-1.
+    as the codes 0..p-1.  Every operation is a table lookup, the same for
+    prime and extension fields: `exp[j] = g^j`, `log` inverts it
+    (`log[0] = -1`), and the Zech logarithm `zech[j] = log(1 + g^j)`
+    (Lidl-Niederreiter, *Finite Fields*) turns addition into
+    `g^a + g^b = g^(a + zech[b - a])`.
     """
 
     p: int
@@ -143,6 +149,7 @@ class FiniteField:
     generator: int = field(init=False)
     exp: list[int] = field(init=False, repr=False)
     log: list[int] = field(init=False, repr=False)
+    zech: list[int] = field(init=False, repr=False)
     modulus: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -206,19 +213,27 @@ class FiniteField:
             self.log[acc] = j
             acc = self._raw_mul(acc, self.generator)
         assert acc == 1, "generator order is not q - 1"
+        # 1 + x bumps digit 0 of x's code; log[0] = -1 marks 1 + g^j = 0
+        p = self.p
+        self.zech = [self.log[x - x % p + (x + 1) % p] for x in self.exp]
 
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([x + y for x, y in zip(da, db)])
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        qm1 = self.q - 1
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % qm1]
+        return 0 if z < 0 else self.exp[(la + z) % qm1]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self._encode([-x for x in self._decode(a)])
+        # -1 is the code p - 1: g^((q-1)/2) for odd q, and 1 when p = 2
+        if a == 0:
+            return 0
+        return self.exp[(self.log[a] + self.log[self.p - 1]) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -321,58 +336,64 @@ def count_points(spec: HypersurfaceSpec, field: FiniteField) -> int:
 
 
 def count_cone(spec: HypersurfaceSpec, field: FiniteField) -> int:
-    """Number of solutions in the full affine cone (including the origin)."""
+    """Number of solutions in the full affine cone (including the origin).
+
+    Descends over x_0..x_(n-1) carrying each term's monomial value as a
+    prefix product.  At the last variable x_n the terms without x_n fold
+    into one constant c, and the number of roots v of
+    c + sum m_t * v^(e_t) is memoized on the key (c, m_t...) for the
+    duration of the call.
+    """
     q = field.q
     n1 = len(spec.weights)
     terms = [(exps, field.from_int(c)) for exps, c in spec.all_terms()]
     terms = [(exps, c) for exps, c in terms if c != 0]
     if not terms:
         return q**n1
-    n_terms = len(terms)
-    # pw[t][i][v] = v^e(t,i) as a field code
+    last = n1 - 1
+    # pw[t][i][v] = v^e(t,i) as a field code, for the descended variables
     pw = [
-        [[field.pow(v, exps[i]) for v in range(q)] for i in range(n1)]
+        [[field.pow(v, exps[i]) for v in range(q)] for i in range(last)]
         for exps, _ in terms
     ]
-    add = field.add
-    mul = field.mul
-    count = 0
-    start = tuple(c for _, c in terms)
+    folded = [t for t, (exps, _) in enumerate(terms) if exps[last] == 0]
+    live = [t for t, (exps, _) in enumerate(terms) if exps[last]]
+    # log(v^e) for v = g^j, j = 0..q-2, per live term
+    live_logs = [[(terms[t][0][last] * j) % (q - 1) for j in range(q - 1)] for t in live]
+    add, mul, neg = field.add, field.mul, field.neg
+    exp, log = field.exp, field.log
+    qm1 = q - 1
+    roots: dict[tuple[int, ...], int] = {}
 
-    def descend(depth: int, partials) -> None:
-        nonlocal count
-        if depth == n1 - 1:
-            tables = [pw[t][depth] for t in range(n_terms)]
-            live = [(partials[t], tables[t]) for t in range(n_terms) if partials[t]]
-            if not live:
-                count += q
-                return
-            for v in range(q):
-                s = 0
-                for pv, table in live:
-                    w = table[v]
-                    if w:
-                        s = add(s, mul(pv, w))
-                if s == 0:
-                    count += 1
-            return
-        for v in range(q):
-            descend(
-                depth + 1,
-                tuple(mul(partials[t], pw[t][depth][v]) for t in range(n_terms)),
-            )
+    def root_count(const: int, coeffs) -> int:
+        # v = 0 kills every live term; the units sum term by term
+        total = [0] * qm1
+        for m, logs in zip(coeffs, live_logs):
+            if m:
+                lm = log[m]
+                total = list(map(add, total, [exp[(lm + x) % qm1] for x in logs]))
+        return (const == 0) + total.count(neg(const))
 
-    descend(0, start)
-    return count
+    def leaf(partials) -> int:
+        const = 0
+        for t in folded:
+            const = add(const, partials[t])
+        key = (const, *[partials[t] for t in live])
+        n = roots.get(key)
+        if n is None:
+            n = roots[key] = root_count(const, key[1:])
+        return n
 
+    def descend(depth: int, partials) -> int:
+        tables = [pw_t[depth] for pw_t in pw]
+        step = leaf if depth + 1 == last else partial(descend, depth + 1)
+        return sum(
+            step([mul(m, table[v]) for m, table in zip(partials, tables)])
+            for v in range(q)
+        )
 
-def _projective_points(field: FiniteField, n1: int):
-    """Representatives of P^(n1-1)(F_q): first nonzero coordinate = 1."""
-    q = field.q
-    for lead in range(n1):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(q), repeat=n1 - lead - 1):
-            yield prefix + tail
+    start = [c for _, c in terms]
+    return descend(0, start) if last else leaf(start)
 
 
 def is_general_position(spec: HypersurfaceSpec, field: FiniteField, max_ext: int = 1) -> bool:
@@ -381,6 +402,10 @@ def is_general_position(spec: HypersurfaceSpec, field: FiniteField, max_ext: int
     True iff the system {x_i * df/dx_i = 0 for all i} together with f = 0
     has no projective solution over F_{q^j} for every j <= max_ext.  This
     checks the stated extensions only, not the algebraic closure.
+
+    Points are walked as (0, ..., 0, 1, *) by descent, each term's
+    monomial value carried as a prefix product; the walk stops at the
+    first singular point.
     """
     if max_ext < 1:
         raise ValueError(f"max_ext must be at least 1, got {max_ext}")
@@ -394,38 +419,36 @@ def is_general_position(spec: HypersurfaceSpec, field: FiniteField, max_ext: int
             [[ext.pow(v, exps[i]) for v in range(q)] for i in range(n1)]
             for exps, _ in terms
         ]
-        # x_i * df/dx_i has the same monomials as f, coefficients scaled by e_i.
-        scaled = [
-            [ext.mul(c, ext.from_int(exps[i])) for exps, c in terms]
-            for i in range(n1)
-        ]
-        plain = [c for _, c in terms]
+        # x_i * df/dx_i has the same monomials as f, coefficients scaled by
+        # e_i; f itself comes last.  Each equation keeps its nonzero terms.
+        rows = [[ext.mul(c, ext.from_int(exps[i])) for exps, c in terms] for i in range(n1)]
+        rows.append([c for _, c in terms])
+        equations = [[(t, c) for t, c in enumerate(row) if c] for row in rows]
         add, mul = ext.add, ext.mul
-        for point in _projective_points(ext, n1):
-            values = []
-            for t, (exps, _) in enumerate(terms):
-                v = 1
-                for i in range(n1):
-                    v = mul(v, pw[t][i][point[i]])
-                    if v == 0:
-                        break
-                values.append(v)
-            singular = True
-            for coeffs in scaled:
+
+        def singular(values) -> bool:
+            for equation in equations:
                 s = 0
-                for c, v in zip(coeffs, values):
-                    if c and v:
-                        s = add(s, mul(c, v))
+                for t, c in equation:
+                    s = add(s, mul(c, values[t]))
                 if s != 0:
-                    singular = False
-                    break
-            if singular:
-                s = 0
-                for c, v in zip(plain, values):
-                    if c and v:
-                        s = add(s, mul(c, v))
-                if s == 0:
                     return False
+            return True
+
+        def descend(depth: int, values) -> bool:
+            if depth == n1:
+                return singular(values)
+            tables = [pw_t[depth] for pw_t in pw]
+            return any(
+                descend(depth + 1, [mul(v, table[x]) for v, table in zip(values, tables)])
+                for x in range(q)
+            )
+
+        for lead in range(n1):
+            # coordinates before the lead are 0, the lead itself is 1
+            start = [0 if any(exps[:lead]) else 1 for exps, _ in terms]
+            if descend(lead + 1, start):
+                return False
     return True
 
 

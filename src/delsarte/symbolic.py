@@ -697,16 +697,25 @@ def _a2_isomorphism_registry():
 # -- bitangents ----------------------------------------------------------------
 
 
-def _strip_factors(poly: MultiPoly, factors) -> MultiPoly:
-    out = poly
-    for f in factors:
-        while True:
-            try:
-                candidate = exact_div(out, f)
-            except InexactDivisionError:
-                break
-            out = candidate
-    return out
+def _strip_spurious(poly: MultiPoly) -> MultiPoly:
+    """Remove every factor a2 and a2^4 - 1 of poly.
+
+    The power of a2 is its least exponent over the terms, taken off in
+    one pass; a2^4 - 1 is divided out by trial while it divides.
+    """
+    if "a2" in poly.vars:
+        i = poly.vars.index("a2")
+        low = min(exps[i] for exps in poly.terms)
+        poly = MultiPoly(
+            poly.vars,
+            {exps[:i] + (exps[i] - low,) + exps[i + 1 :]: c for exps, c in poly.terms.items()},
+        )
+    quartic = _v("a2") ** 4 - 1
+    while True:
+        try:
+            poly = exact_div(poly, quartic)
+        except InexactDivisionError:
+            return poly
 
 
 def bitangent_restriction(i: int) -> list[MultiPoly]:
@@ -741,9 +750,7 @@ def bitangent_eliminant(i: int) -> MultiPoly:
     e1 = 8 * c_lead**2 * r3 - 4 * c_lead * r1 * r2 + r1**3
     e2 = 64 * c_lead**3 * r4 - (4 * c_lead * r2 - r1**2) ** 2
     res = resultant(e1, e2, "a3")
-    a2 = _v("a2")
-    spurious = [a2, a2**4 - 1]
-    return _strip_factors(res.primitive_part(), spurious).primitive_part()
+    return _strip_spurious(res.primitive_part()).primitive_part()
 
 
 def vertical_bitangents(i: int) -> MultiPoly:

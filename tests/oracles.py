@@ -3,13 +3,17 @@
 These deliberately avoid the shortcuts used by the implementation: the
 invariance oracle enumerates the values m*B directly, the reduction
 oracle rewrites forms by explicit polynomial differentiation, the Jacobi
-sum oracle enumerates every tuple of nonzero field elements, and the
+sum oracle enumerates every tuple of nonzero field elements, the
 characteristic-polynomial oracle expands one type at a time from those
-direct sums.
+direct sums, and the point-count and general-position oracles evaluate
+the whole polynomial at every point of the affine cone or of projective
+space.
 """
+import itertools
 from fractions import Fraction
 
 from delsarte.cyclotomic import CyclotomicElement
+from delsarte.pointcount import FiniteField
 from delsarte.zetafermat import CharPoly
 
 
@@ -150,3 +154,91 @@ def char_poly_by_types(types, table):
             new[i + 1] = new[i + 1] - ev * coeffs[i]
         coeffs = new
     return CharPoly(tuple(c.rational_value() for c in coeffs))
+
+
+def brute_count_cone(spec, field):
+    """Solutions of the spec in the affine cone, with no memo.
+
+    Descends over the coordinates with prefix products and evaluates the
+    whole polynomial at every one of the q^(n+1) points.
+    """
+    q = field.q
+    n1 = len(spec.weights)
+    terms = [(exps, field.from_int(c)) for exps, c in spec.all_terms()]
+    terms = [(exps, c) for exps, c in terms if c != 0]
+    if not terms:
+        return q**n1
+    n_terms = len(terms)
+    # pw[t][i][v] = v^e(t,i) as a field code
+    pw = [
+        [[field.pow(v, exps[i]) for v in range(q)] for i in range(n1)]
+        for exps, _ in terms
+    ]
+    add = field.add
+    mul = field.mul
+    count = 0
+
+    def descend(depth, partials):
+        nonlocal count
+        if depth == n1:
+            s = 0
+            for value in partials:
+                s = add(s, value)
+            if s == 0:
+                count += 1
+            return
+        for v in range(q):
+            descend(
+                depth + 1,
+                tuple(mul(partials[t], pw[t][depth][v]) for t in range(n_terms)),
+            )
+
+    descend(0, tuple(c for _, c in terms))
+    return count
+
+
+def projective_points(field, n1):
+    """Representatives of P^(n1-1)(F_q): first nonzero coordinate = 1."""
+    q = field.q
+    for lead in range(n1):
+        prefix = (0,) * lead + (1,)
+        for tail in itertools.product(range(q), repeat=n1 - lead - 1):
+            yield prefix + tail
+
+
+def brute_general_position(spec, field, max_ext=1):
+    """Toric general position over F_(q^j), j <= max_ext, point by point.
+
+    Multiplies out every monomial at every projective point, then asks
+    whether all x_i * df/dx_i and f vanish there.
+    """
+    base_terms = [t for t in spec.all_terms() if t[1] % field.p != 0]
+    n1 = len(spec.weights)
+    for j in range(1, max_ext + 1):
+        ext = field if j == 1 else FiniteField(field.p, field.k * j)
+        terms = [(exps, ext.from_int(c)) for exps, c in base_terms]
+        # x_i * df/dx_i has the same monomials as f, coefficients scaled by e_i
+        equations = [
+            [ext.mul(c, ext.from_int(exps[i])) for exps, c in terms] for i in range(n1)
+        ]
+        equations.append([c for _, c in terms])
+        for point in projective_points(ext, n1):
+            values = []
+            for exps, _ in terms:
+                v = 1
+                for x, e in zip(point, exps):
+                    v = ext.mul(v, ext.pow(x, e))
+                values.append(v)
+            if all(
+                _field_sum(ext, [ext.mul(c, v) for c, v in zip(coeffs, values)]) == 0
+                for coeffs in equations
+            ):
+                return False
+    return True
+
+
+def _field_sum(field, values):
+    s = 0
+    for v in values:
+        s = field.add(s, v)
+    return s

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
-from delsarte import cli, deformation
+from delsarte import cli, deformation, pointcount
+from delsarte.pointcount import FiniteField, family_hypersurface
+from delsarte.zetafermat import fermat_point_count_via_sums
 
 from golden_data import SUMMARY_TABLE
+from oracles import brute_count_cone
 
 
 def run_cli(argv):
@@ -161,11 +164,16 @@ def test_count_family1():
 
 
 def test_count_ext_flag():
+    # F_25: the Fermat quartic against the Jacobi-sum closed form (4 | 24);
+    # F_9: a deformed member against the point-by-point cone oracle
     status, text = run_cli(["count", "family1", "--q", "5", "--ext", "2", "--lambda", "0"])
     assert status == 0
-    from delsarte.pointcount import FiniteField, count_points, fermat_hypersurface
-
-    assert int(text.strip()) == count_points(fermat_hypersurface(4, 3), FiniteField(5, 2))
+    field = FiniteField(5, 2)
+    assert int(text.strip()) == fermat_point_count_via_sums(4, 3, field)
+    status, text = run_cli(["count", "family1", "--q", "3", "--ext", "2", "--lambda", "1"])
+    assert status == 0
+    cone = brute_count_cone(family_hypersurface(deformation.family("family1"), 1), FiniteField(3, 2))
+    assert int(text.strip()) == (cone - 1) // 8
 
 
 def test_count_scan():
@@ -191,6 +199,24 @@ def test_count_ext_must_be_positive(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --ext must be at least 1, got 0" in captured.err
+
+
+def test_field_bound_checked_before_factoring(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(pointcount, "prime_factors", refuse)
+    for argv, size in [
+        (["count", "family1", "--q", "10000000000037"], "10000000000037"),
+        (["count", "family1", "--q", "10000000000038"], "10000000000038"),
+        (["count", "family1", "--q", "5", "--ext", "9"], "1953125"),
+        (["count", "family1", "--q", "5", "--ext", "100000000"], "5^100000000"),
+        (["common-factor", "family1", "--q", "10000000000037"], "10000000000037"),
+    ]:
+        assert run_main(argv) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: field size {size} exceeds the configured bound" in captured.err
 
 
 def test_max_q_not_an_integer(monkeypatch, capsys):

@@ -1,6 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_count_cone, brute_general_position
 
 from delsarte.deformation import family, family_keys
 from delsarte.pointcount import (
@@ -69,6 +72,31 @@ def test_extension_field_axioms():
         seen.add(acc)
         acc = f.mul(acc, f.generator)
     assert len(seen) == 24 and acc == 1
+
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(prime_factors(q)) == 1]
+
+
+def _digitwise(a, b, p, sign):
+    """a + sign*b on base-p digit vectors, coordinate by coordinate."""
+    out, place = 0, 1
+    while a or b:
+        out += ((a % p + sign * (b % p)) % p) * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
+def test_zech_arithmetic_matches_digit_addition():
+    for q in PRIME_POWERS_TO_64:
+        p = prime_factors(q)[0]
+        k = next(j for j in range(1, 7) if p**j == q)
+        f = FiniteField(p, k)
+        assert len(f.zech) == q - 1
+        for a in range(q):
+            assert f.neg(a) == _digitwise(0, a, p, -1), (q, a)
+            for b in range(q):
+                assert f.add(a, b) == _digitwise(a, b, p, 1), (q, a, b)
+                assert f.sub(a, b) == _digitwise(a, b, p, -1), (q, a, b)
 
 
 def test_field_size_bound(monkeypatch):
@@ -159,7 +187,81 @@ def test_lambda_term_changes_count():
     assert len(counts) > 1
 
 
+# q in {2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27}
+ORACLE_FIELDS = {
+    p**k: FiniteField(p, k)
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (2, 4), (5, 2), (3, 3)]
+}
+
+
+@st.composite
+def _weighted_specs(draw):
+    """(spec, field): random weights and monomials of one weighted degree.
+
+    Coefficients may be zero mod p, and the lambda term may be absent or
+    present, with a zero or nonzero coefficient.  Half the specs are a
+    diagonal sum c_i * x_i^degree plus extra terms, so smooth members
+    occur too.  Larger fields get fewer variables, so the brute-force
+    oracle stays small.
+    """
+    q = draw(st.sampled_from(sorted(ORACLE_FIELDS)))
+    n1 = draw(st.integers(1, 4 if q <= 9 else 3))
+    diagonal = draw(st.booleans())
+    if diagonal:
+        weights = (1,) * n1
+    else:
+        weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n1, max_size=n1)))
+    degree = draw(st.integers(1, 6))
+    monomials = [
+        e
+        for e in itertools.product(range(degree + 1), repeat=n1)
+        if sum(w * x for w, x in zip(weights, e)) == degree
+    ]
+    terms, lambda_term = (), None
+    if monomials:
+        term = st.tuples(st.sampled_from(monomials), st.integers(-q, 2 * q))
+        terms = tuple(draw(st.lists(term, max_size=4 - 2 * diagonal)))
+        lambda_term = draw(term | st.none())
+    if diagonal:
+        powers = [tuple(degree if j == i else 0 for j in range(n1)) for i in range(n1)]
+        terms = tuple((e, draw(st.integers(1, q))) for e in powers) + terms
+    spec = HypersurfaceSpec(weights=weights, terms=terms, lambda_term=lambda_term)
+    return spec, ORACLE_FIELDS[q]
+
+
+@settings(max_examples=120)
+@given(_weighted_specs())
+def test_count_cone_matches_oracle(case):
+    spec, f = case
+    assert count_cone(spec, f) == brute_count_cone(spec, f)
+
+
+def test_count_cone_matches_oracle_on_families():
+    for key in family_keys():
+        spec = family_hypersurface(family(key), lam=2)
+        for f in (ORACLE_FIELDS[5], ORACLE_FIELDS[4]):
+            assert count_cone(spec, f) == brute_count_cone(spec, f), (key, f.q)
+
+
 # -- general position ---------------------------------------------------------------
+
+
+@settings(max_examples=120)
+@given(_weighted_specs())
+def test_general_position_matches_oracle(case):
+    spec, f = case
+    max_ext = 2 if f.q <= 4 else 1  # the quadratic extension only while it is small
+    assert is_general_position(spec, f, max_ext) == brute_general_position(spec, f, max_ext)
+
+
+def test_general_position_matches_oracle_on_scans():
+    f = FiniteField(5)
+    for key in ("family1", "family2", "family6", "family8"):
+        data = family(key)
+        for lam in range(5):
+            cover = fermat_hypersurface(data.degree, data.n, lam=lam, b=data.cover_exponents)
+            assert is_general_position(cover, f) == brute_general_position(cover, f), (key, lam)
+
 
 
 def test_fermat_general_position():

@@ -284,6 +284,15 @@ def test_eliminant_factored_forms():
         assert product.equal_up_to_scalar(bitangent_eliminant(i)), i
 
 
+def test_strip_spurious_removes_a2_and_quartic_powers():
+    a2, lam = V("a2"), V("lam")
+    core = 3 * lam * a2**2 + a2 - 2 * lam  # neither a2 nor a2^4 - 1 divides it
+    for i, j in [(0, 0), (1, 0), (4, 0), (0, 1), (0, 3), (2, 2)]:
+        stripped = symbolic._strip_spurious(a2**i * (a2**4 - 1) ** j * core)
+        assert (stripped - core).is_zero(), (i, j)
+    assert symbolic._strip_spurious(lam + 1) == lam + 1  # no a2 at all
+
+
 def test_eliminant_family1_root_families_divide():
     e = bitangent_eliminant(1)
     for factor in expected_eliminant_factors(1):

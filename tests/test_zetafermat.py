@@ -141,6 +141,16 @@ def _field_and_order(draw, max_order=48):
     return p, k, draw(st.sampled_from(orders[p, k]))
 
 
+@settings(max_examples=40)
+@given(_field_and_order(max_order=12), st.data())
+def test_fermat_count_matches_brute_force_random(field_and_order, data):
+    # random d | q - 1: the closed form against the cone count
+    p, k, d = field_and_order
+    n = data.draw(st.integers(1, 3 if p**k <= 32 else 2))
+    f = FiniteField(p, k)
+    assert fermat_point_count_via_sums(d, n, f) == count_points(fermat_hypersurface(d, n), f)
+
+
 @st.composite
 def _jacobi_inputs(draw):
     p, k, d = draw(_field_and_order())
