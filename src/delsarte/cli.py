@@ -160,22 +160,17 @@ def cmd_common_factor(args, out) -> int:
 
 
 def cmd_count(args, out) -> int:
-    if args.scan_ext < 1:
-        raise CliError(f"--scan-ext must be at least 1, got {args.scan_ext}")
     if args.ext < 1:
         raise CliError(f"--ext must be at least 1, got {args.ext}")
     check_field_size(args.q, args.ext)
     p, k = parse_prime_power(args.q)
-    field = pointcount.FiniteField(p, k * args.ext)
     data = resolve_family(args.family)
     if args.scan:
-        for lam in range(field.p):
-            cover = pointcount.fermat_hypersurface(
-                data.degree, data.n, lam=lam, b=data.cover_exponents
-            )
-            ok = pointcount.is_general_position(cover, field, max_ext=args.scan_ext)
+        for lam in range(p):
+            ok = pointcount.cover_in_general_position(data.degree, data.cover_exponents, lam, p)
             print(f"lambda\t{lam}\tgeneral_position\t{str(ok).lower()}", file=out)
         return 0
+    field = pointcount.FiniteField(p, k * args.ext)
     spec = pointcount.family_hypersurface(data, args.lam)
     print(pointcount.count_points(spec, field), file=out)
     return 0
@@ -227,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--lambda", dest="lam", type=int, default=0)
     p_count.add_argument("--ext", type=int, default=1, help="count over F_{q^ext}")
     p_count.add_argument("--scan", action="store_true", help="per-lambda general-position scan of the cover")
-    p_count.add_argument("--scan-ext", type=int, default=1, help="extension bound for --scan")
     p_count.set_defaults(func=cmd_count)
 
     p_va = sub.add_parser("verify-appendix", help="run all symbolic golden verifications")

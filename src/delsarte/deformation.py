@@ -10,7 +10,7 @@ monomial prod y_i^(b_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .exactalg import IntMatrix, determinant, minimal_map_matrix
 
@@ -80,31 +80,18 @@ def build(a_matrix: IntMatrix, deformation) -> DeformationData:
     return DeformationData(a_matrix, a_vec, d, b_matrix, weights, b_vec)
 
 
-def common_cover(pairs, multiple: int = 1):
+def common_cover(data):
     """Least cover degree and shared exponent vector for several families.
 
-    `pairs` is a sequence of (A, a).  Returns (d, b) when all the vectors
-    a*A^-1 are pairwise proportional (so the families share one deformed
-    Fermat cover), otherwise None.  `multiple` scales the least degree for
-    callers that want a non-minimal common cover.
+    `data` is a sequence of DeformationData.  Returns (d, b) when all the
+    vectors a*A^-1 are pairwise proportional (so the families share one
+    deformed Fermat cover), otherwise None.
     """
-    if multiple < 1:
-        raise ValueError("multiple must be positive")
-    data = [build(IntMatrix(m) if not isinstance(m, IntMatrix) else m, a) for m, a in pairs]
-    if not data:
+    d_joint = lcm(*(item.degree for item in data))
+    vectors = {tuple(d_joint // item.degree * x for x in item.cover_exponents) for item in data}
+    if len(vectors) != 1:
         return None
-    d_joint = 1
-    for item in data:
-        d_joint = lcm(d_joint, item.degree)
-    d_joint *= multiple
-    vectors = []
-    for item in data:
-        scale = d_joint // item.degree
-        vectors.append(tuple(scale * x for x in item.cover_exponents))
-    first = vectors[0]
-    if any(v != first for v in vectors[1:]):
-        return None
-    return d_joint, first
+    return d_joint, vectors.pop()
 
 
 # The ten built-in families of invertible quartic polynomials, keyed

@@ -2,8 +2,9 @@
 
 This module is the independent oracle for the character-sum machinery: it
 counts points on weighted-projective hypersurfaces by enumerating the
-affine cone, checks the toric general-position condition over bounded
-extensions, and verifies the monomial cover map fiber by fiber.
+affine cone and verifies the monomial cover map fiber by fiber.  The
+toric singular locus of the deformed Fermat cover is decided in closed
+form over the algebraic closure of F_p, without building a field.
 
 Fields F_{p^k} are integer codes whose base-p digits are the coefficients
 of the residue polynomial.  Arithmetic goes through discrete-log tables
@@ -16,6 +17,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from math import gcd
 
 from .deformation import DeformationData
 
@@ -396,60 +398,27 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField) -> int:
     return descend(0, start) if last else leaf(start)
 
 
-def is_general_position(spec: HypersurfaceSpec, field: FiniteField, max_ext: int = 1) -> bool:
-    """Extension-bounded toric smoothness check.
+def cover_in_general_position(d: int, b, lam: int, p: int) -> bool:
+    """Toric general position of Y_lam over the algebraic closure of F_p.
 
-    True iff the system {x_i * df/dx_i = 0 for all i} together with f = 0
-    has no projective solution over F_{q^j} for every j <= max_ext.  This
-    checks the stated extensions only, not the algebraic closure.
-
-    Points are walked as (0, ..., 0, 1, *) by descent, each term's
-    monomial value carried as a prefix product; the walk stops at the
-    first singular point.
+    Y_lam is the cover sum y_i^d + lam*prod y_i^b_i, decided in closed form.
+    Summing y_i * df/dy_i gives d*f, so for p not dividing d the singular
+    points are the common zeros of d*y_i^d + lam*b_i*y^b.  Coordinates with
+    b_i = 0 vanish; the others lie on the torus, where y_i^d = c_i * y^b
+    with c_i = -lam*b_i/d.  The map y -> (y_i^d / y^b) sends that torus onto
+    the subtorus cut out by the primitive character b/g, g = gcd(b), so the
+    cover is singular iff prod over b_i > 0 of c_i^(b_i/g) == 1 in F_p.  A
+    zero c_i (lam = 0, or p | b_i) makes the product 0: general position.
     """
-    if max_ext < 1:
-        raise ValueError(f"max_ext must be at least 1, got {max_ext}")
-    base_terms = [t for t in spec.all_terms() if t[1] % field.p != 0]
-    n1 = len(spec.weights)
-    for j in range(1, max_ext + 1):
-        ext = field if j == 1 else FiniteField(field.p, field.k * j)
-        q = ext.q
-        terms = [(exps, ext.from_int(c)) for exps, c in base_terms]
-        pw = [
-            [[ext.pow(v, exps[i]) for v in range(q)] for i in range(n1)]
-            for exps, _ in terms
-        ]
-        # x_i * df/dx_i has the same monomials as f, coefficients scaled by
-        # e_i; f itself comes last.  Each equation keeps its nonzero terms.
-        rows = [[ext.mul(c, ext.from_int(exps[i])) for exps, c in terms] for i in range(n1)]
-        rows.append([c for _, c in terms])
-        equations = [[(t, c) for t, c in enumerate(row) if c] for row in rows]
-        add, mul = ext.add, ext.mul
-
-        def singular(values) -> bool:
-            for equation in equations:
-                s = 0
-                for t, c in equation:
-                    s = add(s, mul(c, values[t]))
-                if s != 0:
-                    return False
-            return True
-
-        def descend(depth: int, values) -> bool:
-            if depth == n1:
-                return singular(values)
-            tables = [pw_t[depth] for pw_t in pw]
-            return any(
-                descend(depth + 1, [mul(v, table[x]) for v, table in zip(values, tables)])
-                for x in range(q)
-            )
-
-        for lead in range(n1):
-            # coordinates before the lead are 0, the lead itself is 1
-            start = [0 if any(exps[:lead]) else 1 for exps, _ in terms]
-            if descend(lead + 1, start):
-                return False
-    return True
+    if d % p == 0:
+        raise ValueError(f"the closed form needs gcd(p, d) = 1, got p = {p}, d = {d}")
+    g = gcd(*b)
+    c = -lam * pow(d, -1, p)
+    product = 1
+    for bi in b:
+        if bi:
+            product = product * pow(c * bi, bi // g, p) % p
+    return product != 1
 
 
 @dataclass(frozen=True)

@@ -51,28 +51,13 @@ def _c_norm(c):
     return c
 
 
-def _c_promote(a, b):
-    a_cyc = isinstance(a, CyclotomicElement)
-    b_cyc = isinstance(b, CyclotomicElement)
-    if a_cyc and b_cyc:
-        if a.order == b.order:
-            return a, b
-        order = lcm(a.order, b.order)
-        return a.promote(order), b.promote(order)
-    if a_cyc:
-        return a, CyclotomicElement.constant(a.order, b)
-    if b_cyc:
-        return CyclotomicElement.constant(b.order, a), b
-    return a, b
-
-
+# CyclotomicElement's operators take int and Fraction operands on either
+# side; every cyclotomic coefficient here has order 8, so none are mixed.
 def _c_add(a, b):
-    a, b = _c_promote(a, b)
     return _c_norm(a + b)
 
 
 def _c_mul(a, b):
-    a, b = _c_promote(a, b)
     return _c_norm(a * b)
 
 
@@ -286,13 +271,6 @@ class MultiPoly:
     def _sorted_keys(self, target_vars=None):
         terms = self.terms if target_vars is None else self._embedded(target_vars)
         return sorted(terms, key=lambda e: (sum(e), e), reverse=True)
-
-    def leading(self) -> tuple[tuple[int, ...], object]:
-        """Graded-lex leading (exponents, coefficient)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        key = self._sorted_keys()[0]
-        return key, self.terms[key]
 
     # -- rational normalization ---------------------------------------------------
 

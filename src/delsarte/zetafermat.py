@@ -324,7 +324,7 @@ def verify_common_factor(data_list, field: FiniteField) -> CommonFactorReport:
     data_list = list(data_list)
     if not data_list:
         raise ValueError("need at least one family")
-    cover = common_cover([(item.matrix, item.deformation) for item in data_list])
+    cover = common_cover(data_list)
     if cover is None:
         raise ValueError("no common cover")
     d_joint, _ = cover

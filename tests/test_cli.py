@@ -185,12 +185,31 @@ def test_count_scan():
     assert any(line.endswith("false") for line in lines)
 
 
-def test_count_scan_ext_must_be_positive(capsys):
-    status = run_main(["count", "family1", "--q", "5", "--scan", "--scan-ext", "0"])
+def _singular_lambdas(text):
+    return [int(line.split("\t")[1]) for line in text.splitlines() if line.endswith("false")]
+
+
+def test_count_scan_finds_singular_points_beyond_the_prime_field():
+    # family7's singular points at p = 5 need F_(5^8); no F_5 search sees them
+    status, text = run_cli(["count", "family7", "--q", "5", "--scan"])
+    assert status == 0
+    assert _singular_lambdas(text) == [1, 2, 3, 4]
+
+
+def test_count_scan_uses_primitive_cover_exponents():
+    # b = (2, 2, 2, 2): the unreduced form (-lam)^8 * 2^8 == 8^8 holds at
+    # eight lambdas mod 17, but only those with (-lam/4)^4 == 1 are singular
+    status, text = run_cli(["count", "family2", "--q", "17", "--scan"])
+    assert status == 0
+    assert _singular_lambdas(text) == [1, 4, 13, 16]
+
+
+def test_count_scan_rejects_p_dividing_d(capsys):
+    status = run_main(["count", "family1", "--q", "2", "--scan"])
     assert status == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--scan-ext" in captured.err and "Traceback" not in captured.err
+    assert "p = 2, d = 4" in captured.err and "Traceback" not in captured.err
 
 
 def test_count_ext_must_be_positive(capsys):

@@ -74,21 +74,16 @@ def test_all_families_match_summary():
         assert sum(a * w for a, w in zip(data.deformation, data.weights)) == data.degree
 
 
-def _pair(key):
-    rows, a = FAMILIES[key]
-    return IntMatrix(rows), a
-
-
 def test_common_cover_families_1_2():
-    assert common_cover([_pair("family1"), _pair("family2")]) == (8, (2, 2, 2, 2))
+    assert common_cover([family("family1"), family("family2")]) == (8, (2, 2, 2, 2))
 
 
 def test_common_cover_families_6_7():
-    assert common_cover([_pair("family6"), _pair("family7")]) == (24, (6, 6, 8, 4))
+    assert common_cover([family("family6"), family("family7")]) == (24, (6, 6, 8, 4))
 
 
 def test_common_cover_families_1_9_absent():
-    assert common_cover([_pair("family1"), _pair("family9")]) is None
+    assert common_cover([family("family1"), family("family9")]) is None
 
 
 def test_common_cover_five_matrix_example():
@@ -99,31 +94,25 @@ def test_common_cover_five_matrix_example():
         ((4, 0, 0, 0), (0, 3, 1, 0), (0, 0, 3, 1), (0, 1, 0, 3)),
         ((3, 1, 0, 0), (0, 3, 1, 0), (0, 0, 3, 1), (1, 0, 0, 3)),
     ]
-    result = common_cover([(IntMatrix(m), (1, 1, 1, 1)) for m in matrices])
+    result = common_cover([build(IntMatrix(m), (1, 1, 1, 1)) for m in matrices])
     assert result is not None
     d, b = result
     assert sum(b) == d
 
 
 def test_common_cover_order_independent():
-    pairs = [_pair("family1"), _pair("family2"), _pair("family3")]
-    results = {common_cover(list(perm)) for perm in itertools.permutations(pairs)}
+    data = [family(key) for key in ("family1", "family2", "family3")]
+    results = {common_cover(list(perm)) for perm in itertools.permutations(data)}
     assert len(results) == 1
     assert results.pop() == (8, (2, 2, 2, 2))
 
 
 def test_common_cover_implies_all_pairs():
-    pairs = [_pair("family1"), _pair("family2"), _pair("family3")]
-    assert common_cover(pairs) is not None
+    data = [family(key) for key in ("family1", "family2", "family3")]
+    assert common_cover(data) is not None
     for i in range(3):
         for j in range(i + 1, 3):
-            assert common_cover([pairs[i], pairs[j]]) is not None
-
-
-def test_common_cover_multiple():
-    d, b = common_cover([_pair("family1"), _pair("family2"), _pair("family3")], multiple=3)
-    assert d == 24
-    assert b == (6, 6, 6, 6)
+            assert common_cover([data[i], data[j]]) is not None
 
 
 def test_data_from_json_roundtrip():

@@ -100,17 +100,6 @@ def test_invariant_tables_golden():
             assert tuple(x % d for x in data.map_matrix.row_times(m)) == k
 
 
-def test_invariance_oracle_small_families_full():
-    for key in family_keys():
-        data = family(key)
-        if data.degree > 36:
-            continue
-        halves = image_by_enumeration(data)
-        d = data.degree
-        for k in enumerate_basis(d, data.n):
-            assert is_g_invariant(k, data) == member_by_enumeration(k, halves, d)
-
-
 def test_invariance_oracle_large_families_sampled():
     rng = random.Random(2024)
     for key in ("family5", "family10"):

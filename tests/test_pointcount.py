@@ -12,8 +12,8 @@ from delsarte.pointcount import (
     count_cone,
     count_points,
     family_hypersurface,
+    cover_in_general_position,
     fermat_hypersurface,
-    is_general_position,
     prime_factors,
     verify_cover_map,
 )
@@ -245,49 +245,65 @@ def test_count_cone_matches_oracle_on_families():
 
 # -- general position ---------------------------------------------------------------
 
-
-@settings(max_examples=120)
-@given(_weighted_specs())
-def test_general_position_matches_oracle(case):
-    spec, f = case
-    max_ext = 2 if f.q <= 4 else 1  # the quadratic extension only while it is small
-    assert is_general_position(spec, f, max_ext) == brute_general_position(spec, f, max_ext)
-
-
-def test_general_position_matches_oracle_on_scans():
-    f = FiniteField(5)
-    for key in ("family1", "family2", "family6", "family8"):
-        data = family(key)
-        for lam in range(5):
-            cover = fermat_hypersurface(data.degree, data.n, lam=lam, b=data.cover_exponents)
-            assert is_general_position(cover, f) == brute_general_position(cover, f), (key, lam)
-
-
-
-def test_fermat_general_position():
-    f = FiniteField(5)
-    assert is_general_position(fermat_hypersurface(4, 3), f, max_ext=2)
-    with pytest.raises(ValueError, match="max_ext"):
-        is_general_position(fermat_hypersurface(4, 3), f, max_ext=0)
+# (family, p, max_ext): the oracle searches F_(p^j) for j <= max_ext, which
+# here is far enough to reach a singular point of every singular member.
+CLOSED_FORM_CASES = [
+    ("family1", 5, 1),
+    ("family1", 13, 1),
+    ("family6", 13, 1),
+    ("family8", 13, 1),
+    ("family2", 17, 1),
+    ("family3", 17, 1),
+    ("family2", 3, 2),
+    ("family2", 5, 2),
+    ("family1", 3, 3),
+    ("family4", 3, 3),
+    ("family5", 3, 3),
+    ("family10", 5, 1),  # p | b_i: every member is smooth
+    ("family10", 7, 1),
+]
 
 
-def test_singular_lambda_detected_by_scan():
-    # d = 4 deformed Fermat over F_5: lambda**4 = 256 = 1 mod 5 marks the
-    # singular members, i.e. lambda in {1, 2, 3, 4} ... the scan must find
-    # at least one singular value and keep lambda = 0 nonsingular.
-    f = FiniteField(5)
-    flags = {}
-    for lam in range(5):
-        spec = fermat_hypersurface(4, 3, lam=lam, b=(1, 1, 1, 1))
-        flags[lam] = is_general_position(spec, f, max_ext=2)
-    assert flags[0]
-    assert not all(flags.values())
+@pytest.mark.parametrize("key, p, max_ext", CLOSED_FORM_CASES)
+def test_closed_form_matches_oracle(key, p, max_ext):
+    data = family(key)
+    f = FiniteField(p)
+    for lam in range(p):
+        cover = fermat_hypersurface(data.degree, data.n, lam=lam, b=data.cover_exponents)
+        expected = brute_general_position(cover, f, max_ext)
+        assert cover_in_general_position(data.degree, data.cover_exponents, lam, p) == expected, lam
 
 
-def test_degenerate_power_not_general_position():
-    f = FiniteField(5)
-    spec = HypersurfaceSpec(weights=(1, 1, 1, 1), terms=(((4, 0, 0, 0), 1),))
-    assert not is_general_position(spec, f, max_ext=1)
+@pytest.mark.parametrize("d, b, p", [(7, (5, 2), 5), (7, (5, 1, 1), 5), (11, (7, 2, 2), 7)])
+def test_closed_form_zero_factor_is_smooth(d, b, p):
+    # p | b_0 makes c_0 = 0, so no torus point is singular, whatever the
+    # other factors of the product are
+    f = FiniteField(p)
+    for lam in range(p):
+        cover = fermat_hypersurface(d, len(b) - 1, lam=lam, b=b)
+        assert brute_general_position(cover, f, 2 if p * p <= 25 else 1)
+        assert cover_in_general_position(d, b, lam, p)
+
+
+@st.composite
+def _covers(draw):
+    """(d, b, lam, p): b >= 0 with sum d <= 12 over 2..4 variables, p <= 7, p not | d."""
+    n1 = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 12))
+    p = draw(st.sampled_from([p for p in (2, 3, 5, 7) if d % p]))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n1 - 1, max_size=n1 - 1)))
+    b = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, d]))
+    return d, b, draw(st.integers(0, p - 1)), p
+
+
+@settings(max_examples=100)
+@given(_covers())
+def test_closed_form_sees_every_singular_point_the_oracle_finds(case):
+    d, b, lam, p = case
+    cover = fermat_hypersurface(d, len(b) - 1, lam=lam, b=b)
+    max_ext = 2 if p * p <= 25 else 1
+    if not brute_general_position(cover, FiniteField(p), max_ext):
+        assert not cover_in_general_position(d, b, lam, p)
 
 
 # -- cover map -----------------------------------------------------------------------
