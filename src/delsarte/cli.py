@@ -162,17 +162,30 @@ def cmd_common_factor(args, out) -> int:
 def cmd_count(args, out) -> int:
     if args.ext < 1:
         raise CliError(f"--ext must be at least 1, got {args.ext}")
+    if args.scan:
+        return _scan(args, out)
     check_field_size(args.q, args.ext)
     p, k = parse_prime_power(args.q)
-    data = resolve_family(args.family)
-    if args.scan:
-        for lam in range(p):
-            ok = pointcount.cover_in_general_position(data.degree, data.cover_exponents, lam, p)
-            print(f"lambda\t{lam}\tgeneral_position\t{str(ok).lower()}", file=out)
-        return 0
+    spec = pointcount.family_hypersurface(resolve_family(args.family), args.lam or 0)
+    strata = pointcount.torus_strata(spec, p, p ** (k * args.ext))  # the work bound, before any table
     field = pointcount.FiniteField(p, k * args.ext)
-    spec = pointcount.family_hypersurface(data, args.lam)
-    print(pointcount.count_points(spec, field), file=out)
+    print(pointcount.count_points(spec, field, strata), file=out)
+    return 0
+
+
+def _scan(args, out) -> int:
+    """General position of every member of the cover over the closure of F_p."""
+    for option, given in (("--ext", args.ext != 1), ("--lambda", args.lam is not None)):
+        if given:
+            raise CliError(f"--scan covers every lambda over the closure of F_p and takes no {option}")
+    check_field_size(args.q)
+    p, k = parse_prime_power(args.q)
+    if k > 1:
+        raise CliError(f"--scan takes a prime --q, got {args.q} = {p}^{k}")
+    data = resolve_family(args.family)
+    for lam in range(p):
+        ok = pointcount.cover_in_general_position(data.degree, data.cover_exponents, lam, p)
+        print(f"lambda\t{lam}\tgeneral_position\t{str(ok).lower()}", file=out)
     return 0
 
 
@@ -219,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="point count of a family member")
     p_count.add_argument("family")
     p_count.add_argument("--q", type=int, required=True)
-    p_count.add_argument("--lambda", dest="lam", type=int, default=0)
+    p_count.add_argument("--lambda", dest="lam", type=int, help="deformation parameter (default 0)")
     p_count.add_argument("--ext", type=int, default=1, help="count over F_{q^ext}")
     p_count.add_argument("--scan", action="store_true", help="per-lambda general-position scan of the cover")
     p_count.set_defaults(func=cmd_count)

@@ -131,6 +131,50 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     )
 
 
+def diagonalize(rows) -> tuple[list[list[int]], list[int]]:
+    """Unimodular U and e_1..e_r > 0 with U*M*V = diag(e_1..e_r, 0, ...).
+
+    M is any m x c integer matrix given by its rows, V is unimodular and
+    not returned, and r = rank M.  Row and column operations reduce the
+    pivot to the least nonzero entry of its row and column until both are
+    clear (Cohen, *A Course in Computational Algebraic Number Theory*,
+    2.4); unlike the Smith form, the e_i need not divide each other.
+    """
+    a = [list(row) for row in rows]
+    m, c = len(a), len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def move(t, i, j):
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+
+    diag = []
+    for t in range(min(m, c)):
+        nonzero = [(i, j) for i in range(t, m) for j in range(t, c) if a[i][j]]
+        if not nonzero:
+            break
+        move(t, *nonzero[0])
+        while True:
+            pivot = a[t][t]
+            for i in range(t + 1, m):
+                f = a[i][t] // pivot
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - f * y for x, y in zip(u[i], u[t])]
+            for j in range(t + 1, c):
+                f = a[t][j] // pivot
+                for row in a:
+                    row[j] -= f * row[t]
+            rest = [(abs(a[i][t]), i, t) for i in range(t + 1, m) if a[i][t]]
+            rest += [(abs(a[t][j]), t, j) for j in range(t + 1, c) if a[t][j]]
+            if not rest:
+                break
+            move(t, *min(rest)[1:])
+        diag.append(abs(a[t][t]))
+    return u, diag
+
+
 def minimal_map_matrix(m: IntMatrix) -> tuple[int, IntMatrix]:
     """Least positive d with d*M^-1 integral, together with B = d*M^-1.
 

@@ -1,10 +1,14 @@
-"""Brute-force point counting over small finite fields.
+"""Point counts over finite fields from Gauss sums.
 
-This module is the independent oracle for the character-sum machinery: it
-counts points on weighted-projective hypersurfaces by enumerating the
-affine cone and verifies the monomial cover map fiber by fiber.  The
-toric singular locus of the deformed Fermat cover is decided in closed
-form over the algebraic closure of F_p, without building a field.
+`count_cone` counts the affine cone of a sum of monomials over F_q in
+closed form: on each coordinate torus the count is a sum of products of
+Gauss sums over a lattice of characters (Weil 1949, "Numbers of solutions
+of equations in finite fields"; Koblitz 1983, "The number of points on
+certain families of hypersurfaces over finite fields"), evaluated exactly
+in an auxiliary prime field.  The brute-force cone walk is kept in
+`tests/oracles.py`, and the suite compares the two.  The toric singular
+locus of the deformed Fermat cover is decided in closed form over the
+algebraic closure of F_p, without building a field.
 
 Fields F_{p^k} are integer codes whose base-p digits are the coefficients
 of the residue polynomial.  Arithmetic goes through discrete-log tables
@@ -16,12 +20,19 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import partial
-from math import gcd
+from math import gcd, lcm, prod
+from operator import mul
 
 from .deformation import DeformationData
+from .exactalg import diagonalize
 
 DEFAULT_MAX_Q = 2**20
+# (q-1)^2 for the Gauss-sum table plus sum_S |K_S| for the character sums
+COUNT_WORK_LIMIT = 40_000_000
+# Miller-Rabin with the 13 prime bases up to 41 is exact below this bound
+# (Sorenson-Webster 2015, psi_13)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _max_q() -> int:
@@ -320,14 +331,14 @@ def fermat_hypersurface(d: int, n: int, lam: int = 0, b=None) -> HypersurfaceSpe
     return HypersurfaceSpec(weights=weights, terms=terms, lambda_term=lambda_term)
 
 
-def count_points(spec: HypersurfaceSpec, field: FiniteField) -> int:
+def count_points(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
     """Point count of the coarse space: (#affine cone - 1) / (q - 1).
 
     The division is asserted exact so that any discrepancy between the
     cone count and a genuine projective count fails loudly instead of
     returning a silently wrong value.
     """
-    n_cone = count_cone(spec, field)
+    n_cone = count_cone(spec, field, strata)
     q = field.q
     if (n_cone - 1) % (q - 1) != 0:
         raise AssertionError(
@@ -337,65 +348,154 @@ def count_points(spec: HypersurfaceSpec, field: FiniteField) -> int:
     return (n_cone - 1) // (q - 1)
 
 
-def count_cone(spec: HypersurfaceSpec, field: FiniteField) -> int:
+def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
     """Number of solutions in the full affine cone (including the origin).
 
-    Descends over x_0..x_(n-1) carrying each term's monomial value as a
-    prefix product.  At the last variable x_n the terms without x_n fold
-    into one constant c, and the number of roots v of
-    c + sum m_t * v^(e_t) is memoized on the key (c, m_t...) for the
-    duration of the call.
+    The sum over coordinate subsets S of the torus counts N*_S, each a sum
+    of products of Gauss sums (Weil 1949; Koblitz 1983).  With N = q - 1,
+    the m terms c_j x^(a_j) whose support lies in S, and
+    G(chi^k) = sum_(u != 0) chi^k(u) psi(u) for psi(u) = eta^Tr(u),
+
+        N*_S = (N^s + N^(s+1)/N^m * sum_(k in K_S) prod_j G(chi^(-k_j)) chi^(k_j)(c_j)) / q
+
+    where K_S is the kernel of the m x (s+1) matrix [a_j|_S | 1] mod N, and
+    N*_S = N^s when no term survives on S.  The count lies in [0, q^(n+1)],
+    so it is computed exactly in F_l for the prime l of `auxiliary_prime`,
+    with chi(g) and eta sent to elements of order N and p there.  A caller
+    that checked the work bound before building the field passes the
+    `torus_strata(spec, p, q)` it got.
     """
-    q = field.q
-    n1 = len(spec.weights)
-    terms = [(exps, field.from_int(c)) for exps, c in spec.all_terms()]
-    terms = [(exps, c) for exps, c in terms if c != 0]
-    if not terms:
-        return q**n1
-    last = n1 - 1
-    # pw[t][i][v] = v^e(t,i) as a field code, for the descended variables
-    pw = [
-        [[field.pow(v, exps[i]) for v in range(q)] for i in range(last)]
-        for exps, _ in terms
-    ]
-    folded = [t for t, (exps, _) in enumerate(terms) if exps[last] == 0]
-    live = [t for t, (exps, _) in enumerate(terms) if exps[last]]
-    # log(v^e) for v = g^j, j = 0..q-2, per live term
-    live_logs = [[(terms[t][0][last] * j) % (q - 1) for j in range(q - 1)] for t in live]
-    add, mul, neg = field.add, field.mul, field.neg
-    exp, log = field.exp, field.log
-    qm1 = q - 1
-    roots: dict[tuple[int, ...], int] = {}
+    q, p, n = field.q, field.p, field.q - 1
+    if strata is None:
+        strata = torus_strata(spec, p, q)
+    ell = auxiliary_prime(p, q, q ** len(spec.weights))
+    omega, eta = _element_of_order(n, ell), _element_of_order(p, ell)
+    pw = [1] * n
+    for i in range(1, n):
+        pw[i] = pw[i - 1] * omega % ell
+    # psi(g^j) = eta^Tr(g^j); the trace of g^j is a prime-field code
+    eta_pw = [pow(eta, t, ell) for t in range(p)]
+    exp = field.exp
+    frob = [p**i for i in range(field.k)]
+    psi = []
+    for j in range(n):
+        tr = 0
+        for f in frob:
+            tr = field.add(tr, exp[j * f % n])
+        psi.append(eta_pw[tr])
+    # gauss[k] = G(chi^(-k)) = sum_j psi(g^j) * omega^(-k*j)
+    gauss = [sum(psi) % ell]
+    for k in range(1, n):
+        gauss.append(sum(map(mul, psi, [pw[i % n] for i in range(0, (n - k) * n, n - k)])) % ell)
+    inv_n, inv_q = pow(n, -1, ell), pow(q, -1, ell)
+    total = 0
+    for s, live, u, steps in strata:
+        if not live:
+            total += n**s
+            continue
+        # chi^k(c) = omega^(k * log c) folded into G(chi^(-k)), term by term
+        tables = []
+        for _, c in live:
+            log_c = field.log[c]
+            tables.append([g * pw[k * log_c % n] % ell for k, g in enumerate(gauss)])
+        char_sum = _kernel_sum(tables, u, steps, n, ell)
+        total += (n**s + n ** (s + 1) * pow(inv_n, len(live), ell) * char_sum) * inv_q
+    return total % ell
 
-    def root_count(const: int, coeffs) -> int:
-        # v = 0 kills every live term; the units sum term by term
-        total = [0] * qm1
-        for m, logs in zip(coeffs, live_logs):
-            if m:
-                lm = log[m]
-                total = list(map(add, total, [exp[(lm + x) % qm1] for x in logs]))
-        return (const == 0) + total.count(neg(const))
 
-    def leaf(partials) -> int:
-        const = 0
-        for t in folded:
-            const = add(const, partials[t])
-        key = (const, *[partials[t] for t in live])
-        n = roots.get(key)
-        if n is None:
-            n = roots[key] = root_count(const, key[1:])
-        return n
+def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> list:
+    """(s, terms, U, steps) per coordinate subset S, after the work bound.
 
-    def descend(depth: int, partials) -> int:
-        tables = [pw_t[depth] for pw_t in pw]
-        step = leaf if depth + 1 == last else partial(descend, depth + 1)
-        return sum(
-            step([mul(m, table[v]) for m, table in zip(partials, tables)])
-            for v in range(q)
+    The terms are the (exponents, coefficient mod p) with support in S and
+    a nonzero coefficient.  `exactalg.diagonalize` gives U*M*V =
+    diag(e_1..e_r) for M = [a_j|_S | 1], so K_S = {y*U}, where y_i runs over
+    the multiples of steps[i] = N/gcd(e_i, N) (e_i = 0 for i > r).  The
+    estimate (q-1)^2 + sum_S |K_S| is read off the steps before any table
+    is built, and so is the Miller-Rabin limit on q^(n+1).
+    """
+    n, n1 = q - 1, len(spec.weights)
+    if q**n1 >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"q^(n+1) = {q}^{n1} reaches the deterministic Miller-Rabin limit {MILLER_RABIN_LIMIT}"
         )
+    terms = [(exps, c % p) for exps, c in spec.all_terms() if c % p]
+    strata = []
+    work = n * n
+    for s in range(n1 + 1):
+        for subset in itertools.combinations(range(n1), s):
+            outside = [i for i in range(n1) if i not in subset]
+            live = [(e, c) for e, c in terms if not any(e[i] for i in outside)]
+            u, steps = None, None
+            if live:
+                u, diag = diagonalize([[e[i] for i in subset] + [1] for e, _ in live])
+                diag += [0] * (len(live) - len(diag))
+                steps = [n // gcd(e, n) for e in diag]
+                work += prod(n // step for step in steps)
+            strata.append((s, live, u, steps))
+    if work > COUNT_WORK_LIMIT:
+        raise ValueError(
+            f"point count work estimate (q-1)^2 + sum |K_S| = {work} exceeds the limit {COUNT_WORK_LIMIT}"
+        )
+    return strata
 
-    start = [c for _, c in terms]
-    return descend(0, start) if last else leaf(start)
+
+def _kernel_sum(tables, u, steps, n: int, ell: int) -> int:
+    """sum over k = y*U in K_S of prod_j tables[j][k_j], mod ell."""
+    *head, last = sorted(
+        ([tuple(y * x % n for x in row) for y in range(0, n, step)] for row, step in zip(u, steps)),
+        key=len,
+    )
+    zero = [0] * len(tables)
+    total = 0
+    for combo in itertools.product(*head):
+        k = [sum(c) for c in zip(zero, *combo)]
+        total += sum(prod([t[(a + b) % n] for t, a, b in zip(tables, k, v)]) for v in last)
+        total %= ell
+    return total
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the primes up to 41 as bases: exact below MILLER_RABIN_LIMIT."""
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 2:
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def auxiliary_prime(p: int, q: int, bound: int) -> int:
+    """The least prime l = 1 + t*lcm(p, q-1) with l > bound."""
+    step = lcm(p, q - 1)
+    ell = bound + 1 + -bound % step
+    while not _is_prime(ell):
+        ell += step
+    if ell >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"auxiliary prime {ell} reaches the Miller-Rabin limit {MILLER_RABIN_LIMIT}")
+    return ell
+
+
+def _element_of_order(order: int, ell: int) -> int:
+    """An element of exact order `order` in F_ell^*; order divides ell - 1."""
+    primes = prime_factors(order)
+    for h in itertools.count(2):
+        z = pow(h, (ell - 1) // order, ell)
+        if all(pow(z, order // r, ell) != 1 for r in primes):
+            return z
+    raise AssertionError("unreachable")
 
 
 def cover_in_general_position(d: int, b, lam: int, p: int) -> bool:
@@ -419,91 +519,3 @@ def cover_in_general_position(d: int, b, lam: int, p: int) -> bool:
         if bi:
             product = product * pow(c * bi, bi // g, p) % p
     return product != 1
-
-
-@dataclass(frozen=True)
-class CoverReport:
-    """Empirical verification of the monomial map from the cover."""
-
-    containment: bool
-    fiber_histogram: dict[int, int]
-    points_on_cover: int
-
-
-def verify_cover_map(data: DeformationData, lam: int, field: FiniteField) -> CoverReport:
-    """Push every all-nonzero rational point of Y_lambda through the map.
-
-    The map sends y to the monomials given by the rows of B (negative
-    exponents via inversion, which is free in log space).  Containment
-    means every image satisfies the family's equation; the histogram
-    counts cover points per distinct image point of P(w).
-    """
-    q = field.q
-    d = data.degree
-    n1 = data.n + 1
-    if d % field.p == 0:
-        raise ValueError("gcd(q, d) = 1 is required")
-    lam_code = field.from_int(lam)
-    add, mul = field.add, field.mul
-    exp, log = field.exp, field.log
-    qm1 = q - 1
-    b_rows = data.map_matrix.rows
-    a_rows = data.matrix.rows
-    a_vec = data.deformation
-    weights = data.weights
-
-    def x_equation(x) -> int:
-        s = 0
-        for row in a_rows:
-            v = 1
-            for i in range(n1):
-                if row[i]:
-                    v = mul(v, field.pow(x[i], row[i]))
-            s = add(s, v)
-        if lam_code:
-            v = lam_code
-            for i in range(n1):
-                if a_vec[i]:
-                    v = mul(v, field.pow(x[i], a_vec[i]))
-            s = add(s, v)
-        return s
-
-    def canonical_image(x) -> tuple[int, ...]:
-        best = None
-        for t in field.units():
-            scaled = tuple(mul(field.pow(t, weights[i]), x[i]) for i in range(n1))
-            if best is None or scaled < best:
-                best = scaled
-        return best
-
-    containment = True
-    fibers: dict[tuple[int, ...], int] = {}
-    points = 0
-    for tail in itertools.product(field.units(), repeat=n1 - 1):
-        y = (1,) + tail
-        s = 0
-        for i in range(n1):
-            s = add(s, field.pow(y[i], d))
-        if lam_code:
-            v = lam_code
-            for i in range(n1):
-                if data.cover_exponents[i]:
-                    v = mul(v, field.pow(y[i], data.cover_exponents[i]))
-            s = add(s, v)
-        if s != 0:
-            continue
-        points += 1
-        logs = [log[yi] for yi in y]
-        x = tuple(
-            exp[sum(b_rows[j][i] * logs[i] for i in range(n1)) % qm1]
-            for j in range(n1)
-        )
-        if x_equation(x) != 0:
-            containment = False
-            continue
-        key = canonical_image(x)
-        fibers[key] = fibers.get(key, 0) + 1
-    histogram: dict[int, int] = {}
-    for size in fibers.values():
-        histogram[size] = histogram.get(size, 0) + 1
-    return CoverReport(containment, histogram, points)

@@ -5,11 +5,13 @@ invariance oracle enumerates the values m*B directly, the reduction
 oracle rewrites forms by explicit polynomial differentiation, the Jacobi
 sum oracle enumerates every tuple of nonzero field elements, the
 characteristic-polynomial oracle expands one type at a time from those
-direct sums, and the point-count and general-position oracles evaluate
-the whole polynomial at every point of the affine cone or of projective
-space.
+direct sums, the point-count and general-position oracles evaluate the
+whole polynomial at every point of the affine cone or of projective
+space, and the cover-map check pushes every torus point of the cover
+through the monomial map.
 """
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from delsarte.cyclotomic import CyclotomicElement
@@ -18,11 +20,11 @@ from delsarte.zetafermat import CharPoly
 
 
 def image_by_enumeration(data):
-    """All values m*B mod d, enumerated from scratch.
+    """The set of all values m*B mod d, enumerated from scratch.
 
-    Organized as a meet-in-the-middle sum over the two halves of m, which
-    visits every combination exactly once without the additive-closure
-    shortcut used by the implementation.
+    Organized as a meet-in-the-middle sum {s1 + s2} over the spans of the
+    two halves of the rows of B, which visits every combination exactly
+    once without the additive-closure shortcut used by the implementation.
     """
     d = data.degree
     rows = [tuple(x % d for x in row) for row in data.map_matrix.rows]
@@ -35,14 +37,8 @@ def image_by_enumeration(data):
                 out.add(tuple((b + c1 * y) % d for b, y in zip(base, pair[1])))
         return out
 
-    first = span(rows[:2])
     second = span(rows[2:])
-    return first, second
-
-
-def member_by_enumeration(k, halves, d):
-    first, second = halves
-    return any(tuple((a - b) % d for a, b in zip(k, s)) in second for s in first)
+    return {tuple((a + b) % d for a, b in zip(s1, s2)) for s1 in span(rows[:2]) for s2 in second}
 
 
 def oracle_reduce(exponents, d):
@@ -242,3 +238,91 @@ def _field_sum(field, values):
     for v in values:
         s = field.add(s, v)
     return s
+
+
+@dataclass(frozen=True)
+class CoverReport:
+    """Empirical verification of the monomial map from the cover."""
+
+    containment: bool
+    fiber_histogram: dict[int, int]
+    points_on_cover: int
+
+
+def verify_cover_map(data, lam, field):
+    """Push every all-nonzero rational point of Y_lambda through the map.
+
+    The map sends y to the monomials given by the rows of B (negative
+    exponents via inversion, which is free in log space).  Containment
+    means every image satisfies the family's equation; the histogram
+    counts cover points per distinct image point of P(w).
+    """
+    q = field.q
+    d = data.degree
+    n1 = data.n + 1
+    if d % field.p == 0:
+        raise ValueError("gcd(q, d) = 1 is required")
+    lam_code = field.from_int(lam)
+    add, mul = field.add, field.mul
+    exp, log = field.exp, field.log
+    qm1 = q - 1
+    b_rows = data.map_matrix.rows
+    a_rows = data.matrix.rows
+    a_vec = data.deformation
+    weights = data.weights
+
+    def x_equation(x):
+        s = 0
+        for row in a_rows:
+            v = 1
+            for i in range(n1):
+                if row[i]:
+                    v = mul(v, field.pow(x[i], row[i]))
+            s = add(s, v)
+        if lam_code:
+            v = lam_code
+            for i in range(n1):
+                if a_vec[i]:
+                    v = mul(v, field.pow(x[i], a_vec[i]))
+            s = add(s, v)
+        return s
+
+    def canonical_image(x):
+        best = None
+        for t in field.units():
+            scaled = tuple(mul(field.pow(t, weights[i]), x[i]) for i in range(n1))
+            if best is None or scaled < best:
+                best = scaled
+        return best
+
+    containment = True
+    fibers = {}
+    points = 0
+    for tail in itertools.product(field.units(), repeat=n1 - 1):
+        y = (1,) + tail
+        s = 0
+        for i in range(n1):
+            s = add(s, field.pow(y[i], d))
+        if lam_code:
+            v = lam_code
+            for i in range(n1):
+                if data.cover_exponents[i]:
+                    v = mul(v, field.pow(y[i], data.cover_exponents[i]))
+            s = add(s, v)
+        if s != 0:
+            continue
+        points += 1
+        logs = [log[yi] for yi in y]
+        x = tuple(
+            exp[sum(b_rows[j][i] * logs[i] for i in range(n1)) % qm1]
+            for j in range(n1)
+        )
+        if x_equation(x) != 0:
+            containment = False
+            continue
+        key = canonical_image(x)
+        fibers[key] = fibers.get(key, 0) + 1
+    histogram = {}
+    for size in fibers.values():
+        histogram[size] = histogram.get(size, 0) + 1
+    return CoverReport(containment, histogram, points)

@@ -212,6 +212,47 @@ def test_count_scan_rejects_p_dividing_d(capsys):
     assert "p = 2, d = 4" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--ext", "2"], "takes no --ext"),
+        (["--ext", "20"], "takes no --ext"),
+        (["--lambda", "2"], "takes no --lambda"),
+        (["--lambda", "0"], "takes no --lambda"),
+    ],
+)
+def test_count_scan_rejects_options_it_cannot_honour(extra, message, capsys):
+    # the scan answers over the closure of F_p, for every lambda at once
+    assert run_main(["count", "family1", "--q", "5", "--scan", *extra]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --scan covers every lambda over the closure of F_p and {message}" in captured.err
+
+
+def test_count_scan_rejects_prime_powers(capsys):
+    assert run_main(["count", "family1", "--q", "25", "--scan"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --scan takes a prime --q, got 25 = 5^2" in captured.err
+
+
+def test_count_lambda_defaults_to_zero():
+    assert run_cli(["count", "family1", "--q", "13"]) == run_cli(["count", "family1", "--q", "13", "--lambda", "0"])
+
+
+def test_count_work_bound_refused_before_any_table(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(pointcount, "FiniteField", refuse)
+    assert run_main(["count", "family1", "--q", "8191", "--lambda", "2"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = pointcount.COUNT_WORK_LIMIT
+    assert "error: point count work estimate (q-1)^2 + sum |K_S| = 67" in captured.err
+    assert f"exceeds the limit {limit}" in captured.err and "Traceback" not in captured.err
+
+
 def test_count_ext_must_be_positive(capsys):
     status = run_main(["count", "family1", "--q", "5", "--ext", "0"])
     assert status == cli.USAGE_ERROR

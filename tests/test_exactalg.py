@@ -1,8 +1,9 @@
+import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delsarte.exactalg import (
@@ -10,6 +11,7 @@ from delsarte.exactalg import (
     SingularMatrixError,
     adjugate,
     determinant,
+    diagonalize,
     minimal_map_matrix,
 )
 
@@ -114,3 +116,44 @@ def test_minimal_map_properties_random(rows):
     assert b * m == scalar and m * b == scalar
     # minimality: d/p * M^-1 = B/p is integral for no prime p | d
     assert gcd(d, *(x for row in b.rows for x in row)) == 1
+
+
+def test_diagonalize_examples():
+    # the Fermat quartic's exponent rows with the column of ones: the
+    # product of the e_i is the gcd of the maximal minors
+    fermat = [[4 if j == i else 0 for j in range(4)] + [1] for i in range(4)]
+    assert diagonalize(fermat)[1] == [1, 4, 4, 4]
+    assert diagonalize([[4, 0, 1], [0, 4, 1]])[1] == [1, 4]
+    u, diag = diagonalize([[2, 4], [3, 6]])
+    assert diag == [1] and abs(laplace_determinant(u)) == 1
+    assert diagonalize([[0, 0]]) == ([[1]], [])
+
+
+@st.composite
+def _small_matrices(draw):
+    m, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(-6, 6), min_size=c, max_size=c)
+    return draw(st.lists(row, min_size=m, max_size=m)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=150)
+@given(_small_matrices())
+def test_diagonalize_kernel_mod_n_matches_brute_force(case):
+    rows, n = case
+    m, c = len(rows), len(rows[0])
+    u, diag = diagonalize(rows)
+    assert abs(laplace_determinant(u)) == 1
+    assert all(e > 0 for e in diag) and len(diag) <= min(m, c)
+    if m == c:
+        assert (prod(diag) if len(diag) == m else 0) == abs(laplace_determinant(rows))
+    # K = {y*U}: y_i over the multiples of n/gcd(e_i, n), e_i = 0 past the rank
+    e = diag + [0] * (m - len(diag))
+    ys = itertools.product(*[range(0, n, n // gcd(ei, n)) for ei in e])
+    kernel = {tuple(sum(y[i] * u[i][j] for i in range(m)) % n for j in range(m)) for y in ys}
+    brute = {
+        k
+        for k in itertools.product(range(n), repeat=m)
+        if all(sum(k[i] * rows[i][j] for i in range(m)) % n == 0 for j in range(c))
+    }
+    assert kernel == brute
+    assert len(kernel) == prod(gcd(ei, n) for ei in e)

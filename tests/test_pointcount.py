@@ -1,21 +1,24 @@
 import itertools
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_count_cone, brute_general_position
+from oracles import brute_count_cone, brute_general_position, verify_cover_map
 
+from delsarte import pointcount
 from delsarte.deformation import family, family_keys
 from delsarte.pointcount import (
     FiniteField,
     HypersurfaceSpec,
+    auxiliary_prime,
     count_cone,
     count_points,
     family_hypersurface,
     cover_in_general_position,
     fermat_hypersurface,
     prime_factors,
-    verify_cover_map,
+    torus_strata,
 )
 
 
@@ -238,9 +241,81 @@ def test_count_cone_matches_oracle(case):
 
 def test_count_cone_matches_oracle_on_families():
     for key in family_keys():
-        spec = family_hypersurface(family(key), lam=2)
-        for f in (ORACLE_FIELDS[5], ORACLE_FIELDS[4]):
-            assert count_cone(spec, f) == brute_count_cone(spec, f), (key, f.q)
+        for lam in range(3):
+            spec = family_hypersurface(family(key), lam=lam)
+            for f in (ORACLE_FIELDS[5], ORACLE_FIELDS[4]):
+                assert count_cone(spec, f) == brute_count_cone(spec, f), (key, lam, f.q)
+
+
+# (family, q, lambda, count), recorded from the cone descent that
+# `count_cone` used at commit 66a3480, before the Gauss-sum count
+DESCENT_COUNTS = [
+    ("family1", 29, 3, 672),
+    ("family2", 29, 5, 868),
+    ("family8", 29, 11, 900),
+    ("family5", 29, 0, 1000),
+    ("family3", 31, 0, 1024),
+    ("family4", 31, 7, 1016),
+    ("family9", 31, 2, 963),
+    ("family5", 37, 2, 1390),
+    ("family6", 37, 1, 1452),
+    ("family7", 37, 4, 1668),
+    ("family10", 37, 6, 1569),
+    ("family1", 37, 2, 1760),
+]
+
+
+@pytest.mark.parametrize("key, q, lam, want", DESCENT_COUNTS)
+def test_count_matches_recorded_descent(key, q, lam, want):
+    assert count_points(family_hypersurface(family(key), lam), FiniteField(q)) == want
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % r for r in range(2, int(n**0.5) + 1))
+
+
+def test_auxiliary_prime():
+    for q in PRIME_POWERS_TO_64:
+        p = prime_factors(q)[0]
+        step = lcm(p, q - 1)
+        for n1 in (1, 2, 3, 4):
+            ell = auxiliary_prime(p, q, q**n1)
+            assert ell % step == 1 and ell > q**n1, (q, n1)
+            assert _prime_by_trial_division(ell), (q, n1)
+            # the first such prime: every smaller candidate above q^n1 is composite
+            assert not any(
+                _prime_by_trial_division(c) for c in range(ell - step, q**n1, -step)
+            ), (q, n1)
+
+
+def test_miller_rabin_limit():
+    assert [n for n in range(3000) if pointcount._is_prime(n)] == [
+        n for n in range(3000) if _prime_by_trial_division(n)
+    ]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..37
+    assert not pointcount._is_prime(3215031751)
+    assert not pointcount._is_prime(318665857834031151167461)
+    # the limit is the least strong pseudoprime to all thirteen bases
+    limit = pointcount.MILLER_RABIN_LIMIT
+    assert limit == 1287836182261 * 2575672364521 and pointcount._is_prime(limit)
+
+
+def test_work_estimate_bounds():
+    # family9 at q = 4099 is admitted: (q-1)^2 dominates an estimate near 1.7e7
+    torus_strata(family_hypersurface(family("family9"), 2), 4099, 4099)
+    with pytest.raises(ValueError, match=f"exceeds the limit {pointcount.COUNT_WORK_LIMIT}"):
+        torus_strata(family_hypersurface(family("family1"), 2), 8191, 8191)
+    # the Miller-Rabin limit is checked first: 65537^5 < 3.3e24 <= 131071^5
+    quintic = fermat_hypersurface(5, 4, lam=1, b=(1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="work estimate"):
+        torus_strata(quintic, 65537, 65537)
+    with pytest.raises(ValueError, match="Miller-Rabin limit"):
+        torus_strata(quintic, 131071, 131071)
+    # seven variables reach the limit at a q the work bound admits
+    septic = fermat_hypersurface(7, 6)
+    torus_strata(septic, 2729, 2729)
+    with pytest.raises(ValueError, match=r"q\^\(n\+1\) = 3331\^7 reaches"):
+        torus_strata(septic, 3331, 3331)
 
 
 # -- general position ---------------------------------------------------------------
