@@ -160,16 +160,6 @@ class CyclotomicElement:
     def conjugate(self) -> CyclotomicElement:
         return self.galois(self.order - 1) if self.order > 1 else self
 
-    def promote(self, order_to: int) -> CyclotomicElement:
-        """Re-express in Z[zeta_M] for a multiple M of the current order."""
-        if order_to % self.order != 0:
-            raise ValueError("target order must be a multiple of the current order")
-        step = order_to // self.order
-        out = [0] * order_to
-        for i, a in enumerate(self.coeffs):
-            out[i * step] += a
-        return CyclotomicElement(order_to, out)
-
     def reduced(self) -> tuple:
         """Canonical coordinates on the basis 1, zeta, ..., zeta^(phi(N)-1)."""
         return tuple(_polymod(list(self.coeffs), cyclotomic_polynomial(self.order)))

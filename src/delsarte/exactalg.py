@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants, adjugates, scaled inverses."""
+"""Exact integer linear algebra: determinants, adjugates, scaled inverses, kernels mod N."""
 from __future__ import annotations
 
 from math import gcd
@@ -78,17 +78,21 @@ class IntMatrix:
         return tuple(sum(self.rows[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """(det M, adj M) from one fraction-free Gauss-Jordan pass on [M | I].
 
-    Every division below is exact over the integers; intermediate entries
-    are themselves determinants of leading minors.
+    Step k clears pivot column k on every other row, dividing exactly by
+    the previous pivot (Bareiss 1968).  With the row swaps this is the pass
+    on [PM | P] for a permutation P, and it ends at
+    [det(PM) * I | det(PM) * M^-1]; det(PM) = sign * det M, so the right
+    block is sign * adj M.  adj M is None when det M = 0; otherwise
+    adj(M) * M = M * adj(M) = det(M) * I.
     """
     n = m.n
-    a = [list(row) for row in m.rows]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.rows)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -96,39 +100,19 @@ def determinant(m: IntMatrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+                return 0, None
+        pivot, top = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev, IntMatrix(tuple(tuple(sign * x for x in row[n:]) for row in a))
 
 
-def _minor(m: IntMatrix, drop_row: int, drop_col: int) -> int:
-    sub = [
-        [m.rows[i][j] for j in range(m.n) if j != drop_col]
-        for i in range(m.n)
-        if i != drop_row
-    ]
-    if len(sub) == 1:
-        return sub[0][0]
-    return determinant(IntMatrix(sub))
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: adj(M)[i][j] = (-1)^(i+j) * minor(M, j, i).
-
-    Satisfies adj(M) * M = M * adj(M) = det(M) * I.
-    """
-    n = m.n
-    return IntMatrix(
-        tuple(
-            tuple((-1) ** (i + j) * _minor(m, j, i) for j in range(n))
-            for i in range(n)
-        )
-    )
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant, read off the fraction-free Gauss-Jordan pass."""
+    return det_adjugate(m)[0]
 
 
 def diagonalize(rows) -> tuple[list[list[int]], list[int]]:
@@ -160,12 +144,14 @@ def diagonalize(rows) -> tuple[list[list[int]], list[int]]:
             pivot = a[t][t]
             for i in range(t + 1, m):
                 f = a[i][t] // pivot
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                u[i] = [x - f * y for x, y in zip(u[i], u[t])]
+                if f:
+                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - f * y for x, y in zip(u[i], u[t])]
             for j in range(t + 1, c):
                 f = a[t][j] // pivot
-                for row in a:
-                    row[j] -= f * row[t]
+                if f:
+                    for row in a[t:]:  # rows above t are zero in column t
+                        row[j] -= f * row[t]
             rest = [(abs(a[i][t]), i, t) for i in range(t + 1, m) if a[i][t]]
             rest += [(abs(a[t][j]), t, j) for j in range(t + 1, c) if a[t][j]]
             if not rest:
@@ -175,16 +161,29 @@ def diagonalize(rows) -> tuple[list[list[int]], list[int]]:
     return u, diag
 
 
+def kernel_mod(rows, n: int) -> tuple[list[list[int]], list[int]]:
+    """U and steps with {k : k*M == 0 (mod n)} = {y*U mod n : steps[i] | y_i}.
+
+    M is the m x c matrix with the given rows.  From U*M*V = diag(e_i)
+    (`diagonalize`, e_i = 0 past the rank) the congruence reads
+    y_i * e_i == 0 (mod n) for y = k*U^-1, so y_i runs over the multiples
+    of steps[i] = n/gcd(e_i, n), and distinct y mod n give distinct k.
+    """
+    u, diag = diagonalize(rows)
+    diag += [0] * (len(rows) - len(diag))
+    return u, [n // gcd(e, n) for e in diag]
+
+
 def minimal_map_matrix(m: IntMatrix) -> tuple[int, IntMatrix]:
     """Least positive d with d*M^-1 integral, together with B = d*M^-1.
 
-    d = |det M| / gcd(|det M|, content of adj M); this avoids rational
-    arithmetic entirely.  B satisfies B*M = M*B = d*I exactly.
+    d = |det M| / gcd(|det M|, content of adj M), with det and adj from one
+    `det_adjugate` pass; this avoids rational arithmetic entirely.  B
+    satisfies B*M = M*B = d*I exactly.
     """
-    det = determinant(m)
+    det, adj = det_adjugate(m)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    adj = adjugate(m)
     content = 0
     for row in adj.rows:
         for x in row:

@@ -4,9 +4,8 @@ A monomial type is an (n+1)-tuple of residues modulo d with zero sum; the
 interior ones (no entry congruent to 0) index a basis of the middle
 cohomology of the deformed Fermat hypersurface complement.  This module
 enumerates types, decides invariance under the two relevant automorphism
-groups, partitions invariant types into equivalence classes, reduces
-non-basis exponent vectors into the basis at lambda = 0, and transports
-types along signed monomial coordinate changes.
+groups, partitions invariant types into equivalence classes, and reduces
+non-basis exponent vectors into the basis at lambda = 0.
 """
 from __future__ import annotations
 
@@ -15,26 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CyclotomicElement
 from .deformation import DeformationData
-from .exactalg import determinant
+from .exactalg import determinant, kernel_mod
 
-# Hard cap on the order |det A| of the torus subgroup enumerated below;
-# the built-in families stay below 300 elements, the cap only guards
-# pathological user input.
+# Hard cap on the order |det A| of the quotient group whose invariant
+# types are enumerated below; the built-in families stay below 300
+# elements, the cap only guards pathological user input.
 _SUBGROUP_LIMIT = 4_000_000
-
-
-def normalize_type(k, d: int) -> tuple[int, ...]:
-    return tuple(e % d for e in k)
 
 
 def format_type(k) -> str:
     return ",".join(str(e) for e in k)
-
-
-def parse_type(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
 
 
 def enumerate_basis(d: int, n: int, allow_zero_entries: bool = False) -> list[tuple[int, ...]]:
@@ -53,16 +43,6 @@ def enumerate_basis(d: int, n: int, allow_zero_entries: bool = False) -> list[tu
             out.append(head + (last,))
     out.sort()
     return out
-
-
-def is_gmax_invariant(k, b, d: int) -> bool:
-    """True iff k is congruent to a multiple of b modulo d."""
-    k = normalize_type(k, d)
-    n1 = len(k)
-    for t in range(d):
-        if all((t * b[i] - k[i]) % d == 0 for i in range(n1)):
-            return True
-    return False
 
 
 def gmax_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
@@ -92,11 +72,15 @@ def is_g_invariant(k, data: DeformationData) -> bool:
     return all(sum(k[i] * a[i][j] for i in range(n1)) % d == 0 for j in range(n1))
 
 
-def invariant_image(data: DeformationData) -> set[tuple[int, ...]]:
-    """The full subgroup {m*B mod d} of (Z/d)^(n+1), by additive closure.
+def g_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
+    """Interior types invariant under the family's quotient group, sorted.
 
-    Its order is |det A|: m*B == 0 (mod d) iff m lies in the row lattice
-    of A, because A*B = d*I.  Larger groups are refused before enumeration.
+    These are the interior k with k*[A | 1] == 0 (mod d): invariance
+    k*A == 0 and a zero entry sum.  They are enumerated as the kernel
+    {y*U} of `exactalg.kernel_mod`: prefix sums over all but the longest
+    generator row of U, then that row's multiples added to each.  The
+    kernel is a subgroup of {m*B mod d}, whose order is |det A|, and a
+    larger group than the limit is refused before enumeration.
     """
     order = abs(determinant(data.matrix))
     if order > _SUBGROUP_LIMIT:
@@ -104,32 +88,19 @@ def invariant_image(data: DeformationData) -> set[tuple[int, ...]]:
             f"quotient group of order |det A| = {order} exceeds the enumeration limit {_SUBGROUP_LIMIT}"
         )
     d = data.degree
-    rows = [tuple(x % d for x in row) for row in data.map_matrix.rows]
-    zero = (0,) * len(rows)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        base = frontier.pop()
-        for row in rows:
-            nxt = tuple((x + y) % d for x, y in zip(base, row))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def g_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
-    """Interior types invariant under the family's quotient group.
-
-    The subgroup image also contains vectors whose entry sum is nonzero
-    mod d; those are not monomial types and are filtered out here.
-    """
-    d = data.degree
-    return sorted(
-        k
-        for k in invariant_image(data)
-        if sum(k) % d == 0 and all(0 < e < d for e in k)
-    )
+    u, steps = kernel_mod([row + (1,) for row in data.matrix.rows], d)
+    # the least step gives the longest generator; it goes last
+    *head, (last, last_step) = sorted(zip(u, steps), key=lambda gen: -gen[1])
+    sums = [[0] * len(last)]
+    for row, step in head:
+        sums = [[x + y * z for x, z in zip(s, row)] for s in sums for y in range(0, d, step)]
+    # the last generator's multiples, one coordinate at a time
+    columns = [[y * x % d for y in range(0, d, last_step)] for x in last]
+    out = []
+    for s in sums:
+        out += [k for k in zip(*[[(x + y) % d for y in col] for x, col in zip(s, columns)]) if all(k)]
+    out.sort()
+    return out
 
 
 def dimension_triple(data: DeformationData) -> tuple[int, int, int]:
@@ -137,24 +108,33 @@ def dimension_triple(data: DeformationData) -> tuple[int, int, int]:
 
     PF counts the interior multiples of b; dim W is the number of further
     invariant types; c is the defect against the full interior count of
-    the reduced-degree hypersurface.  Requires all weights equal.
+    the reduced-degree hypersurface, ((D-1)^(n+1) + (-1)^(n+1) (D-1)) / D
+    by inclusion-exclusion.  Requires all weights equal.
     """
     w = data.weights
     if any(x != w[0] for x in w):
         raise ValueError("c undefined for this family: unequal weights")
+    n = data.n
+    if n < 2:
+        raise ValueError("need d >= 1 and n >= 2")
     reduced_degree = data.degree // gcd(*w)
-    full = len(enumerate_basis(reduced_degree, data.n))
+    full = ((reduced_degree - 1) ** (n + 1) + (-1) ** (n + 1) * (reduced_degree - 1)) // reduced_degree
     pf = len(gmax_invariant_types(data))
     gi = len(g_invariant_types(data))
     return pf, gi - pf, full - gi
 
 
-def _partition(types, d: int, neighbours) -> list[list[tuple[int, ...]]]:
-    """Connected components of the given neighbour relation inside `types`."""
+def _partition(types, neighbours) -> list[list[tuple[int, ...]]]:
+    """Connected components of the given neighbour relation inside `types`.
+
+    Each block starts at the least type not yet placed, so the blocks come
+    out sorted by their first type.
+    """
     pool = set(types)
     blocks = []
-    while pool:
-        start = min(pool)
+    for start in sorted(pool):
+        if start not in pool:
+            continue
         block = {start}
         frontier = [start]
         pool.remove(start)
@@ -166,8 +146,12 @@ def _partition(types, d: int, neighbours) -> list[list[tuple[int, ...]]]:
                     block.add(nxt)
                     frontier.append(nxt)
         blocks.append(sorted(block))
-    blocks.sort(key=lambda blk: blk[0])
     return blocks
+
+
+def _shifts(k, b, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """k + b and k - b (mod d)."""
+    return tuple((x + y) % d for x, y in zip(k, b)), tuple((x - y) % d for x, y in zip(k, b))
 
 
 def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
@@ -177,13 +161,7 @@ def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     given set, so a shift that leaves the set breaks the chain there.
     """
     type_set = set(map(tuple, types))
-
-    def neighbours(k):
-        fwd = tuple((x + y) % d for x, y in zip(k, b))
-        bwd = tuple((x - y) % d for x, y in zip(k, b))
-        return [t for t in (fwd, bwd) if t in type_set]
-
-    return _partition(type_set, d, neighbours)
+    return _partition(type_set, lambda k: [t for t in _shifts(k, b, d) if t in type_set])
 
 
 def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
@@ -191,25 +169,24 @@ def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
 
     The unit-scaling closure rule is this implementation's definition of
     weak equivalence; it is validated against the shipped regression data
-    for the built-in families but is intentionally conservative.
+    for the built-in families but is intentionally conservative.  Unit
+    orbits partition the types, so each orbit is computed once, when its
+    first member is reached, and all its members in the set join the
+    block then.
     """
     type_set = set(map(tuple, types))
     units = [u for u in range(1, d) if gcd(u, d) == 1]
+    scaled = set()
 
     def neighbours(k):
-        out = []
-        fwd = tuple((x + y) % d for x, y in zip(k, b))
-        bwd = tuple((x - y) % d for x, y in zip(k, b))
-        for t in (fwd, bwd):
-            if t in type_set:
-                out.append(t)
-        for u in units:
-            t = tuple((u * x) % d for x in k)
-            if t in type_set:
-                out.append(t)
+        out = [t for t in _shifts(k, b, d) if t in type_set]
+        if k not in scaled:
+            orbit = {tuple((u * x) % d for x in k) for u in units}
+            scaled.update(orbit)
+            out += [t for t in orbit if t in type_set]
         return out
 
-    return _partition(type_set, d, neighbours)
+    return _partition(type_set, neighbours)
 
 
 @dataclass(frozen=True)
@@ -258,67 +235,3 @@ def reduce_form(exponents, d: int) -> ReducedForm:
         entries[i] = m - d
         t -= 1
         coeff *= Fraction(m - d, d * t)
-
-
-@dataclass(frozen=True)
-class MonomialSubstitution:
-    """Signed monomial coordinate change x_i -> zeta^e_i * x_{perm[i]}.
-
-    `zeta_exponents` are exponents of a primitive root of unity of the
-    given order; the permutation sends slot i to slot perm[i].
-    """
-
-    perm: tuple[int, ...]
-    zeta_exponents: tuple[int, ...]
-    order: int
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm is not a permutation")
-        if len(self.zeta_exponents) != len(self.perm):
-            raise ValueError("one scaling exponent per coordinate required")
-
-
-def _permutation_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def automorphism_action(sub: MonomialSubstitution, m, d: int) -> tuple[CyclotomicElement, tuple[int, ...]]:
-    """Pull back the basis form indexed by m along the substitution.
-
-    Returns (scalar, m') with substitution^*(omega_m) = scalar * omega_m'.
-    The scalar is sign(perm) * zeta_d^(sum e_i * m_i); it collects one
-    zeta^(e_i * (m_i - 1)) from the numerator monomial and one zeta^(e_i)
-    (together with the permutation sign) from the holomorphic volume form.
-    """
-    if d % sub.order != 0:
-        raise ValueError("scaling order does not divide d")
-    m = tuple(m)
-    if len(m) != len(sub.perm):
-        raise ValueError("type length does not match the substitution")
-    scale = d // sub.order
-    exp = sum(e * scale * mi for e, mi in zip(sub.zeta_exponents, m)) % d
-    sign = _permutation_sign(sub.perm)
-    if sign == 1:
-        scalar = CyclotomicElement.zeta(d, exp)
-    elif d % 2 == 0:
-        scalar = CyclotomicElement.zeta(d, (exp + d // 2) % d)
-    else:
-        scalar = -CyclotomicElement.zeta(d, exp)
-    new = [0] * len(m)
-    for i, mi in enumerate(m):
-        new[sub.perm[i]] = mi
-    return scalar, tuple(new)

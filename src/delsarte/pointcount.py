@@ -24,7 +24,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .deformation import DeformationData
-from .exactalg import diagonalize
+from .exactalg import kernel_mod
 
 DEFAULT_MAX_Q = 2**20
 # (q-1)^2 for the Gauss-sum table plus sum_S |K_S| for the character sums
@@ -407,11 +407,10 @@ def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> list:
     """(s, terms, U, steps) per coordinate subset S, after the work bound.
 
     The terms are the (exponents, coefficient mod p) with support in S and
-    a nonzero coefficient.  `exactalg.diagonalize` gives U*M*V =
-    diag(e_1..e_r) for M = [a_j|_S | 1], so K_S = {y*U}, where y_i runs over
-    the multiples of steps[i] = N/gcd(e_i, N) (e_i = 0 for i > r).  The
-    estimate (q-1)^2 + sum_S |K_S| is read off the steps before any table
-    is built, and so is the Miller-Rabin limit on q^(n+1).
+    a nonzero coefficient.  `exactalg.kernel_mod` gives K_S = {y*U}, the
+    kernel of M = [a_j|_S | 1] mod N, where y_i runs over the multiples of
+    steps[i].  The estimate (q-1)^2 + sum_S |K_S| is read off the steps
+    before any table is built, and so is the Miller-Rabin limit on q^(n+1).
     """
     n, n1 = q - 1, len(spec.weights)
     if q**n1 >= MILLER_RABIN_LIMIT:
@@ -427,9 +426,7 @@ def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> list:
             live = [(e, c) for e, c in terms if not any(e[i] for i in outside)]
             u, steps = None, None
             if live:
-                u, diag = diagonalize([[e[i] for i in subset] + [1] for e, _ in live])
-                diag += [0] * (len(live) - len(diag))
-                steps = [n // gcd(e, n) for e in diag]
+                u, steps = kernel_mod([[e[i] for i in subset] + [1] for e, _ in live], n)
                 work += prod(n // step for step in steps)
             strata.append((s, live, u, steps))
     if work > COUNT_WORK_LIMIT:

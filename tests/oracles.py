@@ -1,7 +1,10 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 These deliberately avoid the shortcuts used by the implementation: the
-invariance oracle enumerates the values m*B directly, the reduction
+invariance oracles enumerate the values m*B directly or close the rows
+of B under addition, the determinant and adjugate oracles expand
+cofactors, the weak-class oracle scales every type by every unit, the
+reduction
 oracle rewrites forms by explicit polynomial differentiation, the Jacobi
 sum oracle enumerates every tuple of nonzero field elements, the
 characteristic-polynomial oracle expands one type at a time from those
@@ -14,7 +17,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from math import gcd
+
 from delsarte.cyclotomic import CyclotomicElement
+from delsarte.exactalg import IntMatrix
 from delsarte.pointcount import FiniteField
 from delsarte.zetafermat import CharPoly
 
@@ -39,6 +45,91 @@ def image_by_enumeration(data):
 
     second = span(rows[2:])
     return {tuple((a + b) % d for a, b in zip(s1, s2)) for s1 in span(rows[:2]) for s2 in second}
+
+
+def invariant_image(data):
+    """The full subgroup {m*B mod d} of (Z/d)^(n+1), by additive closure.
+
+    Its order is |det A|: m*B == 0 (mod d) iff m lies in the row lattice
+    of A, because A*B = d*I.
+    """
+    d = data.degree
+    rows = [tuple(x % d for x in row) for row in data.map_matrix.rows]
+    zero = (0,) * len(rows)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        base = frontier.pop()
+        for row in rows:
+            nxt = tuple((x + y) % d for x, y in zip(base, row))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def interior_sum_zero(image, d):
+    """The sorted interior types (entries in (0, d), zero sum mod d) of a set."""
+    return sorted(k for k in image if sum(k) % d == 0 and all(0 < e < d for e in k))
+
+
+def is_gmax_invariant(k, b, d):
+    """True iff k is congruent to a multiple of b modulo d, by trying every multiple."""
+    return any(all((t * bi - ki) % d == 0 for bi, ki in zip(b, k)) for t in range(d))
+
+
+def laplace_determinant(rows):
+    """Determinant by cofactor expansion along the first column."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for i in range(n):
+        if rows[i][0] == 0:
+            continue
+        minor = [[rows[r][c] for c in range(1, n)] for r in range(n) if r != i]
+        total += (-1) ** i * rows[i][0] * laplace_determinant(minor)
+    return total
+
+
+def adjugate(m):
+    """Adjugate by cofactors: adj(M)[i][j] = (-1)^(i+j) * minor(M, j, i)."""
+    n = m.n
+
+    def minor(drop_row, drop_col):
+        return laplace_determinant(
+            [[m.rows[i][j] for j in range(n) if j != drop_col] for i in range(n) if i != drop_row]
+        )
+
+    return IntMatrix(tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n)))
+
+
+def weak_classes_all_units(types, b, d):
+    """Weak classes with every unit multiple of every type as a neighbour.
+
+    Blocks are the connected components of k ~ k +- b and k ~ u*k inside
+    the set, each sorted, listed by their least type.
+    """
+    type_set = set(map(tuple, types))
+    units = [u for u in range(1, d) if gcd(u, d) == 1]
+    blocks = []
+    placed = set()
+    for start in sorted(type_set):
+        if start in placed:
+            continue
+        block = {start}
+        frontier = [start]
+        while frontier:
+            k = frontier.pop()
+            near = [tuple((x + y) % d for x, y in zip(k, b)), tuple((x - y) % d for x, y in zip(k, b))]
+            near += [tuple(u * x % d for x in k) for u in units]
+            for t in near:
+                if t in type_set and t not in block:
+                    block.add(t)
+                    frontier.append(t)
+        placed |= block
+        blocks.append(sorted(block))
+    return blocks
 
 
 def oracle_reduce(exponents, d):

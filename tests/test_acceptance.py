@@ -35,7 +35,7 @@ from delsarte.zetafermat import (
 )
 
 from golden_data import INVARIANT_TABLES, SUMMARY_TABLE
-from oracles import brute_count_cone, image_by_enumeration, oracle_reduce
+from oracles import brute_count_cone, image_by_enumeration, interior_sum_zero, oracle_reduce
 
 GRID = [(4, 3, 5), (4, 3, 13), (3, 2, 7), (8, 3, 17), (12, 3, 13)]
 
@@ -211,7 +211,13 @@ def test_criterion_10_invariance_oracle_agreement():
         for k in enumerate_basis(data.degree, data.n):
             ok = ok and is_g_invariant(k, data) == (k in image)
             types += 1
-    _report(10, f"fast invariance test agrees with direct enumeration on all {types} types of all families", ok)
+        ok = ok and g_invariant_types(data) == interior_sum_zero(image, data.degree)
+    _report(
+        10,
+        f"fast invariance test agrees with direct enumeration on all {types} types of all families,"
+        " and the kernel enumeration gives exactly the invariant interior types",
+        ok,
+    )
 
 
 def test_criterion_11_reduction_oracle_agreement():

@@ -62,14 +62,6 @@ def test_galois_action_and_rationality():
     assert (z6 * z6 - z6 + 2).rational_value() == 1
 
 
-def test_promote_preserves_value():
-    z4 = CyclotomicElement.zeta(4)
-    z8 = CyclotomicElement.zeta(8, 2)
-    assert z4.promote(8) == z8
-    elem = 3 * z4 - 2
-    assert elem.promote(8) == 3 * z8 - 2
-
-
 def test_fraction_coefficients():
     z = CyclotomicElement.zeta(4)
     half = CyclotomicElement.constant(4, Fraction(1, 2))

@@ -9,28 +9,17 @@ from hypothesis import strategies as st
 from delsarte.exactalg import (
     IntMatrix,
     SingularMatrixError,
-    adjugate,
+    det_adjugate,
     determinant,
     diagonalize,
+    kernel_mod,
     minimal_map_matrix,
 )
 
+from oracles import adjugate, laplace_determinant
+
 FAMILY2 = IntMatrix([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 3, 1), (0, 0, 1, 3)])
 FAMILY7 = IntMatrix([(3, 1, 0, 0), (1, 3, 0, 0), (0, 0, 3, 1), (0, 0, 0, 4)])
-
-
-def laplace_determinant(rows):
-    """Independent cofactor-expansion oracle."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for i in range(n):
-        if rows[i][0] == 0:
-            continue
-        minor = [[rows[r][c] for c in range(1, n)] for r in range(n) if r != i]
-        total += (-1) ** i * rows[i][0] * laplace_determinant(minor)
-    return total
 
 
 def test_determinant_identity():
@@ -61,8 +50,41 @@ def test_adjugate_identity_relation():
     for _ in range(20):
         n = rng.choice([2, 3, 4])
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        det = determinant(m)
-        assert adjugate(m) * m == IntMatrix.identity(n).scaled(det)
+        det, adj = det_adjugate(m)
+        if det:
+            assert adj * m == m * adj == IntMatrix.identity(n).scaled(det)
+        else:
+            assert adj is None
+
+
+@st.composite
+def _square_matrices_with_zeros(draw):
+    """n <= 6 with mostly zero entries, often a zero leading pivot."""
+    n = draw(st.integers(2, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    return IntMatrix(rows)
+
+
+@settings(max_examples=150)
+@given(_square_matrices_with_zeros())
+def test_det_adjugate_matches_cofactor_oracle(m):
+    det, adj = det_adjugate(m)
+    assert det == determinant(m) == laplace_determinant([list(r) for r in m.rows])
+    if det:
+        assert adj == adjugate(m)
+    else:
+        assert adj is None
+
+
+def test_det_adjugate_swaps_past_zero_pivots():
+    # zero pivots force one row swap in the first (odd sign), two in the second
+    m = IntMatrix([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+    assert det_adjugate(m) == (-6, adjugate(m))
+    m = IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 1]])
+    assert det_adjugate(m) == (6, adjugate(m))
 
 
 def test_minimal_map_family2():
@@ -148,8 +170,10 @@ def test_diagonalize_kernel_mod_n_matches_brute_force(case):
         assert (prod(diag) if len(diag) == m else 0) == abs(laplace_determinant(rows))
     # K = {y*U}: y_i over the multiples of n/gcd(e_i, n), e_i = 0 past the rank
     e = diag + [0] * (m - len(diag))
-    ys = itertools.product(*[range(0, n, n // gcd(ei, n)) for ei in e])
+    assert kernel_mod(rows, n) == (u, [n // gcd(ei, n) for ei in e])
+    ys = list(itertools.product(*[range(0, n, n // gcd(ei, n)) for ei in e]))
     kernel = {tuple(sum(y[i] * u[i][j] for i in range(m)) % n for j in range(m)) for y in ys}
+    assert len(kernel) == len(ys)
     brute = {
         k
         for k in itertools.product(range(n), repeat=m)

@@ -1,33 +1,34 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delsarte.cyclotomic import CyclotomicElement
 from delsarte.deformation import build, family, family_keys, validate_coefficient_matrix
 from delsarte.exactalg import IntMatrix, determinant
 from delsarte.monomials import (
-    MonomialSubstitution,
-    automorphism_action,
     dimension_triple,
     enumerate_basis,
     format_type,
     g_invariant_types,
     gmax_invariant_types,
-    invariant_image,
     is_g_invariant,
-    is_gmax_invariant,
-    parse_type,
     reduce_form,
     strong_classes,
     weak_classes,
 )
 
 from golden_data import INVARIANT_TABLES, SUMMARY_TABLE
-from oracles import oracle_reduce
+from oracles import (
+    interior_sum_zero,
+    invariant_image,
+    is_gmax_invariant,
+    oracle_reduce,
+    weak_classes_all_units,
+)
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -64,6 +65,15 @@ def test_gmax_sets():
     assert gmax_invariant_types(family("family1")) == [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)]
     assert len(gmax_invariant_types(family("family7"))) == 6
     assert len(gmax_invariant_types(family("family9"))) == 18
+
+
+def test_gmax_sets_match_multiple_oracle():
+    # the G-invariant types contain every interior multiple of b
+    for key in family_keys():
+        data = family(key)
+        b, d = data.cover_exponents, data.degree
+        want = [k for k in g_invariant_types(data) if is_gmax_invariant(k, b, d)]
+        assert gmax_invariant_types(data) == want
 
 
 def test_gmax_counts_distinct_types_not_multipliers():
@@ -121,6 +131,37 @@ def _valid_families(draw):
 @given(_valid_families())
 def test_invariant_image_order_is_det(data):
     assert len(invariant_image(data)) == abs(determinant(data.matrix))
+
+
+@given(_valid_families())
+def test_g_invariant_types_match_oracle_image(data):
+    assert g_invariant_types(data) == interior_sum_zero(invariant_image(data), data.degree)
+
+
+@st.composite
+def _quintic_families(draw):
+    """5-variable families of degree D in x_i, with rows (D - e) x_i + e x_j.
+
+    Every row has degree D, so the weights are equal and, unlike most
+    draws of `_valid_families` with 5 variables, many types are interior.
+    """
+    degree = draw(st.integers(3, 6))
+    rows = []
+    for i in range(5):
+        row = [0] * 5
+        e = draw(st.integers(0, 2))
+        row[i] = degree - e
+        row[draw(st.integers(0, 4).filter(lambda j: j != i))] += e
+        rows.append(row)
+    a = IntMatrix(rows)
+    assume(not validate_coefficient_matrix(a))
+    return build(a, rows[0])
+
+
+@settings(max_examples=60)
+@given(_quintic_families())
+def test_g_invariant_types_match_oracle_image_five_variables(data):
+    assert g_invariant_types(data) == interior_sum_zero(invariant_image(data), data.degree)
 
 
 def test_invariant_image_order_on_families():
@@ -182,6 +223,13 @@ def test_dimension_triple_needs_equal_weights():
     # x0^2 + x1^2 + x2^4 + x3^4 has weights (2, 2, 1, 1)
     data = build(IntMatrix([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)]), (1, 1, 0, 0))
     with pytest.raises(ValueError, match="c undefined"):
+        dimension_triple(data)
+
+
+def test_dimension_triple_needs_two_dimensions():
+    # x0^2 + x1^2: equal weights, but a curve has no c
+    data = build(IntMatrix([(2, 0), (0, 2)]), (1, 1))
+    with pytest.raises(ValueError, match="n >= 2"):
         dimension_triple(data)
 
 
@@ -262,6 +310,20 @@ def test_weak_refines_strong():
             assert sum(set(block) <= w for w in weak_sets) == 1
 
 
+@settings(max_examples=150)
+@given(st.sampled_from(["family1", "family2", "family4", "family5", "family7"]), st.data())
+def test_weak_classes_match_all_units_oracle_on_open_subsets(key, draw):
+    # subsets not closed under units: each unit orbit meets the set only
+    # in part, and those members must still land in one block
+    data = family(key)
+    b, d = data.cover_exponents, data.degree
+    pool = enumerate_basis(d, data.n) if d <= 8 else g_invariant_types(data)
+    types = sorted(draw.draw(st.sets(st.sampled_from(pool), min_size=1)))
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    assume(any(tuple(u * x % d for x in k) not in types for k in types for u in units))
+    assert weak_classes(types, b, d) == weak_classes_all_units(types, b, d)
+
+
 # -- reduction --------------------------------------------------------------------
 
 
@@ -307,61 +369,7 @@ def test_reduce_form_vs_oracle_random():
             done += 1
 
 
-# -- automorphism action ------------------------------------------------------------
-
-
-def test_automorphism_action_signed_quarter_turn():
-    # x0 -> I x1, x1 -> -I x0: the eigenvalue works out to (-1)^(b+1) I^(a+b)
-    for a, b, c, e in [(1, 2, 2, 3), (1, 1, 1, 1), (2, 1, 3, 2), (3, 3, 1, 1)]:
-        scalar, idx = automorphism_action(
-            MonomialSubstitution((1, 0, 2, 3), (1, 3, 0, 0), 4), (a, b, c, e), 4
-        )
-        want = CyclotomicElement.zeta(4, (a + b) % 4)
-        if b % 2 == 0:
-            want = -want
-        assert scalar == want
-        assert idx == (b, a, c, e)
-
-
-def test_automorphism_action_plain_swap():
-    scalar, idx = automorphism_action(
-        MonomialSubstitution((1, 0, 2, 3), (0, 0, 0, 0), 1), (1, 2, 2, 3), 4
-    )
-    assert idx == (2, 1, 2, 3)
-    assert scalar == CyclotomicElement.constant(4, -1)
-
-
-def test_automorphism_action_signed_swap():
-    # x0 -> -x1, x1 -> -x0: eigenvalue (-1)^(a+b+1)
-    for a, b in [(1, 2), (2, 2), (1, 1), (3, 2)]:
-        scalar, idx = automorphism_action(
-            MonomialSubstitution((1, 0, 2, 3), (1, 1, 0, 0), 2), (a, b, 2, 3), 4
-        )
-        want = CyclotomicElement.constant(4, (-1) ** (a + b + 1))
-        assert scalar == want
-        assert idx == (b, a, 2, 3)
-
-
-def test_automorphism_action_order_must_divide():
-    with pytest.raises(ValueError, match="order"):
-        automorphism_action(
-            MonomialSubstitution((0, 1, 2, 3), (1, 0, 0, 0), 3), (1, 1, 1, 1), 4
-        )
-
-
-def test_automorphism_identity_on_fermat_family():
-    # pulled-back forms compose: applying a substitution twice matches the
-    # action of its square
-    sub = MonomialSubstitution((1, 0, 2, 3), (1, 3, 0, 0), 4)
-    m = (1, 2, 2, 3)
-    s1, m1 = automorphism_action(sub, m, 4)
-    s2, m2 = automorphism_action(sub, m1, 4)
-    # the square of the substitution is the identity: x0 -> I*(-I*x0) = x0
-    square = MonomialSubstitution((0, 1, 2, 3), (0, 0, 0, 0), 4)
-    s3, m3 = automorphism_action(square, m, 4)
-    assert m2 == m3 == m
-    assert s1 * s2 == s3
-
-
 def test_format_parse_roundtrip():
-    assert parse_type(format_type((18, 18, 8, 4))) == (18, 18, 8, 4)
+    text = format_type((18, 18, 8, 4))
+    assert text == "18,18,8,4"
+    assert tuple(int(part) for part in text.split(",")) == (18, 18, 8, 4)
