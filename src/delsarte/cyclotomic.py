@@ -188,10 +188,6 @@ class CyclotomicElement:
             raise NotRationalError(f"element is not rational: {self!r}")
         return red[0] if red else 0
 
-    def is_galois_invariant(self) -> bool:
-        n = self.order
-        return all(self.galois(u) == self for u in range(2, n) if gcd(u, n) == 1)
-
     def embedding(self, root_power: int = 1) -> complex:
         """Numerical image under zeta -> exp(2*pi*i*root_power/N)."""
         n = self.order

@@ -9,7 +9,6 @@ non-basis exponent vectors into the basis at lambda = 0.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,24 +24,6 @@ _SUBGROUP_LIMIT = 4_000_000
 
 def format_type(k) -> str:
     return ",".join(str(e) for e in k)
-
-
-def enumerate_basis(d: int, n: int, allow_zero_entries: bool = False) -> list[tuple[int, ...]]:
-    """All types with entries in (0,d) (resp. [0,d)) summing to 0 mod d.
-
-    Returned sorted lexicographically.  The last entry is forced by the
-    congruence, so the loop runs over the first n coordinates only.
-    """
-    if d < 1 or n < 2:
-        raise ValueError("need d >= 1 and n >= 2")
-    lo = 0 if allow_zero_entries else 1
-    out = []
-    for head in itertools.product(range(lo, d), repeat=n):
-        last = (-sum(head)) % d
-        if last >= lo:
-            out.append(head + (last,))
-    out.sort()
-    return out
 
 
 def gmax_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:

@@ -1,7 +1,8 @@
 """Exact multivariate polynomials and the bitangent-elimination pipeline.
 
 Coefficients are rationals or elements of Q(zeta_8) (enough for I and
-sqrt(2)); terms live in a sparse dict keyed by exponent vectors.  On top
+sqrt(2)); terms live in a sparse dict keyed by packed monomials, one int
+per exponent vector, whose integer order is graded-lex order.  On top
 of the arithmetic this module provides quadratic discriminants,
 fraction-free Sylvester resultants, and the full derivation of the
 bitangents to the five special plane quartics attached to the families
@@ -19,9 +20,21 @@ from math import gcd, lcm
 from . import deformation
 from .cyclotomic import CyclotomicElement
 
-# Canonical variable order; every polynomial's variable tuple is a
-# subsequence of this.
+# Canonical variable order.  A monomial is packed into one int with a
+# 16-bit field per variable, VAR_ORDER[0] highest, and the total degree in
+# a field above them all, so integer order on keys is graded-lex order and
+# a product of monomials is one addition.  The top bit of each field is a
+# guard bit that stays clear: every exponent and total degree is below
+# 2^15 (Monagan & Pearce, "Polynomial Division Using Dynamic Arrays,
+# Heaps, and Packed Exponent Vectors", CASC 2007).
 VAR_ORDER = ("lam", "u", "v", "x0", "x1", "x2", "x3", "a", "a2", "a3", "b", "c", "s")
+
+_BITS = 16
+_LIMIT = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
+_DEG = _BITS * len(VAR_ORDER)
+_SHIFT = {name: _DEG - _BITS * (j + 1) for j, name in enumerate(VAR_ORDER)}
+_GUARDS = sum(_LIMIT << (_BITS * j) for j in range(len(VAR_ORDER) + 1))
 
 CYCLOTOMIC_ORDER = 8
 
@@ -39,36 +52,40 @@ def root_i() -> CyclotomicElement:
     return zeta8(2)
 
 
+def _shift(name: str) -> int:
+    if name not in _SHIFT:
+        raise ValueError(f"unknown variable {name!r}")
+    return _SHIFT[name]
+
+
+def _var_key(name: str) -> int:
+    """Packed monomial of the variable `name`."""
+    return (1 << _shift(name)) | (1 << _DEG)
+
+
+def _exponents(key: int) -> list[tuple[str, int]]:
+    """(name, exponent) for every variable of a packed monomial, in VAR_ORDER."""
+    return [(name, e) for name, shift in _SHIFT.items() if (e := (key >> shift) & _MASK)]
+
+
 # -- coefficient arithmetic (int | Fraction | CyclotomicElement) --------------
+#
+# CyclotomicElement's operators take int and Fraction operands on either
+# side; every cyclotomic coefficient here has order 8, so none are mixed.
+# Stored coefficients are canonical (`_c_norm`) and nonzero, so a stored
+# cyclotomic coefficient is never rational and `if c` is a zero test.
 
 
 def _c_norm(c):
     """Canonical coefficient: rational values never hide in a larger ring."""
-    if isinstance(c, CyclotomicElement) and c.is_rational():
-        c = c.rational_value()
+    if isinstance(c, CyclotomicElement):
+        red = c.reduced()
+        if any(red[1:]):
+            return c
+        c = red[0]
     if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+        return c.numerator
     return c
-
-
-# CyclotomicElement's operators take int and Fraction operands on either
-# side; every cyclotomic coefficient here has order 8, so none are mixed.
-def _c_add(a, b):
-    return _c_norm(a + b)
-
-
-def _c_mul(a, b):
-    return _c_norm(a * b)
-
-
-def _c_neg(a):
-    return -a
-
-
-def _c_is_zero(a) -> bool:
-    if isinstance(a, CyclotomicElement):
-        return a.is_zero()
-    return a == 0
 
 
 def _c_div(a, b):
@@ -76,89 +93,90 @@ def _c_div(a, b):
         raise InexactDivisionError("division of cyclotomic coefficients is not supported")
     if b == 0:
         raise ZeroDivisionError
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
     return _c_norm(Fraction(a) / Fraction(b))
 
 
-class MultiPoly:
-    """Sparse exact polynomial in named variables.
+def _wrap(terms: dict) -> MultiPoly:
+    """A polynomial over packed terms whose coefficients are canonical and nonzero."""
+    poly = object.__new__(MultiPoly)
+    poly.terms = terms
+    return poly
 
-    `vars` is the ordered tuple of variable names actually present;
-    `terms` maps exponent tuples to nonzero coefficients.  Instances are
-    immutable by convention.
+
+def _canonical(raw: dict) -> MultiPoly:
+    """A polynomial over packed terms, normalizing non-int coefficients and dropping zeros."""
+    out = {}
+    for key, c in raw.items():
+        if type(c) is not int:
+            c = _c_norm(c)
+        if c:
+            out[key] = c
+    return _wrap(out)
+
+
+class MultiPoly:
+    """Sparse exact polynomial in the variables of VAR_ORDER.
+
+    `MultiPoly(vars, terms)` takes the variable names and a dict from
+    exponent tuples over them to coefficients.  `terms` then maps packed
+    monomials to nonzero canonical coefficients, and `vars` names the
+    variables that occur, in VAR_ORDER.  Instances are immutable by
+    convention.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
     def __init__(self, vars: tuple[str, ...] = (), terms: dict | None = None):
-        for name in vars:
-            if name not in VAR_ORDER:
-                raise ValueError(f"unknown variable {name!r}")
-        self.vars = tuple(vars)
+        shifts = [_shift(name) for name in vars]
+        if len(set(vars)) != len(shifts):
+            raise ValueError(f"repeated variable in {tuple(vars)!r}")
         clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _c_norm(c)
-                if not _c_is_zero(c):
-                    clean[tuple(exps)] = c
+        for exps, c in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != len(shifts):
+                raise ValueError(f"exponent tuple {exps!r} does not match the variables {tuple(vars)!r}")
+            key = total = 0
+            for shift, e in zip(shifts, exps):
+                if not 0 <= e < _LIMIT:
+                    raise ValueError(f"exponent {e!r} in {exps!r} is outside [0, 2^15)")
+                key |= e << shift
+                total += e
+            if total >= _LIMIT:
+                raise ValueError(f"total degree {total} of {exps!r} is not below 2^15")
+            c = _c_norm(c)
+            if c:
+                clean[key | total << _DEG] = c
         self.terms = clean
-        self._prune()
-
-    def _prune(self):
-        """Drop variables that occur in no term (canonical representation)."""
-        if not self.vars:
-            return
-        used = [False] * len(self.vars)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        if all(used):
-            return
-        keep = [i for i, flag in enumerate(used) if flag]
-        new_vars = tuple(self.vars[i] for i in keep)
-        new_terms = {}
-        for exps, c in self.terms.items():
-            new_terms[tuple(exps[i] for i in keep)] = c
-        self.vars = new_vars
-        self.terms = new_terms
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def constant(cls, c) -> MultiPoly:
-        return cls((), {(): c} if not _c_is_zero(_c_norm(c)) else {})
+        c = _c_norm(c)
+        return _wrap({0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> MultiPoly:
-        return cls((name,), {(1,): 1})
+        return _wrap({_var_key(name): 1})
 
     @classmethod
     def zero(cls) -> MultiPoly:
-        return cls((), {})
+        return _wrap({})
 
     # -- representation helpers ------------------------------------------------
 
+    @property
+    def vars(self) -> tuple[str, ...]:
+        """Names of the variables that occur in some term, in VAR_ORDER."""
+        used = 0
+        for key in self.terms:
+            used |= key
+        return tuple(name for name, _ in _exponents(used))
+
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _embedded(self, target_vars: tuple[str, ...]) -> dict:
-        idx = {name: i for i, name in enumerate(target_vars)}
-        out = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(target_vars)
-            for name, e in zip(self.vars, exps):
-                new[idx[name]] = e
-            out[tuple(new)] = c
-        return out
-
-    @staticmethod
-    def _merge_vars(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-        names = set(a) | set(b)
-        return tuple(v for v in VAR_ORDER if v in names)
-
-    def _unify(self, other: MultiPoly):
-        target = self._merge_vars(self.vars, other.vars)
-        return target, self._embedded(target), other._embedded(target)
 
     @staticmethod
     def _coerce(value) -> MultiPoly:
@@ -169,19 +187,22 @@ class MultiPoly:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other) -> MultiPoly:
-        other = self._coerce(other)
-        target, ta, tb = self._unify(other)
-        for exps, c in tb.items():
-            if exps in ta:
-                ta[exps] = _c_add(ta[exps], c)
-            else:
-                ta[exps] = c
-        return MultiPoly(target, ta)
+        out = dict(self.terms)
+        for key, c in self._coerce(other).terms.items():
+            if key in out:
+                c += out[key]
+                if type(c) is not int:
+                    c = _c_norm(c)
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.vars, {e: _c_neg(c) for e, c in self.terms.items()})
+        return _wrap({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> MultiPoly:
         return self + (-self._coerce(other))
@@ -190,18 +211,19 @@ class MultiPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> MultiPoly:
-        other = self._coerce(other)
-        target, ta, tb = self._unify(other)
+        ta, tb = self.terms, self._coerce(other).terms
+        if not ta or not tb:
+            return _wrap({})
+        degree = (max(ta) >> _DEG) + (max(tb) >> _DEG)
+        if degree >= _LIMIT:
+            raise OverflowError(f"product of total degree {degree} is not below 2^15")
         out: dict = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prod = _c_mul(ca, cb)
-                if key in out:
-                    out[key] = _c_add(out[key], prod)
-                else:
-                    out[key] = prod
-        return MultiPoly(target, out)
+        get = out.get
+        for ka, ca in ta.items():
+            for kb, cb in tb.items():
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        return _canonical(out)
 
     __rmul__ = __mul__
 
@@ -218,30 +240,23 @@ class MultiPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        return (self - other).is_zero()
+        # canonical coefficients: equal polynomials have equal term dicts
+        return self.terms == self._coerce(other).terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     # -- structure --------------------------------------------------------------
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars:
-            return 0
-        i = self.vars.index(name)
-        return max((exps[i] for exps in self.terms), default=0)
+        shift = _shift(name)
+        return max(((key >> shift) & _MASK for key in self.terms), default=0)
 
     def coeff_in(self, name: str, power: int) -> MultiPoly:
         """Coefficient of name^power, as a polynomial in the other variables."""
-        if name not in self.vars:
-            return self if power == 0 else MultiPoly.zero()
-        i = self.vars.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                out[exps[:i] + (0,) + exps[i + 1 :]] = c
-        return MultiPoly(self.vars, out)
+        shift = _shift(name)
+        drop = power * _var_key(name)
+        return _wrap({key - drop: c for key, c in self.terms.items() if (key >> shift) & _MASK == power})
 
     def as_univariate(self, name: str) -> list[MultiPoly]:
         """Coefficients [c_0, ..., c_deg] with self = sum c_k * name^k."""
@@ -260,17 +275,12 @@ class MultiPoly:
                 power_cache[key] = base**e
             return power_cache[key]
 
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             term = MultiPoly.constant(c)
-            for name, e in zip(self.vars, exps):
-                if e:
-                    term = term * power_of(name, e)
+            for name, e in _exponents(key):
+                term = term * power_of(name, e)
             result = result + term
         return result
-
-    def _sorted_keys(self, target_vars=None):
-        terms = self.terms if target_vars is None else self._embedded(target_vars)
-        return sorted(terms, key=lambda e: (sum(e), e), reverse=True)
 
     # -- rational normalization ---------------------------------------------------
 
@@ -290,45 +300,33 @@ class MultiPoly:
         for c in poly.terms.values():
             numer = gcd(numer, (Fraction(c) * denom).numerator)
         content = Fraction(numer, denom)
-        lead_key = poly._sorted_keys()[0]
-        if Fraction(poly.terms[lead_key]) < 0:
+        if poly.terms[max(poly.terms)] < 0:
             content = -content
-        prim = MultiPoly(poly.vars, {e: _c_norm(Fraction(c) / content) for e, c in poly.terms.items()})
+        prim = _wrap({key: _c_norm(Fraction(c) / content) for key, c in poly.terms.items()})
         return content, prim
 
     def primitive_part(self) -> MultiPoly:
         return self.content_and_primitive()[1]
 
     def rationalized(self) -> MultiPoly:
-        """Convert cyclotomic coefficients with rational values to rationals.
+        """Self, checked to have rational coefficients only.
 
-        Raises InexactDivisionError if some coefficient is genuinely
-        irrational.
+        Coefficients are canonical, so a cyclotomic one is genuinely
+        irrational: InexactDivisionError.
         """
-        if not any(isinstance(c, CyclotomicElement) for c in self.terms.values()):
-            return self
-        out = {}
-        for e, c in self.terms.items():
-            if isinstance(c, CyclotomicElement):
-                if not c.is_rational():
-                    raise InexactDivisionError("coefficient is not rational")
-                c = c.rational_value()
-            out[e] = c
-        return MultiPoly(self.vars, out)
+        if any(isinstance(c, CyclotomicElement) for c in self.terms.values()):
+            raise InexactDivisionError("coefficient is not rational")
+        return self
 
     def equal_up_to_scalar(self, other: MultiPoly) -> bool:
         """True iff self = s * other for a nonzero scalar s (cross-multiplied)."""
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
-        target, ta, tb = self._unify(other)
-        keys_a = sorted(ta, key=lambda e: (sum(e), e), reverse=True)
-        keys_b = sorted(tb, key=lambda e: (sum(e), e), reverse=True)
-        if keys_a != keys_b:
+        if self.terms.keys() != other.terms.keys():
             return False
-        ca = ta[keys_a[0]]
-        cb = tb[keys_b[0]]
-        return (self * cb) == (other * ca)
+        lead = max(self.terms)
+        return (self * other.terms[lead]) == (other * self.terms[lead])
 
     # -- printing ----------------------------------------------------------------
 
@@ -336,13 +334,9 @@ class MultiPoly:
         if self.is_zero():
             return "0"
         parts = []
-        for exps in self._sorted_keys():
-            c = self.terms[exps]
-            monomial = "*".join(
-                f"{name}^{e}" if e > 1 else name
-                for name, e in zip(self.vars, exps)
-                if e
-            )
+        for key in sorted(self.terms, reverse=True):
+            c = self.terms[key]
+            monomial = "*".join(f"{name}^{e}" if e > 1 else name for name, e in _exponents(key))
             if isinstance(c, CyclotomicElement):
                 coeff_str = f"({c})"
             else:
@@ -364,31 +358,37 @@ class MultiPoly:
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact polynomial quotient p / q; raises InexactDivisionError otherwise."""
+    """Exact polynomial quotient p / q; raises InexactDivisionError otherwise.
+
+    The leading monomial of the remainder is its largest key; it is
+    divisible by q's leading monomial iff no guard bit is borrowed when
+    subtracting that monomial from it with every guard bit set.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    target = MultiPoly._merge_vars(p.vars, q.vars)
-    rem = dict(p._embedded(target))
-    qt = q._embedded(target)
-    q_keys = sorted(qt, key=lambda e: (sum(e), e), reverse=True)
-    q_lead = q_keys[0]
-    q_lead_c = qt[q_lead]
+    q_lead = max(q.terms)
+    q_lead_c = q.terms[q_lead]
+    q_rest = [(key, c) for key, c in q.terms.items() if key != q_lead]
+    rem = dict(p.terms)
     out: dict = {}
     while rem:
-        lead = max(rem, key=lambda e: (sum(e), e))
-        diff = tuple(a - b for a, b in zip(lead, q_lead))
-        if any(x < 0 for x in diff):
+        lead = max(rem)
+        if ((lead | _GUARDS) - q_lead) & _GUARDS != _GUARDS:
             raise InexactDivisionError("leading term not divisible")
-        c = _c_div(rem[lead], q_lead_c)
-        out[diff] = _c_add(out.get(diff, 0), c)
-        for eb, cb in qt.items():
-            key = tuple(a + b for a, b in zip(diff, eb))
-            val = _c_add(rem.get(key, 0), _c_neg(_c_mul(c, cb)))
-            if _c_is_zero(val):
-                rem.pop(key, None)
-            else:
+        c = _c_div(rem.pop(lead), q_lead_c)
+        diff = lead - q_lead
+        # leading monomials strictly decrease, so each quotient term is new
+        out[diff] = c
+        for kb, cb in q_rest:
+            key = diff + kb
+            val = rem.get(key, 0) - c * cb
+            if isinstance(val, CyclotomicElement):
+                val = _c_norm(val)
+            if val:
                 rem[key] = val
-    return MultiPoly(target, out)
+            else:
+                rem.pop(key, None)
+    return _wrap(out)
 
 
 def divides(q: MultiPoly, p: MultiPoly) -> bool:
@@ -681,13 +681,10 @@ def _strip_spurious(poly: MultiPoly) -> MultiPoly:
     The power of a2 is its least exponent over the terms, taken off in
     one pass; a2^4 - 1 is divided out by trial while it divides.
     """
-    if "a2" in poly.vars:
-        i = poly.vars.index("a2")
-        low = min(exps[i] for exps in poly.terms)
-        poly = MultiPoly(
-            poly.vars,
-            {exps[:i] + (exps[i] - low,) + exps[i + 1 :]: c for exps, c in poly.terms.items()},
-        )
+    low = min(((key >> _SHIFT["a2"]) & _MASK for key in poly.terms), default=0)
+    if low:
+        drop = low * _var_key("a2")
+        poly = _wrap({key - drop: c for key, c in poly.terms.items()})
     quartic = _v("a2") ** 4 - 1
     while True:
         try:

@@ -10,8 +10,11 @@ sum oracle enumerates every tuple of nonzero field elements, the
 characteristic-polynomial oracle expands one type at a time from those
 direct sums, the point-count and general-position oracles evaluate the
 whole polynomial at every point of the affine cone or of projective
-space, and the cover-map check pushes every torus point of the cover
-through the monomial map.
+space, the cover-map check pushes every torus point of the cover
+through the monomial map, the basis enumeration walks every tuple, the
+Galois-invariance test applies every automorphism, and the polynomial
+reference keys terms by plain exponent tuples over Q(zeta_8)
+coordinates of its own, sharing no code with `symbolic.MultiPoly`.
 """
 import itertools
 from dataclasses import dataclass
@@ -71,6 +74,24 @@ def invariant_image(data):
 def interior_sum_zero(image, d):
     """The sorted interior types (entries in (0, d), zero sum mod d) of a set."""
     return sorted(k for k in image if sum(k) % d == 0 and all(0 < e < d for e in k))
+
+
+def enumerate_basis(d: int, n: int, allow_zero_entries: bool = False) -> list[tuple[int, ...]]:
+    """All types with entries in (0,d) (resp. [0,d)) summing to 0 mod d.
+
+    Returned sorted lexicographically.  The last entry is forced by the
+    congruence, so the loop runs over the first n coordinates only.
+    """
+    if d < 1 or n < 2:
+        raise ValueError("need d >= 1 and n >= 2")
+    lo = 0 if allow_zero_entries else 1
+    out = []
+    for head in itertools.product(range(lo, d), repeat=n):
+        last = (-sum(head)) % d
+        if last >= lo:
+            out.append(head + (last,))
+    out.sort()
+    return out
 
 
 def is_gmax_invariant(k, b, d):
@@ -417,3 +438,148 @@ def verify_cover_map(data, lam, field):
     for size in fibers.values():
         histogram[size] = histogram.get(size, 0) + 1
     return CoverReport(containment, histogram, points)
+
+
+def is_galois_invariant(elem):
+    """True iff every automorphism zeta -> zeta^u of Q(zeta_N) fixes elem."""
+    n = elem.order
+    return all(elem.galois(u) == elem for u in range(2, n) if gcd(u, n) == 1)
+
+
+# -- a tuple-keyed reference for symbolic.MultiPoly -----------------------------
+#
+# A polynomial is {exponent tuple over REF_VARS: coefficient}, and a
+# coefficient in Q(zeta_8) is its coordinates (c0, c1, c2, c3) on
+# 1, z, z^2, z^3 with z^4 = -1.  Graded-lex order compares
+# (total degree, exponent tuple).
+
+REF_VARS = ("lam", "u", "v", "x0", "x1", "x2", "x3", "a", "a2", "a3", "b", "c", "s")
+_REF_ZERO = (Fraction(0),) * 4
+
+
+def ref_coeff(value, zeta_power=0):
+    """value * z^zeta_power in Q(zeta_8) coordinates."""
+    k = zeta_power % 8
+    out = list(_REF_ZERO)
+    out[k % 4] = Fraction(value) if k < 4 else -Fraction(value)
+    return tuple(out)
+
+
+def _ref_coeff_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_coeff_mul(a, b):
+    out = list(_REF_ZERO)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < 4:
+                out[i + j] += x * y
+            else:
+                out[i + j - 4] -= x * y
+    return tuple(out)
+
+
+def _ref_coeff_text(c):
+    """A coefficient as MultiPoly prints it: rationals bare, the rest in parentheses."""
+    if not any(c[1:]):
+        return str(c[0])
+    parts = []
+    for i, a in enumerate(c):
+        if a == 0:
+            continue
+        if i == 0:
+            parts.append(str(a))
+        else:
+            sym = "z8" if i == 1 else f"z8^{i}"
+            parts.append(sym if a == 1 else f"{a}*{sym}")
+    return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
+
+
+def _graded_lex(exps):
+    return (sum(exps), exps)
+
+
+class RefPoly:
+    """Sparse polynomial over Q(zeta_8) keyed by full exponent tuples."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if any(c)}
+
+    @classmethod
+    def from_named(cls, names, terms):
+        """From {exponent tuple over `names`: Q(zeta_8) coordinates}."""
+        out = {}
+        for exps, c in terms.items():
+            full = [0] * len(REF_VARS)
+            for name, e in zip(names, exps):
+                full[REF_VARS.index(name)] = e
+            out[tuple(full)] = c
+        return cls(out)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = _ref_coeff_add(out.get(e, _REF_ZERO), c)
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly({e: tuple(-x for x in c) for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = _ref_coeff_add(out.get(e, _REF_ZERO), _ref_coeff_mul(ca, cb))
+        return RefPoly(out)
+
+    def vars(self):
+        return tuple(name for i, name in enumerate(REF_VARS) if any(e[i] for e in self.terms))
+
+    def degree_in(self, name):
+        i = REF_VARS.index(name)
+        return max((e[i] for e in self.terms), default=0)
+
+    def coeff_in(self, name, power):
+        i = REF_VARS.index(name)
+        return RefPoly({e[:i] + (0,) + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == power})
+
+    def exact_div(self, q):
+        """The quotient self / q, or None when q does not divide self (rational coefficients).
+
+        Each step divides the graded-lex leading term of the remainder by
+        that of q; when q divides self, the leading term of q divides the
+        leading term of every remainder, because lt(q*h) = lt(q)*lt(h).
+        """
+        coeffs = list(self.terms.values()) + list(q.terms.values())
+        if any(any(c[1:]) for c in coeffs):
+            raise ValueError("exact_div oracle takes rational coefficients only")
+        q_lead = max(q.terms, key=_graded_lex)
+        rem = self
+        out = {}
+        while rem.terms:
+            lead = max(rem.terms, key=_graded_lex)
+            shift = tuple(x - y for x, y in zip(lead, q_lead))
+            if min(shift) < 0:
+                return None
+            c = (rem.terms[lead][0] / q.terms[q_lead][0], 0, 0, 0)
+            out[shift] = c
+            rem = rem + -(RefPoly({shift: c}) * q)
+        return RefPoly(out)
+
+    def text(self):
+        """The graded-lex rendering that MultiPoly.__str__ produces."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for e in sorted(self.terms, key=_graded_lex, reverse=True):
+            monomial = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(REF_VARS, e) if k)
+            coeff = _ref_coeff_text(self.terms[e])
+            if not monomial:
+                parts.append(coeff)
+            elif coeff in ("1", "-1"):
+                parts.append(coeff[:-1] + monomial)
+            else:
+                parts.append(f"{coeff}*{monomial}")
+        return " + ".join(parts).replace("+ -", "- ")

@@ -15,7 +15,6 @@ import pytest
 from delsarte import cli
 from delsarte.deformation import family, family_keys
 from delsarte.monomials import (
-    enumerate_basis,
     g_invariant_types,
     gmax_invariant_types,
     is_g_invariant,
@@ -35,7 +34,7 @@ from delsarte.zetafermat import (
 )
 
 from golden_data import INVARIANT_TABLES, SUMMARY_TABLE
-from oracles import brute_count_cone, image_by_enumeration, interior_sum_zero, oracle_reduce
+from oracles import brute_count_cone, enumerate_basis, image_by_enumeration, interior_sum_zero, oracle_reduce
 
 GRID = [(4, 3, 5), (4, 3, 13), (3, 2, 7), (8, 3, 17), (12, 3, 13)]
 

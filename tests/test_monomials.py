@@ -11,7 +11,6 @@ from delsarte.deformation import build, family, family_keys, validate_coefficien
 from delsarte.exactalg import IntMatrix, determinant
 from delsarte.monomials import (
     dimension_triple,
-    enumerate_basis,
     format_type,
     g_invariant_types,
     gmax_invariant_types,
@@ -23,6 +22,7 @@ from delsarte.monomials import (
 
 from golden_data import INVARIANT_TABLES, SUMMARY_TABLE
 from oracles import (
+    enumerate_basis,
     interior_sum_zero,
     invariant_image,
     is_gmax_invariant,

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import RefPoly, ref_coeff
 
 from delsarte import deformation, symbolic
 from delsarte.cyclotomic import CyclotomicElement
 from delsarte.symbolic import (
     FAMILY_INDICES,
+    VAR_ORDER,
     InexactDivisionError,
     MultiPoly,
     appendix_checks,
@@ -105,6 +107,125 @@ def test_exact_div_recovers_factor(p, q):
     assert exact_div(p * q, q) == p
 
 
+# -- packed monomials against the tuple-keyed oracle ------------------------------
+
+_RATIONALS = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+# (k, m) stands for m * zeta_8^k
+_COEFFS = st.one_of(_RATIONALS, st.tuples(st.integers(0, 7), st.integers(-3, 3)))
+
+
+@st.composite
+def _poly_specs(draw, coeffs=_COEFFS):
+    """(names, {exponent tuple: coefficient}): up to 4 names of VAR_ORDER in any order."""
+    names = tuple(draw(st.permutations(VAR_ORDER))[: draw(st.integers(0, 4))])
+    exps = st.tuples(*[st.integers(0, 6)] * len(names))
+    return names, draw(st.dictionaries(exps, coeffs, max_size=5))
+
+
+def _both(spec):
+    """The packed MultiPoly and the oracle RefPoly of one drawn spec."""
+    names, terms = spec
+    packed, ref = {}, {}
+    for exps, c in terms.items():
+        if isinstance(c, tuple):
+            packed[exps] = c[1] * zeta8(c[0])
+            ref[exps] = ref_coeff(c[1], c[0])
+        else:
+            packed[exps] = c
+            ref[exps] = ref_coeff(c)
+    return MultiPoly(names, packed), RefPoly.from_named(names, ref)
+
+
+@given(_poly_specs(), _poly_specs())
+def test_packed_arithmetic_matches_tuple_oracle(a, b):
+    pa, ra = _both(a)
+    pb, rb = _both(b)
+    assert str(pa) == ra.text()
+    assert pa.vars == ra.vars()
+    assert str(pa + pb) == (ra + rb).text()
+    assert str(pa - pb) == (ra + -rb).text()
+    assert str(pa * pb) == (ra * rb).text()
+    for name in VAR_ORDER:
+        assert pa.degree_in(name) == ra.degree_in(name)
+        for power in range(ra.degree_in(name) + 2):
+            assert str(pa.coeff_in(name, power)) == ra.coeff_in(name, power).text()
+
+
+@given(_poly_specs(_RATIONALS), _poly_specs(_RATIONALS))
+def test_packed_exact_div_matches_tuple_oracle(a, b):
+    pa, ra = _both(a)
+    pb, rb = _both(b)
+    assume(not pb.is_zero())
+    assert str(exact_div(pa * pb, pb)) == (ra * rb).exact_div(rb).text() == ra.text()
+    want = ra.exact_div(rb)
+    if want is None:
+        with pytest.raises(InexactDivisionError):
+            exact_div(pa, pb)
+    else:
+        assert str(exact_div(pa, pb)) == want.text()
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_eq_and_hash_agree_on_rational_valued_cyclotomic_coefficients(k):
+    u, v = V("u"), V("v")
+    # zeta^k * zeta^(8-k) = 1 and zeta^k + zeta^(k+4) = 0
+    one = zeta8(k) * zeta8(8 - k)
+    a = MultiPoly.constant(3 * one) * u + MultiPoly.constant(zeta8(k) + zeta8(k + 4)) * v
+    b = MultiPoly(("u", "v"), {(1, 0): Fraction(6, 2), (1, 1): zeta8(k) * Fraction(1, 2) * zeta8(8 - k)})
+    assert a == 3 * u
+    assert b == 3 * u + Fraction(1, 2) * u * v
+    assert hash(a) == hash(3 * u)
+    assert hash(b) == hash(3 * u + Fraction(1, 2) * u * v)
+    assert len({a, 3 * u, MultiPoly.constant(one) * a}) == 1
+    assert MultiPoly.constant(zeta8(2)) != MultiPoly.constant(1)
+
+
+# -- strict construction and the packed bounds -------------------------------------
+
+
+def test_constructor_rejects_malformed_exponents():
+    with pytest.raises(ValueError, match="does not match the variables"):
+        MultiPoly(("u", "v"), {(1,): 1})
+    with pytest.raises(ValueError, match="does not match the variables"):
+        MultiPoly(("u",), {(1, 2): 1})
+    with pytest.raises(ValueError, match="outside"):
+        MultiPoly(("u",), {(-1,): 1})
+    with pytest.raises(ValueError, match="outside"):
+        MultiPoly(("u",), {(2**15,): 1})
+    with pytest.raises(ValueError, match="total degree 32768"):
+        MultiPoly(("u", "v"), {(2**14, 2**14): 1})
+    with pytest.raises(ValueError, match="repeated variable"):
+        MultiPoly(("u", "u"), {(1, 1): 1})
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        MultiPoly(("w",), {(1,): 1})
+    top = MultiPoly(("u",), {(2**15 - 1,): 1})
+    assert top.degree_in("u") == 2**15 - 1 and top.vars == ("u",)
+
+
+def test_product_reaching_the_degree_limit_raises():
+    half_u = MultiPoly(("u",), {(2**14,): 1})
+    below = half_u * MultiPoly(("v",), {(2**14 - 1,): 1})
+    assert (below.degree_in("u"), below.degree_in("v")) == (2**14, 2**14 - 1)
+    with pytest.raises(OverflowError, match="32768"):
+        half_u * half_u
+    # no one field overflows, only the total degree would
+    with pytest.raises(OverflowError, match="32768"):
+        half_u * MultiPoly(("v",), {(2**14,): 1})
+
+
+def test_exact_div_guard_bits_catch_a_short_exponent():
+    # u^40 outranks u*v and lam in graded-lex order, so each leading term
+    # is compared; a plain subtraction would borrow from the field above
+    # the short one (u, resp. the total degree) and look divisible
+    with pytest.raises(InexactDivisionError):
+        exact_div(V("u") ** 40, V("u") * V("v"))
+    with pytest.raises(InexactDivisionError):
+        exact_div(V("u") ** 40, V("lam"))
+    with pytest.raises(InexactDivisionError):
+        exact_div(V("u") ** 20 * V("x3") ** 20 + V("s"), V("x2") * V("x3"))
+    assert exact_div(V("u") ** 40 * V("v"), V("u") * V("v")) == V("u") ** 39
+
+
 def test_canonical_string():
     # graded-lex over (lam, u, x2, x3): the lam^2 term has total degree 6
     q1 = builtin("q1")
@@ -190,6 +311,33 @@ def test_resultant_shared_factor_vanishes():
     q = (s - u) * (s ** 2 + 3)
     assert resultant(p, q, "s").is_zero()
     assert not resultant(s - u, s + u + 1, "s").is_zero()
+
+
+def _linear_root(coeffs):
+    a, b, c, d = coeffs
+    return a * V("x2") + b * V("x3") + c * V("lam") + d
+
+
+_ROOTS = st.lists(st.tuples(*[st.integers(-2, 2)] * 4), min_size=1, max_size=3)
+
+
+@settings(max_examples=60)
+@given(_ROOTS, _ROOTS, st.booleans(), st.integers(1, 3), st.integers(0, 2))
+def test_resultant_vanishes_iff_a_factor_is_shared(roots_p, roots_q, share, lead, power):
+    # p and q are products of linear factors v - r with r linear in x2, x3,
+    # lam, times leading coefficients free of v; their resultant in v is
+    # a product of lead powers and the differences r_i - s_j
+    if share:
+        roots_q = roots_q + [roots_p[0]]
+    v = V("v")
+    p = MultiPoly.constant(lead) + V("x3") ** power
+    for r in roots_p:
+        p = p * (v - _linear_root(r))
+    q = MultiPoly.constant(lead) * V("x2") ** power
+    for r in roots_q:
+        q = q * (v - _linear_root(r))
+    shared = bool(set(roots_p) & set(roots_q))
+    assert resultant(p, q, "v").is_zero() == shared
 
 
 def test_resultant_rejects_zero():

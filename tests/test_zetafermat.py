@@ -4,11 +4,11 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import char_poly_by_types, direct_eigenvalue, direct_jacobi_sum
+from oracles import char_poly_by_types, direct_eigenvalue, direct_jacobi_sum, enumerate_basis
 
 from delsarte.cyclotomic import CyclotomicElement
 from delsarte.deformation import FAMILIES, family
-from delsarte.monomials import enumerate_basis, g_invariant_types, gmax_invariant_types
+from delsarte.monomials import g_invariant_types, gmax_invariant_types
 from delsarte.pointcount import FiniteField, count_points, fermat_hypersurface
 from delsarte.zetafermat import (
     CharPoly,
