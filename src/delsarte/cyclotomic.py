@@ -137,14 +137,18 @@ class CyclotomicElement:
     def __pow__(self, e: int) -> CyclotomicElement:
         if e < 0:
             raise ValueError("negative powers not supported")
-        result = CyclotomicElement.constant(self.order, 1)
+        if e == 0:
+            return CyclotomicElement.constant(self.order, 1)
+        # bit_length(e) - 1 squarings and popcount(e) - 1 other products
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def galois(self, u: int) -> CyclotomicElement:
         """Apply zeta -> zeta^u; u must be a unit modulo the order."""

@@ -230,14 +230,18 @@ class MultiPoly:
     def __pow__(self, e: int) -> MultiPoly:
         if e < 0:
             raise ValueError("negative exponent")
-        result = MultiPoly.constant(1)
+        if e == 0:
+            return MultiPoly.constant(1)
+        # bit_length(e) - 1 squarings and popcount(e) - 1 other products
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         # canonical coefficients: equal polynomials have equal term dicts

@@ -8,9 +8,10 @@ are certified by requiring that the resulting closed-form point count
 agrees with brute-force enumeration (see `fermat_point_count_via_sums`
 and the point-count oracle in `pointcount`).
 
-Everything is exact: character sums live in the group ring Z[x]/(x^d-1),
-rationality is decided modulo the d-th cyclotomic polynomial, and the
-characteristic-polynomial divisibility checks run in Z[T].
+Everything is exact: character sums live in the group ring Z[x]/(x^e-1)
+of the least order e | d that holds them, rationality is decided modulo
+the e-th cyclotomic polynomial, and the characteristic-polynomial
+divisibility checks run in Z[T].
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from dataclasses import field as dc_field
-from math import gcd
+from math import comb, gcd
 
 from .cyclotomic import CyclotomicElement
 from .deformation import DeformationData, common_cover
@@ -79,25 +80,54 @@ class CharacterTable:
     chi(g^j) = zeta_d^j for the chosen generator g; chi_log[code] is the
     zeta-exponent of the nonzero field element with that code.  The table
     also memoizes the per-orbit characteristic polynomials computed with
-    it, so a table shared between calls shares that work; the cache lives
-    and dies with the table.
+    it and the tables of chi^(d/e) for e | d (`sub_table`), so a table
+    shared between calls shares that work; the caches live and die with
+    the table.
     """
 
     field: FiniteField
     order: int
     generator: int
     chi_log: tuple[int, ...]
-    log_pairs: tuple[tuple[int, int, int], ...] = dc_field(init=False, repr=False, compare=False)
+    # (chi_log[v], chi_log[1 - v], multiplicity) over v != 0, 1; built
+    # from the field when not given
+    log_pairs: tuple[tuple[int, int, int], ...] = dc_field(default=None, repr=False, compare=False)
     orbit_polys: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    sub_tables: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # (chi_log[v], chi_log[1 - v], multiplicity) over v != 0, 1
+        if self.log_pairs is not None:
+            return
         field = self.field
         one = field.from_int(1)
         counts = Counter(
             (self.chi_log[v], self.chi_log[field.sub(one, v)]) for v in range(1, field.q) if v != one
         )
         object.__setattr__(self, "log_pairs", tuple((x, y, c) for (x, y), c in counts.items()))
+
+    def sub_table(self, e: int) -> CharacterTable:
+        """The table of chi^(d/e), a character of exact order e | d.
+
+        Its logs are this table's reduced mod e, and its pairs are this
+        table's merged mod e, so no pass over the field is needed.
+        """
+        if e == self.order:
+            return self
+        sub = self.sub_tables.get(e)
+        if sub is None:
+            if e < 1 or self.order % e:
+                raise ValueError(f"order {e} does not divide {self.order}")
+            counts = Counter()
+            for x, y, c in self.log_pairs:
+                counts[x % e, y % e] += c
+            sub = self.sub_tables[e] = CharacterTable(
+                self.field,
+                e,
+                self.generator,
+                tuple(x % e for x in self.chi_log),
+                tuple((x, y, c) for (x, y), c in counts.items()),
+            )
+        return sub
 
     def chi_power_at(self, power: int, code: int) -> int:
         """zeta-exponent of chi^power at a nonzero element."""
@@ -227,17 +257,45 @@ def fermat_point_count_via_sums(d: int, n: int, field: FiniteField) -> int:
 def _expand(factors, d: int) -> CharPoly:
     """prod (1 - alpha T) over the given elements of Z[zeta_d], in Z[T].
 
-    Every coefficient must pass the exact rationality test (reduction
-    modulo the d-th cyclotomic polynomial).
+    The product runs in Z/(2^(B*d) - 1) through the ring map x -> 2^B on
+    Z[x]/(x^d - 1) (Kronecker substitution), one packed int per element.
+    With A the largest L1 norm of a factor (Galois conjugates share it),
+    the T^i coefficient has L1 norm at most C(s, i) * A^i, as cyclic
+    convolution is submultiplicative in L1; B bounds that with room for
+    a sign and an offset, so every entry unpacks exactly.  Every
+    coefficient must pass the exact rationality test (reduction modulo
+    the d-th cyclotomic polynomial).
     """
-    coeffs = [CyclotomicElement.constant(d, 1)]
-    for alpha in factors:
-        new = coeffs + [CyclotomicElement.constant(d, 0)]
-        for i in range(len(coeffs)):
-            new[i + 1] = new[i + 1] - alpha * coeffs[i]
-        coeffs = new
+    factors = list(factors)
+    s = len(factors)
+    norm = max((sum(abs(a) for a in alpha.coeffs) for alpha in factors), default=0)
+    bound = max(comb(s, i) * norm**i for i in range(s + 1))
+    # fields of 8*width bits; |entry| <= bound <= 2^(bits - 1) - 2
+    width = ((bound + 1).bit_length() + 8) // 8
+    bits = 8 * width
+    span = bits * d
+    modulus = (1 << span) - 1
+    # 2^(bits - 1) in every field: entry + half is a digit in [2, 2^bits - 2]
+    half = 1 << (bits - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * d, "little")
+
+    def fold(x: int) -> int:
+        while x > modulus:
+            x = (x & modulus) + (x >> span)
+        return x
+
+    coeffs = [1] + [0] * s
+    for n, alpha in enumerate(factors, 1):
+        packed = int.from_bytes(b"".join((a + half).to_bytes(width, "little") for a in alpha.coeffs), "little")
+        minus_alpha = (offset - packed) % modulus
+        for i in range(n, 0, -1):
+            coeffs[i] = fold(coeffs[i] + minus_alpha * coeffs[i - 1])
     out = []
-    for c in coeffs:
+    for packed in coeffs:
+        raw = fold(packed + offset).to_bytes(width * d, "little")
+        c = CyclotomicElement(
+            d, [int.from_bytes(raw[j : j + width], "little") - half for j in range(0, width * d, width)]
+        )
         try:
             value = c.rational_value()
         except Exception as exc:
@@ -253,12 +311,15 @@ def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
 
     The types split into orbits under k -> u*k for units u mod d.  One
     eigenvalue per orbit is a Jacobi sum; the others are its conjugates
-    j(u*k) = sigma_u(j(k)).  Each orbit's product is expanded over
-    Z[zeta_d] and must pass the exact rationality test, which succeeds
-    precisely because the orbit is Galois stable; the integer orbit
-    polynomials are then multiplied in Z[T].  The types live mod
-    d = table.order; calls with the same table share its memoized orbit
-    polynomials.
+    j(u*k) = sigma_u(j(k)).  With g = gcd(d, k) the sum lies in the
+    smaller ring Z[zeta_e], e = d/g: chi^k = (chi^g)^(k/g), and chi^g has
+    exact order e.  So each orbit's eigenvalue is the one of k/g under
+    the sub-table of order e, and its product is expanded over Z[zeta_e]
+    and must pass the exact rationality test, which succeeds precisely
+    because the orbit is Galois stable; the integer orbit polynomials are
+    then multiplied in Z[T].  The types live mod d = table.order; calls
+    with the same table share its memoized orbit polynomials, keyed by
+    the orbits of those types.
     """
     d = table.order
     types = sorted(tuple(e % d for e in k) for k in types)
@@ -279,8 +340,10 @@ def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
         key = tuple(sorted(orbit))
         orbit_poly = table.orbit_polys.get(key)
         if orbit_poly is None:
-            ev = jacobi_eigenvalue(k, table)
-            orbit_poly = table.orbit_polys[key] = _expand([ev.galois(u) for u in orbit.values()], d)
+            g = gcd(d, *k)
+            e = d // g
+            ev = jacobi_eigenvalue(tuple(x // g for x in k), table.sub_table(e))
+            orbit_poly = table.orbit_polys[key] = _expand([ev.galois(u) for u in orbit.values()], e)
         poly = poly * orbit_poly
     return poly
 

@@ -8,7 +8,7 @@ reduction
 oracle rewrites forms by explicit polynomial differentiation, the Jacobi
 sum oracle enumerates every tuple of nonzero field elements, the
 characteristic-polynomial oracle expands one type at a time from those
-direct sums, the point-count and general-position oracles evaluate the
+direct sums with dense group-ring products (no packing), the point-count and general-position oracles evaluate the
 whole polynomial at every point of the affine cone or of projective
 space, the cover-map check pushes every torus point of the cover
 through the monomial map, the basis enumeration walks every tuple, the
@@ -251,17 +251,24 @@ def direct_eigenvalue(k, table):
     return term if (len(k) - 2) % 2 == 0 else -term
 
 
+def dense_expand(factors, d):
+    """prod (1 - alpha T) over elements of Z[zeta_d] with dense group-ring products.
+
+    Every coefficient must be a rational integer (`rational_value`).
+    """
+    coeffs = [CyclotomicElement.constant(d, 1)]
+    for alpha in factors:
+        new = coeffs + [CyclotomicElement.constant(d, 0)]
+        for i in range(len(coeffs)):
+            new[i + 1] = new[i + 1] - alpha * coeffs[i]
+        coeffs = new
+    return CharPoly(tuple(c.rational_value() for c in coeffs))
+
+
 def char_poly_by_types(types, table):
     """prod (1 - j(k) T) expanded one type at a time over Z[zeta_d]."""
     d = table.order
-    coeffs = [CyclotomicElement.constant(d, 1)]
-    for k in sorted(tuple(e % d for e in k) for k in types):
-        ev = direct_eigenvalue(k, table)
-        new = coeffs + [CyclotomicElement.constant(d, 0)]
-        for i in range(len(coeffs)):
-            new[i + 1] = new[i + 1] - ev * coeffs[i]
-        coeffs = new
-    return CharPoly(tuple(c.rational_value() for c in coeffs))
+    return dense_expand([direct_eigenvalue(k, table) for k in sorted(tuple(e % d for e in k) for k in types)], d)
 
 
 def brute_count_cone(spec, field):

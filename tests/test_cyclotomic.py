@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsarte.cyclotomic import CyclotomicElement, NotRationalError, cyclotomic_polynomial
 
@@ -96,3 +99,100 @@ def test_rational_iff_galois_invariant():
             coeffs = [rng.randint(-3, 3) for _ in range(d)]
             elem = CyclotomicElement(d, coeffs)
             assert elem.is_rational() == is_galois_invariant(elem)
+
+
+def test_power_products(monkeypatch):
+    calls = []
+    product = CyclotomicElement.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(CyclotomicElement, "__mul__", counting)
+    z = CyclotomicElement.zeta(12)
+    # z^2, z^4, z * z^4
+    assert z**5 == CyclotomicElement.zeta(12, 5)
+    assert len(calls) == 3
+    assert z**0 == 1 and z**1 == z and (z + 1) ** 12 == product((z + 1) ** 6, (z + 1) ** 6)
+
+
+# -- ring properties, with int and Fraction coefficients --------------------------
+
+PROPERTY_ORDERS = (1, 2, 3, 4, 5, 8, 12, 27, 108)
+
+_coefficient = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=30),
+)
+
+
+def _element(n):
+    """An element of order n with at most six nonzero entries."""
+    return st.lists(st.tuples(st.integers(0, n - 1), _coefficient), max_size=6).map(
+        lambda entries: CyclotomicElement(n, _scatter(n, entries))
+    )
+
+
+def _scatter(n, entries):
+    coeffs = [0] * n
+    for i, c in entries:
+        coeffs[i] += c
+    return coeffs
+
+
+@st.composite
+def _triples(draw):
+    n = draw(st.sampled_from(PROPERTY_ORDERS))
+    return n, draw(_element(n)), draw(_element(n)), draw(_element(n))
+
+
+@settings(max_examples=80)
+@given(_triples())
+def test_ring_laws(triple):
+    n, a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a
+    assert a - a == 0 and a * 1 == a and a * 0 == 0
+
+
+@settings(max_examples=80)
+@given(_triples(), st.data())
+def test_galois_is_a_ring_homomorphism(triple, data):
+    n, a, b, _ = triple
+    u = data.draw(st.sampled_from([u for u in range(1, n + 1) if gcd(u, n) == 1]))
+    assert (a * b).galois(u) == a.galois(u) * b.galois(u)
+    assert (a + b).galois(u) == a.galois(u) + b.galois(u)
+    assert CyclotomicElement.constant(n, 1).galois(u) == 1
+
+
+@settings(max_examples=80)
+@given(_triples(), st.data())
+def test_equal_elements_hash_alike(triple, data):
+    n, a, _, _ = triple
+    # add a multiple of 1 + x^(n/p) + ... + x^((p-1)n/p), zero in Q(zeta_n):
+    # another vector for the same element
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+    twin = a
+    if primes:
+        p = data.draw(st.sampled_from(primes))
+        shift = data.draw(st.integers(0, n - 1))
+        c = data.draw(_coefficient)
+        ring = CyclotomicElement(n, _scatter(n, [((shift + j * (n // p)) % n, c) for j in range(p)]))
+        assert ring == 0
+        twin = a + ring
+    assert twin == a and hash(twin) == hash(a)
+    if a.is_rational():
+        # a rational element equals, and hashes like, its constant
+        value = a.rational_value()
+        assert a == value and hash(a) == hash(CyclotomicElement.constant(n, value))
+
+
+def test_int_and_fraction_coefficients_agree():
+    ints = CyclotomicElement(8, [1, 2, 0, 0, 0, 0, 0, 3])
+    fracs = CyclotomicElement(8, [Fraction(1), Fraction(4, 2), 0, 0, 0, 0, 0, Fraction(3)])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert ints * fracs == ints * ints
+    assert (fracs * Fraction(1, 3)) * 3 == ints

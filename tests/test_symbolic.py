@@ -213,6 +213,36 @@ def test_product_reaching_the_degree_limit_raises():
         half_u * MultiPoly(("v",), {(2**14,): 1})
 
 
+def test_power_stops_before_a_squaring_past_the_degree_limit():
+    # u^20000 fits; squaring u^16384 once more would reach 2^15
+    assert V("u") ** 20000 == MultiPoly(("u",), {(20000,): 1})
+
+
+def test_power_takes_only_the_products_it_needs(monkeypatch):
+    calls = []
+    product = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    x = V("x2") + 1
+    calls.clear()
+    fifth = x**5
+    # x^2, x^4, x * x^4
+    assert len(calls) == 3
+    expected = x
+    for _ in range(4):
+        expected = product(expected, x)
+    assert fifth == expected
+    for e in range(9):
+        calls.clear()
+        x**e
+        assert len(calls) == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+    assert x**0 == 1 and x**1 == x
+
+
 def test_exact_div_guard_bits_catch_a_short_exponent():
     # u^40 outranks u*v and lam in graded-lex order, so each leading term
     # is compared; a plain subtraction would borrow from the field above

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import char_poly_by_types, direct_eigenvalue, direct_jacobi_sum, enumerate_basis
+from oracles import char_poly_by_types, dense_expand, direct_eigenvalue, direct_jacobi_sum, enumerate_basis
 
 from delsarte.cyclotomic import CyclotomicElement
 from delsarte.deformation import FAMILIES, family
@@ -13,6 +13,7 @@ from delsarte.pointcount import FiniteField, count_points, fermat_hypersurface
 from delsarte.zetafermat import (
     CharPoly,
     RationalityError,
+    _expand,
     _jacobi_sum,
     char_poly_invariant,
     fermat_point_count_via_sums,
@@ -251,6 +252,38 @@ def test_char_poly_matches_oracle_on_all_families():
         assert char_poly_invariant(types, table) == char_poly_by_types(types, table), (key, field.q)
 
 
+# the benchmark's single-family fields, where orbits reduce to e = d/gcd(d, k) < d
+BENCH_FIELDS = [("family10", 109, 1), ("family5", 3, 4), ("family9", 73, 1), ("family4", 113, 1)]
+
+
+@pytest.mark.parametrize("key,p,k", BENCH_FIELDS)
+def test_char_poly_matches_oracle_at_benchmark_fields(key, p, k):
+    data = family(key)
+    field = FiniteField(p, k)
+    d = data.degree
+    types = g_invariant_types(data)
+    orders = {d // math.gcd(d, *t) for t in types}
+    assert min(orders) < d
+    table = multiplicative_character(field, d)
+    oracle = char_poly_by_types(types, multiplicative_character(field, d))
+    assert char_poly_invariant(types, table) == oracle
+    # every order the orbits used has a sub-table equal to a fresh table
+    assert set(table.sub_tables) == orders - {d}
+    for e in (e for e in range(1, d + 1) if d % e == 0):
+        fresh = multiplicative_character(field, e)
+        sub = table.sub_table(e)
+        assert sub == fresh  # order, generator and chi_log
+        assert sorted(sub.log_pairs) == sorted(fresh.log_pairs)
+
+
+def test_sub_table_requires_a_divisor():
+    table = multiplicative_character(FiniteField(13), 12)
+    assert table.sub_table(12) is table
+    assert table.sub_table(4) is table.sub_table(4)
+    with pytest.raises(ValueError, match="divide"):
+        table.sub_table(5)
+
+
 def test_char_poly_shared_table():
     f = FiniteField(17)
     types = g_invariant_types(family("family2"))
@@ -259,6 +292,67 @@ def test_char_poly_shared_table():
     assert table.orbit_polys
     fresh = multiplicative_character(f, 8)
     assert char_poly_invariant(types, table) == shared == char_poly_invariant(types, fresh)
+
+
+# -- packed expansion against the dense one --------------------------------------
+
+EXPAND_ORDERS = (1, 2, 5, 8, 27, 80, 108)
+
+
+def _phi(n):
+    return sum(1 for u in range(1, n + 1) if math.gcd(u, n) == 1)
+
+
+@st.composite
+def _conjugate_sets(draw):
+    """The distinct Galois conjugates of a random element of Z[zeta_e].
+
+    The element lives in Z[zeta_f] for a drawn f | e, so its orbit has
+    phi(f) members.  Its nonzero entries, at most three, have a drawn bit
+    length up to 200, so the products the field width must hold are far
+    wider than any entry; orbits are kept short at 200 bits so the dense
+    oracle stays quick.
+    """
+    e = draw(st.sampled_from(EXPAND_ORDERS))
+    bits = draw(st.sampled_from((1, 8, 200)))
+    f = draw(st.sampled_from([f for f in range(1, e + 1) if e % f == 0 and _phi(f) * bits <= 1600]))
+    entry = st.tuples(st.sampled_from((1, -1)), st.integers(2 ** (bits - 1), 2**bits))
+    entries = draw(st.lists(st.tuples(st.integers(0, f - 1), entry), min_size=1, max_size=3))
+    coeffs = [0] * e
+    for j, (sign, size) in entries:
+        coeffs[j * (e // f)] += sign * size
+    alpha = CyclotomicElement(e, coeffs)
+    units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
+    return e, list({x.coeffs: x for x in (alpha.galois(u) for u in units)}.values())
+
+
+@settings(max_examples=60)
+@given(_conjugate_sets())
+def test_packed_expand_matches_dense(inputs):
+    e, conjugates = inputs
+    assert _expand(conjugates, e) == dense_expand(conjugates, e)
+
+
+def test_packed_expand_small_cases():
+    assert _expand([], 5) == CharPoly((1,))
+    assert _expand([CyclotomicElement.constant(1, -7)], 1) == CharPoly((1, 7))
+    z = CyclotomicElement.zeta(4)
+    # (1 - iT)(1 + iT) = 1 + T^2
+    assert _expand([z, z.galois(3)], 4) == CharPoly((1, 0, 1))
+    # big*(1 + i) and big*(1 - i): the T^2 coefficient is twice as wide as any entry
+    big = 2**200 - 1
+    pair = [CyclotomicElement(4, (big, big, 0, 0)), CyclotomicElement(4, (big, 0, 0, big))]
+    assert _expand(pair, 4) == dense_expand(pair, 4) == CharPoly((1, -2 * big, 2 * big * big))
+
+
+def test_expand_rejects_a_set_that_is_not_galois_stable():
+    z8 = CyclotomicElement.zeta(8)
+    with pytest.raises(RationalityError):
+        _expand([z8], 8)
+    with pytest.raises(RationalityError):
+        _expand([z8, z8.galois(3)], 8)
+    # the full orbit passes: prod (1 - zeta T) over primitive 8th roots
+    assert _expand([z8.galois(u) for u in (1, 3, 5, 7)], 8) == CharPoly((1, 0, 0, 0, 1))
 
 
 # -- characteristic polynomials ----------------------------------------------------
