@@ -9,6 +9,7 @@ code is 0 iff no check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -199,7 +200,9 @@ def cmd_verify_appendix(args, out) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="delsarte",
         description="Exact analysis of monomial deformations of Delsarte quartic hypersurfaces",
@@ -246,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except CliError as exc:

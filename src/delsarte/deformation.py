@@ -142,7 +142,16 @@ def data_from_json(obj: dict) -> DeformationData:
     """Build deformation data from {"matrix": [[int,...],...], "deformation": [int,...]}."""
     if not isinstance(obj, dict) or "matrix" not in obj or "deformation" not in obj:
         raise DeformationError('expected an object with "matrix" and "deformation" keys')
-    return build(IntMatrix(obj["matrix"]), obj["deformation"])
+
+    def ints(value) -> bool:  # JSON true and 4.5 are not integers
+        return isinstance(value, list) and all(type(x) is int for x in value)
+
+    matrix, a_vec = obj["matrix"], obj["deformation"]
+    if not isinstance(matrix, list) or not all(map(ints, matrix)):
+        raise DeformationError('"matrix" must be a list of lists of integers')
+    if not ints(a_vec):
+        raise DeformationError('"deformation" must be a list of integers')
+    return build(IntMatrix(matrix), a_vec)
 
 
 def equation_string(data: DeformationData) -> str:

@@ -11,9 +11,10 @@ locus of the deformed Fermat cover is decided in closed form over the
 algebraic closure of F_p, without building a field.
 
 Fields F_{p^k} are integer codes whose base-p digits are the coefficients
-of the residue polynomial.  Arithmetic goes through discrete-log tables
-over a fixed multiplicative generator and a Zech-logarithm table, one
-path for every q.
+of the residue polynomial modulo a primitive polynomial f, so the root x
+of f is the multiplicative generator.  Arithmetic goes through
+discrete-log tables over x and a Zech-logarithm table, one path for
+every q; `zetafermat` reads its characters off the same tables.
 """
 from __future__ import annotations
 
@@ -86,73 +87,40 @@ def _poly_powmod(a, e, mod_poly, p):
     return result
 
 
-def _is_irreducible(poly, p):
-    """Rabin test: x^(p^k) == x mod poly, gcd trivial at maximal subfields."""
-    k = len(poly) - 1
-    x = [0, 1] + [0] * (k - 2)
+def _find_primitive(p: int, k: int) -> list[int]:
+    """The first primitive f = x^k - h(x) over F_p, h running over codes 1, 2, ...
 
-    def frob_power(j):
-        return _poly_powmod(x, p**j, poly, p)
-
-    if frob_power(k) != x:
-        return False
-    for ell in prime_factors(k):
-        diff = [(a - b) % p for a, b in zip(frob_power(k // ell), x)]
-        if not any(diff):
-            return False
-        if _poly_gcd_is_nontrivial(diff, poly, p):
-            return False
-    return True
-
-
-def _poly_gcd_is_nontrivial(a, b, p):
-    def deg(c):
-        d = -1
-        for i, coeff in enumerate(c):
-            if coeff % p:
-                d = i
-        return d
-
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    while deg(b) >= 0:
-        db = deg(b)
-        inv = pow(b[db], -1, p)
-        while deg(a) >= db:
-            da = deg(a)
-            factor = (a[da] * inv) % p
-            for i in range(db + 1):
-                a[da - db + i] = (a[da - db + i] - factor * b[i]) % p
-        a, b = b, a
-    return deg(a) > 0
-
-
-def _find_irreducible(p: int, k: int) -> list[int]:
-    """Deterministic search for a monic irreducible of degree k over F_p."""
-    if k == 1:
-        return [0, 1]
-    for tail in itertools.count(0):
-        digits = []
-        t = tail
-        for _ in range(k):
-            digits.append(t % p)
-            t //= p
-        poly = digits + [1]
-        if _is_irreducible(poly, p):
-            return poly
-    raise AssertionError("unreachable")
+    f is primitive exactly when x has order p^k - 1 modulo f
+    (Lidl-Niederreiter, *Finite Fields*, Thm 3.16), and that order alone
+    makes F_p[x]/(f) a field, so one order test replaces an irreducibility
+    test and a generator search.  For k = 1 the candidates are x - g with
+    g = 1, 2, ..., so x mod f is the least primitive root.
+    """
+    q = p**k
+    x, one = [0, 1], [1] + [0] * (k - 1)
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+    for h in range(1, q):
+        if h % p == 0:
+            continue  # f(0) = 0, so x is not a unit
+        # base-p digits of h, negated: f = x^k - h(x)
+        f = [-(h // p**i) % p for i in range(k)] + [1]
+        if _poly_powmod(x, q - 1, f, p) == one and all(_poly_powmod(x, e, f, p) != one for e in cofactors):
+            return f
+    raise AssertionError(f"no primitive polynomial of degree {k} over F_{p}")
 
 
 @dataclass
 class FiniteField:
-    """F_q, q = p^k, with exp/log/Zech tables over a fixed generator g.
+    """F_q, q = p^k, with exp/log/Zech tables over the generator g = x mod f.
 
-    Element codes are integers in [0, q): the base-p digits of a code are
-    the coefficients of the residue polynomial.  The prime subfield embeds
-    as the codes 0..p-1.  Every operation is a table lookup, the same for
-    prime and extension fields: `exp[j] = g^j`, `log` inverts it
-    (`log[0] = -1`), and the Zech logarithm `zech[j] = log(1 + g^j)`
-    (Lidl-Niederreiter, *Finite Fields*) turns addition into
+    The modulus f is primitive (`_find_primitive`), so its root x
+    generates F_q^*.  Element codes are integers in [0, q): the base-p
+    digits of a code are the coefficients of the residue polynomial, and
+    the prime subfield embeds as the codes 0..p-1.  `exp[j] = x^j` is
+    filled by multiplying by x: shift the digits up one place and fold the
+    top digit back in with f.  Every operation is a table lookup, the same
+    for prime and extension fields: `log` inverts `exp` (`log[0] = -1`),
+    and the Zech logarithm `zech[j] = log(1 + g^j)` turns addition into
     `g^a + g^b = g^(a + zech[b - a])`.
     """
 
@@ -170,65 +138,35 @@ class FiniteField:
             raise ValueError(f"{self.p} is not prime")
         if self.k < 1:
             raise ValueError("extension degree must be positive")
-        self.q = self.p**self.k
-        if self.q > _max_q():
-            raise ValueError(f"field size {self.q} exceeds the configured bound")
-        self.modulus = _find_irreducible(self.p, self.k)
-        self._build_tables()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _encode(self, coeffs) -> int:
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + (c % self.p)
-        return code
-
-    def _decode(self, code: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(code % self.p)
-            code //= self.p
-        return out
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mulmod(self._decode(a), self._decode(b), self.modulus, self.p)
-        return self._encode(prod)
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
-
-    def _build_tables(self):
-        cofactors = [(self.q - 1) // ell for ell in prime_factors(self.q - 1)]
-        for g in range(2, self.q):
-            if all(self._raw_pow(g, e) != 1 for e in cofactors):
-                self.generator = g
-                break
-        else:
-            if self.q == 2:
-                self.generator = 1
-            else:
-                raise AssertionError("no multiplicative generator found")
-        self.exp = [0] * (self.q - 1)
-        self.log = [-1] * self.q
+        p, k = self.p, self.k
+        q = self.q = p**k
+        if q > _max_q():
+            raise ValueError(f"field size {q} exceeds the configured bound")
+        self.modulus = _find_primitive(p, k)
+        top = p ** (k - 1)
+        # carry[t] is the code of t*x^k = t*h(x) mod f, for a top digit t
+        carry = [0] * p
+        for i, c in enumerate(self.modulus[:k]):
+            carry = [a + t * -c % p * p**i for t, a in enumerate(carry)]
+        exp, log = [0] * (q - 1), [-1] * q
         acc = 1
-        for j in range(self.q - 1):
-            self.exp[j] = acc
-            self.log[acc] = j
-            acc = self._raw_mul(acc, self.generator)
+        for j in range(q - 1):
+            exp[j], log[acc] = acc, j
+            # acc * x: the low digits shift up one place and the top digit t
+            # folds back in as carry[t]; the two add digit by digit mod p
+            t, low = divmod(acc, top)
+            acc, place = carry[t], p
+            while low:
+                low, a = divmod(low, p)
+                if a:
+                    b = acc // place % p
+                    acc += (a if a + b < p else a - p) * place
+                place *= p
         assert acc == 1, "generator order is not q - 1"
+        self.exp, self.log = exp, log
+        self.generator = exp[1 % (q - 1)]  # x mod f, which is 1 when q = 2
         # 1 + x bumps digit 0 of x's code; log[0] = -1 marks 1 + g^j = 0
-        p = self.p
-        self.zech = [self.log[x - x % p + (x + 1) % p] for x in self.exp]
+        self.zech = [log[x - x % p + (x + 1) % p] for x in exp]
 
     # -- arithmetic ------------------------------------------------------------
 

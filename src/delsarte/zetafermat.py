@@ -89,8 +89,8 @@ class CharacterTable:
     order: int
     generator: int
     chi_log: tuple[int, ...]
-    # (chi_log[v], chi_log[1 - v], multiplicity) over v != 0, 1; built
-    # from the field when not given
+    # (chi_log[v], chi_log[1 - v], multiplicity) over v != 0, 1; read off
+    # the field's Zech table when not given
     log_pairs: tuple[tuple[int, int, int], ...] = dc_field(default=None, repr=False, compare=False)
     orbit_polys: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     sub_tables: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -98,11 +98,11 @@ class CharacterTable:
     def __post_init__(self):
         if self.log_pairs is not None:
             return
+        # v = g^j, j != 0, and 1 - v = 1 + g^(j + log(-1)) = g^zech[j + log(-1)]
         field = self.field
-        one = field.from_int(1)
-        counts = Counter(
-            (self.chi_log[v], self.chi_log[field.sub(one, v)]) for v in range(1, field.q) if v != one
-        )
+        qm1, exp, zech, chi = field.q - 1, field.exp, field.zech, self.chi_log
+        shift = field.log[field.p - 1]
+        counts = Counter((chi[exp[j]], chi[exp[zech[(j + shift) % qm1]]]) for j in range(1, qm1))
         object.__setattr__(self, "log_pairs", tuple((x, y, c) for (x, y), c in counts.items()))
 
     def sub_table(self, e: int) -> CharacterTable:
@@ -143,29 +143,19 @@ class CharacterTable:
 
 
 def multiplicative_character(field: FiniteField, d: int, generator: int | None = None) -> CharacterTable:
-    """Character table of a character of exact order d (requires d | q - 1)."""
+    """Table of the character of exact order d | q - 1 with chi(generator) = zeta_d (default: x mod f)."""
     q = field.q
     if d < 1 or (q - 1) % d != 0:
         raise ValueError(f"no character of order {d}: {d} does not divide q - 1 = {q - 1}")
     if generator is None:
         generator = field.generator
-        log = field.log
-    else:
-        j = field.log[generator]
-        if j < 0 or gcd(j, q - 1) != 1:
-            raise ValueError("supplied element does not generate the unit group")
-        log = [-1] * q
-        acc = 1
-        for e in range(q - 1):
-            log[acc] = e
-            acc = field.mul(acc, generator)
-    chi_log = [0] * q
-    for code in range(1, q):
-        e = log[code]
-        if e < 0:
-            raise AssertionError("log table incomplete")
-        chi_log[code] = e % d
-    return CharacterTable(field, d, generator, tuple(chi_log))
+    # g' = g^j has log_g'(v) = u * log_g(v) mod q - 1, u = 1/j
+    j = field.log[generator]
+    if j < 0 or gcd(j, q - 1) != 1:
+        raise ValueError("supplied element does not generate the unit group")
+    u = pow(j, -1, q - 1)
+    chi_log = (0,) + tuple(u * e % d for e in field.log[1:])
+    return CharacterTable(field, d, generator, chi_log)
 
 
 def _jacobi_sum(table: CharacterTable, powers) -> CyclotomicElement:
@@ -185,7 +175,7 @@ def _jacobi_sum(table: CharacterTable, powers) -> CyclotomicElement:
     if 0 in powers:
         raise ValueError("every character must be nontrivial")
     field = table.field
-    minus_one = field.sub(0, field.from_int(1))
+    minus_one = field.p - 1  # the code of -1
     before, current = None, CyclotomicElement.constant(d, 1)
     psi = powers[0]
     for i in range(1, len(powers)):
@@ -207,14 +197,12 @@ def _count_term(k, table: CharacterTable) -> CyclotomicElement:
     Z[zeta_d] and needs no additive characters.
     """
     d = table.order
-    field = table.field
     k = tuple(e % d for e in k)
     if sum(k) % d != 0:
         raise ValueError("type entries must sum to 0 mod d")
     if any(e == 0 for e in k):
         raise ValueError("type must be interior (no zero entries)")
-    minus_one = field.sub(0, field.from_int(1))
-    sign_exp = table.chi_power_at(k[-1], minus_one)
+    sign_exp = table.chi_power_at(k[-1], table.field.p - 1)  # chi^(k_n)(-1); -1 is the code p - 1
     j = _jacobi_sum(table, k[:-1])
     return CyclotomicElement.zeta(d, sign_exp) * j
 

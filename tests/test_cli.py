@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -46,6 +49,31 @@ def test_table10_matches_summary():
         want = SUMMARY_TABLE[key]
         got = (int(d), tuple(int(x) for x in b.strip("()").split(",")), int(pf), int(dim_w), int(c))
         assert got == want
+
+
+# a command with a non-default option, then the same command without it
+REPEATED_COMMANDS = (
+    ["invariants", "family9", "--group", "Gmax"],
+    ["invariants", "family9"],
+    ["classes", "family5", "--kind", "weak"],
+    ["classes", "family5"],
+    ["count", "family1", "--q", "13", "--scan"],
+    ["count", "family1", "--q", "13"],
+)
+
+
+def test_main_repeated_in_one_process_matches_separate_runs(capsys):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "delsarte.cli", *argv], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        for argv in REPEATED_COMMANDS
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, want in zip(REPEATED_COMMANDS * 2, separate * 2):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want, argv
 
 
 def test_table10_deterministic():
@@ -334,6 +362,30 @@ def test_json_family_invalid(tmp_path, capsys):
     path.write_text(json.dumps({"matrix": [[1, 1], [1, 1]], "deformation": [1, 1]}))
     assert run_main(["analyze", str(path)]) == cli.USAGE_ERROR
     assert "invalid family" in capsys.readouterr().err
+
+
+_SQUARE = [[4, 0], [0, 4]]
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"matrix": 5, "deformation": [1, 1]}, "matrix"),
+        ({"matrix": [5, 5], "deformation": [1, 1]}, "matrix"),
+        ({"matrix": [[4.5, 0], [0, 4]], "deformation": [1, 1]}, "matrix"),
+        ({"matrix": [[True, 0], [0, 4]], "deformation": [1, 1]}, "matrix"),
+        ({"matrix": _SQUARE, "deformation": 3}, "deformation"),
+        ({"matrix": _SQUARE, "deformation": [1.5, 1]}, "deformation"),
+        ({"matrix": _SQUARE, "deformation": [True, 1]}, "deformation"),
+    ],
+)
+def test_json_family_malformed_field(tmp_path, capsys, obj, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert run_main(["analyze", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'invalid family data in {path}: "{field}" must be a list of' in captured.err
 
 
 def test_analyze_unequal_weights_prints_nothing(tmp_path, capsys):

@@ -369,6 +369,34 @@ def test_reduce_form_vs_oracle_random():
             done += 1
 
 
+@st.composite
+def _forms(draw):
+    """(entries, d): 3 to 6 entries >= 1 summing to 0 mod d, d up to 12.
+
+    An entry that is a multiple of d reduces to d and kills the class: half
+    the draws set one such entry, and the last entry may be one.  Entries
+    up to 3d need several reduction steps.
+    """
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(3, 6))
+    entry = st.integers(1, 3 * d).filter(lambda e: e % d)
+    head = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        head[draw(st.integers(0, n - 2))] = d * draw(st.integers(1, 3))
+    last = (-sum(head)) % d + d * draw(st.integers(0, 2))
+    return tuple(head) + (last or d,), d
+
+
+@settings(max_examples=300)
+@given(_forms())
+def test_reduce_form_matches_oracle_up_to_d12(case):
+    vec, d = case
+    got = reduce_form(vec, d)
+    assert (got.coefficient, got.basis) == oracle_reduce(vec, d)
+    if any(e % d == 0 for e in vec):
+        assert got.is_zero
+
+
 def test_format_parse_roundtrip():
     text = format_type((18, 18, 8, 4))
     assert text == "18,18,8,4"

@@ -102,6 +102,43 @@ def test_zech_arithmetic_matches_digit_addition():
                 assert f.sub(a, b) == _digitwise(a, b, p, -1), (q, a, b)
 
 
+PRIME_POWERS_TO_1024 = [q for q in range(2, 1025) if len(prime_factors(q)) == 1]
+
+
+def _least_primitive_root(p):
+    """The least g whose powers g, g^2, ... first return to 1 at g^(p-1)."""
+    for g in range(1, p):
+        acc, order = g, 1
+        while acc != 1:
+            acc, order = acc * g % p, order + 1
+        if order == p - 1:
+            return g
+    raise AssertionError(p)
+
+
+def _times_x(code, modulus, p):
+    """x * (residue with base-p digits `code`) mod the monic modulus, schoolbook."""
+    k = len(modulus) - 1
+    digits = [0] + [code // p**i % p for i in range(k)]
+    top = digits.pop()
+    return sum((c - top * m) % p * p**i for i, c, m in zip(range(k), digits, modulus))
+
+
+def test_field_tables_are_the_powers_of_x():
+    for q in PRIME_POWERS_TO_1024:
+        p = prime_factors(q)[0]
+        k = next(j for j in range(1, 11) if p**j == q)
+        f = FiniteField(p, k)
+        assert sorted(f.exp) == list(range(1, q)), q  # a bijection onto the units
+        assert all(f.log[c] == j for j, c in enumerate(f.exp)), q
+        assert f.generator == f.exp[1 % (q - 1)] == _times_x(1, f.modulus, p), q
+        # exp[j + 1] = x * exp[j] and x^(q-1) = 1, checked without the digit shift
+        assert all(_times_x(c, f.modulus, p) == f.exp[(j + 1) % (q - 1)] for j, c in enumerate(f.exp)), q
+        if k == 1:
+            g = _least_primitive_root(p)
+            assert f.generator == g and f.modulus == [-g % p, 1], q
+
+
 def test_field_size_bound(monkeypatch):
     monkeypatch.setenv("DELSARTE_MAX_Q", "100")
     with pytest.raises(ValueError, match="bound"):

@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,41 @@ def test_character_table_custom_generator():
     assert table.chi_log[gens[1]] == 1
     with pytest.raises(ValueError):
         multiplicative_character(f, 12, generator=4)  # 4 = 2^2 is not a generator
+
+
+# (p, k) for q in {2, 4, 5, 8, 9, 13, 49, 81}: p = 2, odd q, prime and extension fields
+PAIR_FIELDS = [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1), (7, 2), (3, 4)]
+
+
+@pytest.mark.parametrize("p,k", PAIR_FIELDS)
+def test_log_pairs_match_brute_force(p, k):
+    f = FiniteField(p, k)
+    for d in (d for d in range(1, f.q) if (f.q - 1) % d == 0):
+        table = multiplicative_character(f, d)
+        chi = table.chi_log
+        brute = Counter((chi[v], chi[f.sub(1, v)]) for v in range(2, f.q))
+        assert Counter({(x, y): c for x, y, c in table.log_pairs}) == brute, (f.q, d)
+        assert len(table.log_pairs) == len(brute)
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (2, 4), (7, 2), (3, 4)])
+def test_custom_generator_chi_log_matches_brute_force(p, k):
+    f = FiniteField(p, k)
+    q = f.q
+    for g in range(1, q):
+        powers, acc = [1], g
+        while acc != 1:
+            powers.append(acc)
+            acc = f.mul(acc, g)
+        if len(powers) < q - 1:
+            with pytest.raises(ValueError, match="generate"):
+                multiplicative_character(f, q - 1, generator=g)
+            continue
+        for d in (d for d in range(1, q) if (q - 1) % d == 0):
+            table = multiplicative_character(f, d, generator=g)
+            assert table.generator == g
+            # chi(g^m) = zeta_d^m
+            assert all(table.chi_log[v] == m % d for m, v in enumerate(powers)), (q, g, d)
 
 
 # -- point counts as certification ----------------------------------------------
