@@ -4,7 +4,8 @@ Commands operate on the built-in family registry ("family1".."family10")
 or on user-supplied JSON files of the form
 {"matrix": [[int, ...], ...], "deformation": [int, ...]}.  All output is
 tab-separated, deterministic, and byte-identical across runs; the exit
-code is 0 iff no check failed.
+code is 0 iff no check failed.  When the reader closes stdout before the
+output is written, the run ends quietly with exit code 1.
 """
 from __future__ import annotations
 
@@ -251,13 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
-    except CliError as exc:
+        status = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed stdout fails here, inside the handler
+        return status
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader went away; stdout goes to devnull so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
-"""Exact integer linear algebra: determinants, adjugates, scaled inverses, kernels mod N."""
+"""Exact integer linear algebra: one diagonalization U*M*V = diag(e_i) for det, d*M^-1, kernels mod N."""
 from __future__ import annotations
 
-from math import gcd
+import itertools
+from math import gcd, lcm, prod
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -18,7 +20,7 @@ class IntMatrix:
     __slots__ = ("rows", "n")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         n = len(rows)
         if n < 2:
             raise ValueError("matrix dimension must be at least 2")
@@ -50,13 +52,8 @@ class IntMatrix:
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        return IntMatrix(
-            tuple(
-                tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
+        columns = tuple(zip(*other.rows))
+        return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in self.rows))
 
     def scaled(self, c: int) -> IntMatrix:
         return IntMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
@@ -78,87 +75,57 @@ class IntMatrix:
         return tuple(sum(self.rows[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
-def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
-    """(det M, adj M) from one fraction-free Gauss-Jordan pass on [M | I].
-
-    Step k clears pivot column k on every other row, dividing exactly by
-    the previous pivot (Bareiss 1968).  With the row swaps this is the pass
-    on [PM | P] for a permutation P, and it ends at
-    [det(PM) * I | det(PM) * M^-1]; det(PM) = sign * det M, so the right
-    block is sign * adj M.  adj M is None when det M = 0; otherwise
-    adj(M) * M = M * adj(M) = det(M) * I.
-    """
-    n = m.n
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.rows)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, None
-        pivot, top = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
-        prev = pivot
-    return sign * prev, IntMatrix(tuple(tuple(sign * x for x in row[n:]) for row in a))
-
-
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant, read off the fraction-free Gauss-Jordan pass."""
-    return det_adjugate(m)[0]
+    """Exact determinant: sign * prod(e_i) from `diagonalize`, 0 below full rank."""
+    _, diag, _, sign = diagonalize(m.rows)
+    return sign * prod(diag) if len(diag) == m.n else 0
 
 
-def diagonalize(rows) -> tuple[list[list[int]], list[int]]:
-    """Unimodular U and e_1..e_r > 0 with U*M*V = diag(e_1..e_r, 0, ...).
+def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]], int]:
+    """U, e_1..e_r > 0, V and det U * det V with U*M*V = diag(e_1..e_r, 0, ...).
 
-    M is any m x c integer matrix given by its rows, V is unimodular and
-    not returned, and r = rank M.  Row and column operations reduce the
-    pivot to the least nonzero entry of its row and column until both are
-    clear (Cohen, *A Course in Computational Algebraic Number Theory*,
-    2.4); unlike the Smith form, the e_i need not divide each other.
+    M is any m x c integer matrix given by its rows, U and V are
+    unimodular and r = rank M.  Each pivot starts at the least nonzero
+    entry left, and row and column operations reduce it to the least
+    nonzero entry of its row and column until both are clear (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 2.4); unlike the
+    Smith form, the e_i need not divide each other.  V rides below M as
+    c extra rows, so the column operations update it too.
     """
-    a = [list(row) for row in rows]
-    m, c = len(a), len(a[0]) if a else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def move(t, i, j):
-        a[t], a[i] = a[i], a[t]
-        u[t], u[i] = u[i], u[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-
-    diag = []
+    m, c = len(rows), len(rows[0]) if rows else 0
+    a = [list(row) for row in rows] + [[0] * i + [1] + [0] * (c - 1 - i) for i in range(c)]
+    u = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
+    sign, diag = 1, []
     for t in range(min(m, c)):
-        nonzero = [(i, j) for i in range(t, m) for j in range(t, c) if a[i][j]]
-        if not nonzero:
-            break
-        move(t, *nonzero[0])
-        while True:
-            pivot = a[t][t]
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, c) if a[i][j]]
+        while nonzero:
+            _, i, j = min(nonzero)
+            if i != t:
+                a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+                sign = -sign
+            if j != t:
+                for row in a[t:]:  # rows of M above t are zero in columns t and j
+                    row[t], row[j] = row[j], row[t]
+                sign = -sign
+            top, pivot = a[t], a[t][t]
             for i in range(t + 1, m):
                 f = a[i][t] // pivot
                 if f:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                    a[i] = [x - f * y for x, y in zip(a[i], top)]
                     u[i] = [x - f * y for x, y in zip(u[i], u[t])]
-            for j in range(t + 1, c):
-                f = a[t][j] // pivot
-                if f:
-                    for row in a[t:]:  # rows above t are zero in column t
-                        row[j] -= f * row[t]
-            rest = [(abs(a[i][t]), i, t) for i in range(t + 1, m) if a[i][t]]
-            rest += [(abs(a[t][j]), t, j) for j in range(t + 1, c) if a[t][j]]
-            if not rest:
-                break
-            move(t, *min(rest)[1:])
-        diag.append(abs(a[t][t]))
-    return u, diag
+            fs = [x // pivot for x in top[t + 1 :]]
+            if any(fs):
+                for row in a[t:]:
+                    if x := row[t]:
+                        row[t + 1 :] = [y - f * x for y, f in zip(row[t + 1 :], fs)]
+            nonzero = [(abs(a[i][t]), i, t) for i in range(t + 1, m) if a[i][t]]
+            nonzero += [(abs(x), t, j) for j, x in enumerate(top[t + 1 :], t + 1) if x]
+        if not a[t][t]:
+            break
+        if a[t][t] < 0:
+            a[t], u[t], sign = [-x for x in a[t]], [-x for x in u[t]], -sign
+        diag.append(a[t][t])
+    return u, diag, a[m:], sign
 
 
 def kernel_mod(rows, n: int) -> tuple[list[list[int]], list[int]]:
@@ -169,36 +136,38 @@ def kernel_mod(rows, n: int) -> tuple[list[list[int]], list[int]]:
     y_i * e_i == 0 (mod n) for y = k*U^-1, so y_i runs over the multiples
     of steps[i] = n/gcd(e_i, n), and distinct y mod n give distinct k.
     """
-    u, diag = diagonalize(rows)
+    u, diag, _, _ = diagonalize(rows)
     diag += [0] * (len(rows) - len(diag))
     return u, [n // gcd(e, n) for e in diag]
+
+
+def kernel_elements(u, steps, n: int):
+    """Every k = y*U mod n with steps[i] | y_i, once each, as tuples.
+
+    One block per choice of multiples of all rows but the longest (least
+    step) adds that row's multiples, a coordinate at a time; the blocks
+    are streamed, so the kernel is never held whole.
+    """
+    *head, (last, step) = sorted(zip(u, steps), key=lambda gen: -gen[1])
+    columns = [[y * x % n for y in range(0, n, step)] for x in last]
+    multiples = [[[y * x for x in row] for y in range(0, n, step)] for row, step in head]
+    zero = [0] * len(last)
+    for combo in itertools.product(*multiples):
+        k = map(sum, zip(zero, *combo))
+        yield from zip(*[[(x + y) % n for y in col] for x, col in zip(k, columns)])
 
 
 def minimal_map_matrix(m: IntMatrix) -> tuple[int, IntMatrix]:
     """Least positive d with d*M^-1 integral, together with B = d*M^-1.
 
-    d = |det M| / gcd(|det M|, content of adj M), with det and adj from one
-    `det_adjugate` pass; this avoids rational arithmetic entirely.  B
-    satisfies B*M = M*B = d*I exactly.
+    With U*M*V = diag(e_i) from `diagonalize`, M^-1 = V * diag(1/e_i) * U
+    and U, V are unimodular, so d = lcm(e_i) and B = V * diag(d/e_i) * U;
+    no rational arithmetic.  B satisfies B*M = M*B = d*I exactly.
     """
-    det, adj = det_adjugate(m)
-    if det == 0:
+    u, diag, v, _ = diagonalize(m.rows)
+    if len(diag) < m.n:
         raise SingularMatrixError("matrix is singular")
-    content = 0
-    for row in adj.rows:
-        for x in row:
-            content = gcd(content, x)
-    g = gcd(abs(det), content)
-    d = abs(det) // g
-    b_rows = []
-    for row in adj.rows:
-        b_row = []
-        for x in row:
-            num = x * d
-            if num % det != 0:
-                raise AssertionError("inexact division while scaling adjugate")
-            b_row.append(num // det)
-        b_rows.append(tuple(b_row))
-    b = IntMatrix(b_rows)
+    d = lcm(*diag)
+    b = IntMatrix(v) * IntMatrix([[d // e * x for x in row] for e, row in zip(diag, u)])
     assert b * m == IntMatrix.identity(m.n).scaled(d)
     return d, b

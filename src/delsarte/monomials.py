@@ -3,9 +3,11 @@
 A monomial type is an (n+1)-tuple of residues modulo d with zero sum; the
 interior ones (no entry congruent to 0) index a basis of the middle
 cohomology of the deformed Fermat hypersurface complement.  This module
-enumerates types, decides invariance under the two relevant automorphism
-groups, partitions invariant types into equivalence classes, and reduces
-non-basis exponent vectors into the basis at lambda = 0.
+enumerates types (the invariant ones as a kernel walked by
+`exactalg.kernel_elements`), decides invariance under the two relevant
+automorphism groups, partitions invariant types into equivalence
+classes, and reduces non-basis exponent vectors into the basis at
+lambda = 0.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .deformation import DeformationData
-from .exactalg import determinant, kernel_mod
+from .exactalg import determinant, kernel_elements, kernel_mod
 
 # Hard cap on the order |det A| of the quotient group whose invariant
 # types are enumerated below; the built-in families stay below 300
@@ -57,11 +59,9 @@ def g_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
     """Interior types invariant under the family's quotient group, sorted.
 
     These are the interior k with k*[A | 1] == 0 (mod d): invariance
-    k*A == 0 and a zero entry sum.  They are enumerated as the kernel
-    {y*U} of `exactalg.kernel_mod`: prefix sums over all but the longest
-    generator row of U, then that row's multiples added to each.  The
-    kernel is a subgroup of {m*B mod d}, whose order is |det A|, and a
-    larger group than the limit is refused before enumeration.
+    k*A == 0 and a zero entry sum, walked by `exactalg.kernel_elements`.
+    The kernel is a subgroup of {m*B mod d}, whose order is |det A|, and
+    a larger group than the limit is refused before enumeration.
     """
     order = abs(determinant(data.matrix))
     if order > _SUBGROUP_LIMIT:
@@ -70,18 +70,7 @@ def g_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
         )
     d = data.degree
     u, steps = kernel_mod([row + (1,) for row in data.matrix.rows], d)
-    # the least step gives the longest generator; it goes last
-    *head, (last, last_step) = sorted(zip(u, steps), key=lambda gen: -gen[1])
-    sums = [[0] * len(last)]
-    for row, step in head:
-        sums = [[x + y * z for x, z in zip(s, row)] for s in sums for y in range(0, d, step)]
-    # the last generator's multiples, one coordinate at a time
-    columns = [[y * x % d for y in range(0, d, last_step)] for x in last]
-    out = []
-    for s in sums:
-        out += [k for k in zip(*[[(x + y) % d for y in col] for x, col in zip(s, columns)]) if all(k)]
-    out.sort()
-    return out
+    return sorted(k for k in kernel_elements(u, steps, d) if all(k))
 
 
 def dimension_triple(data: DeformationData) -> tuple[int, int, int]:

@@ -4,8 +4,9 @@
 closed form: on each coordinate torus the count is a sum of products of
 Gauss sums over a lattice of characters (Weil 1949, "Numbers of solutions
 of equations in finite fields"; Koblitz 1983, "The number of points on
-certain families of hypersurfaces over finite fields"), evaluated exactly
-in an auxiliary prime field.  The brute-force cone walk is kept in
+certain families of hypersurfaces over finite fields"), walked by
+`exactalg.kernel_elements` and evaluated exactly in an auxiliary prime
+field.  The brute-force cone walk is kept in
 `tests/oracles.py`, and the suite compares the two.  The toric singular
 locus of the deformed Fermat cover is decided in closed form over the
 algebraic closure of F_p, without building a field.
@@ -22,10 +23,10 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
-from operator import mul
+from operator import getitem, mul
 
 from .deformation import DeformationData
-from .exactalg import kernel_mod
+from .exactalg import kernel_elements, kernel_mod
 
 DEFAULT_MAX_Q = 2**20
 # (q-1)^2 for the Gauss-sum table plus sum_S |K_S| for the character sums
@@ -94,17 +95,21 @@ def _find_primitive(p: int, k: int) -> list[int]:
     (Lidl-Niederreiter, *Finite Fields*, Thm 3.16), and that order alone
     makes F_p[x]/(f) a field, so one order test replaces an irreducibility
     test and a generator search.  For k = 1 the candidates are x - g with
-    g = 1, 2, ..., so x mod f is the least primitive root.
+    g = 1, 2, ..., so x mod f is the least primitive root, and x^(q-1) = 1
+    holds for each (Fermat).  For k >= 2 the constants h = c < p are
+    skipped: x^k = c gives x an order of at most k(p - 1) < q - 1.
     """
     q = p**k
     x, one = [0, 1], [1] + [0] * (k - 1)
     cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-    for h in range(1, q):
+    for h in range(1 if k == 1 else p, q):
         if h % p == 0:
             continue  # f(0) = 0, so x is not a unit
         # base-p digits of h, negated: f = x^k - h(x)
         f = [-(h // p**i) % p for i in range(k)] + [1]
-        if _poly_powmod(x, q - 1, f, p) == one and all(_poly_powmod(x, e, f, p) != one for e in cofactors):
+        if (k == 1 or _poly_powmod(x, q - 1, f, p) == one) and all(
+            _poly_powmod(x, e, f, p) != one for e in cofactors
+        ):
             return f
     raise AssertionError(f"no primitive polynomial of degree {k} over F_{p}")
 
@@ -336,7 +341,7 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
         for _, c in live:
             log_c = field.log[c]
             tables.append([g * pw[k * log_c % n] % ell for k, g in enumerate(gauss)])
-        char_sum = _kernel_sum(tables, u, steps, n, ell)
+        char_sum = sum(prod(map(getitem, tables, k)) % ell for k in kernel_elements(u, steps, n))
         total += (n**s + n ** (s + 1) * pow(inv_n, len(live), ell) * char_sum) * inv_q
     return total % ell
 
@@ -372,21 +377,6 @@ def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> list:
             f"point count work estimate (q-1)^2 + sum |K_S| = {work} exceeds the limit {COUNT_WORK_LIMIT}"
         )
     return strata
-
-
-def _kernel_sum(tables, u, steps, n: int, ell: int) -> int:
-    """sum over k = y*U in K_S of prod_j tables[j][k_j], mod ell."""
-    *head, last = sorted(
-        ([tuple(y * x % n for x in row) for y in range(0, n, step)] for row, step in zip(u, steps)),
-        key=len,
-    )
-    zero = [0] * len(tables)
-    total = 0
-    for combo in itertools.product(*head):
-        k = [sum(c) for c in zip(zero, *combo)]
-        total += sum(prod([t[(a + b) % n] for t, a, b in zip(tables, k, v)]) for v in last)
-        total %= ell
-    return total
 
 
 def _is_prime(n: int) -> bool:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from delsarte import cli
+from delsarte.cyclotomic import CyclotomicElement
 from delsarte.deformation import family, family_keys
 from delsarte.monomials import (
     g_invariant_types,
@@ -22,9 +23,10 @@ from delsarte.monomials import (
     strong_classes,
     weak_classes,
 )
-from delsarte.pointcount import FiniteField, count_points, fermat_hypersurface
+from delsarte.pointcount import FiniteField, count_points, family_hypersurface, fermat_hypersurface
 from delsarte.symbolic import appendix_checks
 from delsarte.zetafermat import (
+    _count_term,
     char_poly_invariant,
     fermat_point_count_via_sums,
     jacobi_eigenvalue,
@@ -243,3 +245,48 @@ def test_criterion_11_reduction_oracle_agreement():
             done += 1
     ok = ok and zero_cases >= 10
     _report(11, f"reduction agrees with the differentiation oracle (150 vectors, {zero_cases} zero classes)", ok)
+
+
+# q = p^k == 1 (mod d) up to 1400 per family, with an extension field
+# wherever one lies in that range (there is none for d = 108)
+INVARIANT_COUNT_FIELDS = {
+    "family1": ((5, 1), (3, 2), (13, 1)),
+    "family2": ((3, 2), (17, 1), (5, 2)),
+    "family3": ((3, 2), (17, 1), (5, 2)),
+    "family4": ((29, 1), (113, 1), (13, 2)),
+    "family5": ((3, 4), (241, 1), (401, 1)),
+    "family6": ((13, 1), (5, 2), (37, 1), (7, 2), (61, 1), (73, 1), (97, 1), (109, 1), (11, 2), (13, 2)),
+    "family7": ((5, 2), (7, 2), (73, 1)),
+    "family8": ((13, 1), (5, 2), (37, 1)),
+    "family9": ((37, 1), (73, 1), (109, 1), (181, 1), (17, 2), (397, 1), (433, 1)),
+    "family10": ((109, 1), (433, 1), (541, 1)),
+}
+
+
+def test_criterion_12_invariant_eigenvalues_against_point_counts():
+    """#X_0(F_q) = 1 + q + q^2 + sum over the invariant types + q * tau_q.
+
+    tau_q is the count the invariant eigenvalues leave over, an integer
+    with |tau_q| <= c.  It equals c except for families 6 and 9, where it
+    is 3 when (q - 1)/d is even and -1 when it is odd.
+    """
+    start = time.time()
+    ok = True
+    cases = 0
+    for key, fields in INVARIANT_COUNT_FIELDS.items():
+        data = family(key)
+        d, c = data.degree, SUMMARY_TABLE[key][4]
+        types = g_invariant_types(data)
+        for p, k in fields:
+            field = FiniteField(p, k)
+            q = field.q
+            assert (q - 1) % d == 0
+            table = multiplicative_character(field, d)
+            eigen = sum((_count_term(t, table) for t in types), CyclotomicElement.constant(d, 0))
+            rest = count_points(family_hypersurface(data, 0), field) - (1 + q + q * q) - eigen.rational_value()
+            want = (3 if (q - 1) // d % 2 == 0 else -1) if key in ("family6", "family9") else c
+            ok = ok and isinstance(rest, int) and rest % q == 0 and abs(rest // q) <= c and rest // q == want
+            cases += 1
+    elapsed = time.time() - start
+    ok = ok and elapsed < 10.0
+    _report(12, f"invariant eigenvalues against point counts at {cases} fields, {elapsed:.2f}s (< 10s)", ok)

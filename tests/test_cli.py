@@ -76,6 +76,31 @@ def test_main_repeated_in_one_process_matches_separate_runs(capsys):
         assert capsys.readouterr().out == want, argv
 
 
+def test_closed_stdout_ends_quietly():
+    # the read end is closed before the command starts, so its first write
+    # to stdout fails, with line-buffered and with block-buffered output alike
+    for unbuffered in ("1", ""):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+            PYTHONUNBUFFERED=unbuffered,
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "delsarte.cli", "table10"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "", proc.stderr
+
+
 def test_table10_deterministic():
     assert run_cli(["table10"]) == run_cli(["table10"])
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from delsarte.exactalg import (
     IntMatrix,
     SingularMatrixError,
-    det_adjugate,
     determinant,
     diagonalize,
+    kernel_elements,
     kernel_mod,
     minimal_map_matrix,
 )
@@ -45,18 +45,6 @@ def test_determinant_random_vs_oracle_and_multiplicativity():
         assert determinant(m * k) == determinant(m) * determinant(k)
 
 
-def test_adjugate_identity_relation():
-    rng = random.Random(11)
-    for _ in range(20):
-        n = rng.choice([2, 3, 4])
-        m = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        det, adj = det_adjugate(m)
-        if det:
-            assert adj * m == m * adj == IntMatrix.identity(n).scaled(det)
-        else:
-            assert adj is None
-
-
 @st.composite
 def _square_matrices_with_zeros(draw):
     """n <= 6 with mostly zero entries, often a zero leading pivot."""
@@ -70,21 +58,22 @@ def _square_matrices_with_zeros(draw):
 
 @settings(max_examples=150)
 @given(_square_matrices_with_zeros())
-def test_det_adjugate_matches_cofactor_oracle(m):
-    det, adj = det_adjugate(m)
-    assert det == determinant(m) == laplace_determinant([list(r) for r in m.rows])
+def test_determinant_and_map_match_cofactor_oracle(m):
+    det = determinant(m)
+    assert det == laplace_determinant([list(r) for r in m.rows])
     if det:
-        assert adj == adjugate(m)
+        # B = d*M^-1 and adj M = det*M^-1, so B*det == adj(M)*d
+        d, b = minimal_map_matrix(m)
+        assert b.scaled(det) == adjugate(m).scaled(d)
     else:
-        assert adj is None
+        with pytest.raises(SingularMatrixError):
+            minimal_map_matrix(m)
 
 
-def test_det_adjugate_swaps_past_zero_pivots():
-    # zero pivots force one row swap in the first (odd sign), two in the second
-    m = IntMatrix([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
-    assert det_adjugate(m) == (-6, adjugate(m))
-    m = IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 1]])
-    assert det_adjugate(m) == (6, adjugate(m))
+def test_determinant_sign_past_zero_pivots():
+    # zero leading entries: the sign comes from the swaps that bring each pivot into place
+    assert determinant(IntMatrix([[0, 0, 1], [0, 2, 0], [3, 0, 0]])) == -6
+    assert determinant(IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 1]])) == 6
 
 
 def test_minimal_map_family2():
@@ -146,9 +135,9 @@ def test_diagonalize_examples():
     fermat = [[4 if j == i else 0 for j in range(4)] + [1] for i in range(4)]
     assert diagonalize(fermat)[1] == [1, 4, 4, 4]
     assert diagonalize([[4, 0, 1], [0, 4, 1]])[1] == [1, 4]
-    u, diag = diagonalize([[2, 4], [3, 6]])
+    u, diag, _, _ = diagonalize([[2, 4], [3, 6]])
     assert diag == [1] and abs(laplace_determinant(u)) == 1
-    assert diagonalize([[0, 0]]) == ([[1]], [])
+    assert diagonalize([[0, 0]]) == ([[1]], [], [[1, 0], [0, 1]], 1)
 
 
 @st.composite
@@ -163,11 +152,18 @@ def _small_matrices(draw):
 def test_diagonalize_kernel_mod_n_matches_brute_force(case):
     rows, n = case
     m, c = len(rows), len(rows[0])
-    u, diag = diagonalize(rows)
-    assert abs(laplace_determinant(u)) == 1
+    u, diag, v, sign = diagonalize(rows)
+    assert abs(laplace_determinant(u)) == 1 and abs(laplace_determinant(v)) == 1
     assert all(e > 0 for e in diag) and len(diag) <= min(m, c)
+    # U*M*V == diag(e, 0...)
+    umv = [
+        [sum(u[i][k] * rows[k][l] * v[l][j] for k in range(m) for l in range(c)) for j in range(c)]
+        for i in range(m)
+    ]
+    assert umv == [[diag[i] if i == j and i < len(diag) else 0 for j in range(c)] for i in range(m)]
     if m == c:
         assert (prod(diag) if len(diag) == m else 0) == abs(laplace_determinant(rows))
+        assert laplace_determinant(u) * laplace_determinant(v) == sign
     # K = {y*U}: y_i over the multiples of n/gcd(e_i, n), e_i = 0 past the rank
     e = diag + [0] * (m - len(diag))
     assert kernel_mod(rows, n) == (u, [n // gcd(ei, n) for ei in e])
@@ -181,3 +177,6 @@ def test_diagonalize_kernel_mod_n_matches_brute_force(case):
     }
     assert kernel == brute
     assert len(kernel) == prod(gcd(ei, n) for ei in e)
+    # the streamed walk gives each kernel point exactly once
+    walked = list(kernel_elements(*kernel_mod(rows, n), n))
+    assert set(walked) == brute and len(walked) == len(kernel)
