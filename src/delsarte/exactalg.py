@@ -94,6 +94,16 @@ def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]], int]
     """
     m, c = len(rows), len(rows[0]) if rows else 0
     a = [list(row) for row in rows] + [[0] * i + [1] + [0] * (c - 1 - i) for i in range(c)]
+    u, diag, sign = _eliminate(a, m, c)
+    return u, diag, a[m:], sign
+
+
+def _eliminate(a, m: int, c: int) -> tuple[list[list[int]], list[int], int]:
+    """Diagonalize the first m rows of the working array a in place.
+
+    Returns U, the e_i and the sign of `diagonalize`.  Rows of a below the
+    m-th take every column operation, so identity rows there end as V.
+    """
     u = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
     sign, diag = 1, []
     for t in range(min(m, c)):
@@ -125,7 +135,7 @@ def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]], int]
         if a[t][t] < 0:
             a[t], u[t], sign = [-x for x in a[t]], [-x for x in u[t]], -sign
         diag.append(a[t][t])
-    return u, diag, a[m:], sign
+    return u, diag, sign
 
 
 def kernel_mod(rows, n: int) -> tuple[list[list[int]], list[int]]:
@@ -135,9 +145,11 @@ def kernel_mod(rows, n: int) -> tuple[list[list[int]], list[int]]:
     (`diagonalize`, e_i = 0 past the rank) the congruence reads
     y_i * e_i == 0 (mod n) for y = k*U^-1, so y_i runs over the multiples
     of steps[i] = n/gcd(e_i, n), and distinct y mod n give distinct k.
+    V is not needed, so the elimination runs on M alone.
     """
-    u, diag, _, _ = diagonalize(rows)
-    diag += [0] * (len(rows) - len(diag))
+    m, c = len(rows), len(rows[0]) if rows else 0
+    u, diag, _ = _eliminate([list(row) for row in rows], m, c)
+    diag += [0] * (m - len(diag))
     return u, [n // gcd(e, n) for e in diag]
 
 

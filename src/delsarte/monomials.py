@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .deformation import DeformationData
-from .exactalg import determinant, kernel_elements, kernel_mod
+from .exactalg import kernel_elements, kernel_mod
 
-# Hard cap on the order |det A| of the quotient group whose invariant
-# types are enumerated below; the built-in families stay below 300
-# elements, the cap only guards pathological user input.
+# Hard cap on the number of points of the kernel walked for the
+# invariant types below; the built-in families stay below 300, the cap
+# only guards pathological user input.
 _SUBGROUP_LIMIT = 4_000_000
 
 
@@ -60,16 +60,15 @@ def g_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
 
     These are the interior k with k*[A | 1] == 0 (mod d): invariance
     k*A == 0 and a zero entry sum, walked by `exactalg.kernel_elements`.
-    The kernel is a subgroup of {m*B mod d}, whose order is |det A|, and
-    a larger group than the limit is refused before enumeration.
+    The kernel has prod(d / step) points, at most |det A| as it is a
+    subgroup of {m*B mod d}, and a larger kernel than the limit is
+    refused before enumeration.
     """
-    order = abs(determinant(data.matrix))
-    if order > _SUBGROUP_LIMIT:
-        raise ValueError(
-            f"quotient group of order |det A| = {order} exceeds the enumeration limit {_SUBGROUP_LIMIT}"
-        )
     d = data.degree
     u, steps = kernel_mod([row + (1,) for row in data.matrix.rows], d)
+    size = prod(d // step for step in steps)
+    if size > _SUBGROUP_LIMIT:
+        raise ValueError(f"invariant-type kernel of {size} points exceeds the enumeration limit {_SUBGROUP_LIMIT}")
     return sorted(k for k in kernel_elements(u, steps, d) if all(k))
 
 

@@ -95,21 +95,23 @@ def _find_primitive(p: int, k: int) -> list[int]:
     (Lidl-Niederreiter, *Finite Fields*, Thm 3.16), and that order alone
     makes F_p[x]/(f) a field, so one order test replaces an irreducibility
     test and a generator search.  For k = 1 the candidates are x - g with
-    g = 1, 2, ..., so x mod f is the least primitive root, and x^(q-1) = 1
+    g = 1, 2, ..., so x mod f is g and its powers are integer powers mod
+    p; the first to pass is the least primitive root, and x^(q-1) = 1
     holds for each (Fermat).  For k >= 2 the constants h = c < p are
     skipped: x^k = c gives x an order of at most k(p - 1) < q - 1.
     """
     q = p**k
-    x, one = [0, 1], [1] + [0] * (k - 1)
     cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-    for h in range(1 if k == 1 else p, q):
+    if k == 1:
+        g = next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in cofactors))
+        return [-g % p, 1]
+    x, one = [0, 1], [1] + [0] * (k - 1)
+    for h in range(p, q):
         if h % p == 0:
             continue  # f(0) = 0, so x is not a unit
         # base-p digits of h, negated: f = x^k - h(x)
         f = [-(h // p**i) % p for i in range(k)] + [1]
-        if (k == 1 or _poly_powmod(x, q - 1, f, p) == one) and all(
-            _poly_powmod(x, e, f, p) != one for e in cofactors
-        ):
+        if _poly_powmod(x, q - 1, f, p) == one and all(_poly_powmod(x, e, f, p) != one for e in cofactors):
             return f
     raise AssertionError(f"no primitive polynomial of degree {k} over F_{p}")
 

@@ -9,9 +9,12 @@ agrees with brute-force enumeration (see `fermat_point_count_via_sums`
 and the point-count oracle in `pointcount`).
 
 Everything is exact: character sums live in the group ring Z[x]/(x^e-1)
-of the least order e | d that holds them, rationality is decided modulo
-the e-th cyclotomic polynomial, and the characteristic-polynomial
-divisibility checks run in Z[T].
+of the least order e | d that holds them.  The closed-form point count is
+checked rational modulo the e-th cyclotomic polynomial.  Each Galois
+orbit's characteristic polynomial is the norm of 1 - alpha*T from
+Q(zeta_e), read off the traces of the powers of one eigenvalue alpha by
+Newton's identities, so no coefficient needs a rationality reduction;
+the divisibility checks run in Z[T].
 """
 from __future__ import annotations
 
@@ -19,12 +22,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from dataclasses import field as dc_field
-from math import comb, gcd
+from functools import lru_cache
+from math import gcd
+from operator import mul
 
 from .cyclotomic import CyclotomicElement
 from .deformation import DeformationData, common_cover
 from .monomials import g_invariant_types
-from .pointcount import FiniteField
+from .pointcount import FiniteField, prime_factors
 
 
 class RationalityError(ArithmeticError):
@@ -242,56 +247,72 @@ def fermat_point_count_via_sums(d: int, n: int, field: FiniteField) -> int:
     return main + value
 
 
-def _expand(factors, d: int) -> CharPoly:
-    """prod (1 - alpha T) over the given elements of Z[zeta_d], in Z[T].
+@lru_cache(maxsize=None)
+def _traces(e: int) -> tuple[int, ...]:
+    """Tr(zeta_e^m) over Q(zeta_e)/Q for m = 0..e-1; the m = 0 entry is phi(e).
 
-    The product runs in Z/(2^(B*d) - 1) through the ring map x -> 2^B on
-    Z[x]/(x^d - 1) (Kronecker substitution), one packed int per element.
-    With A the largest L1 norm of a factor (Galois conjugates share it),
-    the T^i coefficient has L1 norm at most C(s, i) * A^i, as cyclic
-    convolution is submultiplicative in L1; B bounds that with room for
-    a sign and an offset, so every entry unpacks exactly.  Every
-    coefficient must pass the exact rationality test (reduction modulo
-    the d-th cyclotomic polynomial).
+    The trace of zeta_e^m is the Ramanujan sum mu(e/g) * phi(e) / phi(e/g),
+    g = gcd(m, e) (von Sterneck; Hardy-Wright, ch. XVI).
     """
-    factors = list(factors)
-    s = len(factors)
-    norm = max((sum(abs(a) for a in alpha.coeffs) for alpha in factors), default=0)
-    bound = max(comb(s, i) * norm**i for i in range(s + 1))
+
+    def phi_mu(n: int) -> tuple[int, int]:
+        phi, mu = n, 1
+        for p in prime_factors(n):
+            phi = phi // p * (p - 1)
+            mu = 0 if n % (p * p) == 0 else -mu
+        return phi, mu
+
+    phi_e = phi_mu(e)[0]
+    return tuple(mu * (phi_e // phi) for phi, mu in (phi_mu(e // gcd(m, e)) for m in range(e)))
+
+
+def _expand(alpha: CyclotomicElement, e: int) -> CharPoly:
+    """The norm N(1 - alpha T) = prod over units u mod e of (1 - sigma_u(alpha) T), in Z[T].
+
+    Newton's identities i*c_i = -(p_1 c_(i-1) + ... + p_i c_0) give the
+    s = phi(e) coefficients from the power sums p_j = Tr(alpha^j), and
+    each trace is linear in the group-ring coefficients (`_traces`).  The
+    powers are one running product in Z/(2^(B*e) - 1) through the ring map
+    x -> 2^B on Z[x]/(x^e - 1) (Kronecker substitution), one packed int
+    per power.  With A the L1 norm of alpha, alpha^j has L1 norm at most
+    A^j <= A^s, as cyclic convolution is submultiplicative in L1; B bounds
+    that with room for a sign and an offset, so every entry unpacks
+    exactly.  Every division in Newton's identities must be exact.
+    """
+    traces = _traces(e)
+    s = traces[0]
+    bound = max(sum(map(abs, alpha.coeffs)), 1) ** s
     # fields of 8*width bits; |entry| <= bound <= 2^(bits - 1) - 2
     width = ((bound + 1).bit_length() + 8) // 8
     bits = 8 * width
-    span = bits * d
+    span = bits * e
     modulus = (1 << span) - 1
     # 2^(bits - 1) in every field: entry + half is a digit in [2, 2^bits - 2]
     half = 1 << (bits - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * d, "little")
+    offset = int.from_bytes(half.to_bytes(width, "little") * e, "little")
+    # only the fields whose trace is nonzero are read back
+    read = [(m * width, (m + 1) * width, t) for m, t in enumerate(traces) if t]
 
     def fold(x: int) -> int:
         while x > modulus:
             x = (x & modulus) + (x >> span)
         return x
 
-    coeffs = [1] + [0] * s
-    for n, alpha in enumerate(factors, 1):
-        packed = int.from_bytes(b"".join((a + half).to_bytes(width, "little") for a in alpha.coeffs), "little")
-        minus_alpha = (offset - packed) % modulus
-        for i in range(n, 0, -1):
-            coeffs[i] = fold(coeffs[i] + minus_alpha * coeffs[i - 1])
-    out = []
-    for packed in coeffs:
-        raw = fold(packed + offset).to_bytes(width * d, "little")
-        c = CyclotomicElement(
-            d, [int.from_bytes(raw[j : j + width], "little") - half for j in range(0, width * d, width)]
-        )
-        try:
-            value = c.rational_value()
-        except Exception as exc:
-            raise RationalityError(f"coefficient not rational: {c!r}") from exc
-        if not isinstance(value, int):
-            raise RationalityError(f"coefficient not a rational integer: {value}")
-        out.append(value)
-    return CharPoly(tuple(out))
+    packed = int.from_bytes(b"".join((a + half).to_bytes(width, "little") for a in alpha.coeffs), "little")
+    base = power = (packed - offset) % modulus
+    sums = []  # sums[j - 1] = Tr(alpha^j)
+    for j in range(1, s + 1):
+        if j > 1:
+            power = fold(power * base)
+        raw = fold(power + offset).to_bytes(width * e, "little")
+        sums.append(sum((int.from_bytes(raw[lo:hi], "little") - half) * t for lo, hi, t in read))
+    coeffs = [1]
+    for i in range(1, s + 1):
+        c, r = divmod(-sum(map(mul, sums, reversed(coeffs))), i)
+        if r:
+            raise RationalityError(f"Newton's identity at T^{i} does not divide exactly")
+        coeffs.append(c)
+    return CharPoly(tuple(coeffs))
 
 
 def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
@@ -301,10 +322,10 @@ def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
     eigenvalue per orbit is a Jacobi sum; the others are its conjugates
     j(u*k) = sigma_u(j(k)).  With g = gcd(d, k) the sum lies in the
     smaller ring Z[zeta_e], e = d/g: chi^k = (chi^g)^(k/g), and chi^g has
-    exact order e.  So each orbit's eigenvalue is the one of k/g under
-    the sub-table of order e, and its product is expanded over Z[zeta_e]
-    and must pass the exact rationality test, which succeeds precisely
-    because the orbit is Galois stable; the integer orbit polynomials are
+    exact order e.  The stabilizer of k is {u == 1 mod e}, so the orbit
+    has phi(e) members, one per unit mod e, and its product is the norm
+    from Q(zeta_e) of 1 - j T (`_expand`), with j the eigenvalue of k/g
+    under the sub-table of order e; the integer orbit polynomials are
     then multiplied in Z[T].  The types live mod d = table.order; calls
     with the same table share its memoized orbit polynomials, keyed by
     the orbits of those types.
@@ -318,20 +339,18 @@ def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
     for k in types:
         if k in seen:
             continue
-        orbit = {}  # member -> a unit u with u*k = member
-        for u in units:
-            image = tuple((u * e) % d for e in k)
-            if image not in type_set:
-                raise ValueError("coefficients not rational: type set is not Galois stable")
-            orbit.setdefault(image, u)
+        orbit = {tuple((u * e) % d for e in k) for u in units}
+        if not orbit <= type_set:
+            raise ValueError("coefficients not rational: type set is not Galois stable")
         seen.update(orbit)
         key = tuple(sorted(orbit))
         orbit_poly = table.orbit_polys.get(key)
         if orbit_poly is None:
             g = gcd(d, *k)
             e = d // g
+            assert len(orbit) == _traces(e)[0], "orbit size is not phi(e)"
             ev = jacobi_eigenvalue(tuple(x // g for x in k), table.sub_table(e))
-            orbit_poly = table.orbit_polys[key] = _expand([ev.galois(u) for u in orbit.values()], e)
+            orbit_poly = table.orbit_polys[key] = _expand(ev, e)
         poly = poly * orbit_poly
     return poly
 

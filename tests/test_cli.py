@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from delsarte import cli, deformation, pointcount
+from delsarte import cli, deformation, monomials, pointcount
 from delsarte.pointcount import FiniteField, family_hypersurface
 from delsarte.zetafermat import fermat_point_count_via_sums
 
@@ -423,14 +424,33 @@ def test_analyze_unequal_weights_prints_nothing(tmp_path, capsys):
 
 
 def test_huge_quotient_group_is_refused(tmp_path, capsys):
+    # the walk over k*[A | 1] == 0 (mod 159) has 159^3 points, just over the limit
     path = tmp_path / "huge.json"
-    matrix = [[50 if i == j else 0 for j in range(4)] for i in range(4)]
-    path.write_text(json.dumps({"matrix": matrix, "deformation": [13, 13, 12, 12]}))
+    matrix = [[159 if i == j else 0 for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps({"matrix": matrix, "deformation": [40, 40, 40, 39]}))
     assert run_main(["invariants", str(path)]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "|det A| = 6250000" in captured.err and "4000000" in captured.err
+    assert "kernel of 4019679 points" in captured.err and "limit 4000000" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_invariant_walk_limit_is_its_own_size(monkeypatch, capsys):
+    data = deformation.family("family2")
+    d = data.degree
+    size = sum(
+        1
+        for k in itertools.product(range(d), repeat=data.n + 1)
+        if sum(k) % d == 0 and monomials.is_g_invariant(k, data)
+    )
+    monkeypatch.setattr(monomials, "_SUBGROUP_LIMIT", size - 1)
+    with pytest.raises(ValueError, match=f"kernel of {size} points exceeds the enumeration limit {size - 1}"):
+        monomials.g_invariant_types(data)
+    assert run_main(["invariants", "family2"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    monkeypatch.setattr(monomials, "_SUBGROUP_LIMIT", size)
+    assert len(monomials.g_invariant_types(data)) == 15
 
 
 def test_unknown_family(capsys):

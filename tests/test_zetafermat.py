@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import char_poly_by_types, dense_expand, direct_eigenvalue, direct_jacobi_sum, enumerate_basis
 
+from delsarte import zetafermat
 from delsarte.cyclotomic import CyclotomicElement
 from delsarte.deformation import FAMILIES, family
 from delsarte.monomials import g_invariant_types, gmax_invariant_types
@@ -330,65 +331,72 @@ def test_char_poly_shared_table():
     assert char_poly_invariant(types, table) == shared == char_poly_invariant(types, fresh)
 
 
-# -- packed expansion against the dense one --------------------------------------
+# -- orbit norms against the dense conjugate product -----------------------------
 
 EXPAND_ORDERS = (1, 2, 5, 8, 27, 80, 108)
 
 
-def _phi(n):
-    return sum(1 for u in range(1, n + 1) if math.gcd(u, n) == 1)
+def _units(e):
+    return [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
 
 
 @st.composite
-def _conjugate_sets(draw):
-    """The distinct Galois conjugates of a random element of Z[zeta_e].
+def _elements(draw):
+    """A random element of Z[zeta_e] with its order e.
 
-    The element lives in Z[zeta_f] for a drawn f | e, so its orbit has
-    phi(f) members.  Its nonzero entries, at most three, have a drawn bit
-    length up to 200, so the products the field width must hold are far
-    wider than any entry; orbits are kept short at 200 bits so the dense
-    oracle stays quick.
+    The element lives in Z[zeta_f] for a drawn f | e, so each of its
+    distinct conjugates repeats phi(e)/phi(f) times in the norm.  Its
+    nonzero entries, at most three, have a drawn bit length up to 200, so
+    the powers the field width must hold are far wider than any entry.
     """
     e = draw(st.sampled_from(EXPAND_ORDERS))
     bits = draw(st.sampled_from((1, 8, 200)))
-    f = draw(st.sampled_from([f for f in range(1, e + 1) if e % f == 0 and _phi(f) * bits <= 1600]))
+    f = draw(st.sampled_from([f for f in range(1, e + 1) if e % f == 0]))
     entry = st.tuples(st.sampled_from((1, -1)), st.integers(2 ** (bits - 1), 2**bits))
     entries = draw(st.lists(st.tuples(st.integers(0, f - 1), entry), min_size=1, max_size=3))
     coeffs = [0] * e
     for j, (sign, size) in entries:
         coeffs[j * (e // f)] += sign * size
-    alpha = CyclotomicElement(e, coeffs)
-    units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
-    return e, list({x.coeffs: x for x in (alpha.galois(u) for u in units)}.values())
+    return e, CyclotomicElement(e, coeffs)
 
 
 @settings(max_examples=60)
-@given(_conjugate_sets())
+@given(_elements())
 def test_packed_expand_matches_dense(inputs):
-    e, conjugates = inputs
-    assert _expand(conjugates, e) == dense_expand(conjugates, e)
+    e, alpha = inputs
+    assert _expand(alpha, e) == dense_expand([alpha.galois(u) for u in _units(e)], e)
 
 
 def test_packed_expand_small_cases():
-    assert _expand([], 5) == CharPoly((1,))
-    assert _expand([CyclotomicElement.constant(1, -7)], 1) == CharPoly((1, 7))
-    z = CyclotomicElement.zeta(4)
+    assert _expand(CyclotomicElement.constant(1, -7), 1) == CharPoly((1, 7))
+    # a rational element of Q(i) is its own conjugate: (1 - 3T)^2
+    assert _expand(CyclotomicElement.constant(4, 3), 4) == CharPoly((1, -6, 9))
     # (1 - iT)(1 + iT) = 1 + T^2
-    assert _expand([z, z.galois(3)], 4) == CharPoly((1, 0, 1))
+    assert _expand(CyclotomicElement.zeta(4), 4) == CharPoly((1, 0, 1))
     # big*(1 + i) and big*(1 - i): the T^2 coefficient is twice as wide as any entry
     big = 2**200 - 1
     pair = [CyclotomicElement(4, (big, big, 0, 0)), CyclotomicElement(4, (big, 0, 0, big))]
-    assert _expand(pair, 4) == dense_expand(pair, 4) == CharPoly((1, -2 * big, 2 * big * big))
+    assert _expand(pair[0], 4) == dense_expand(pair, 4) == CharPoly((1, -2 * big, 2 * big * big))
 
 
 def test_expand_rejects_a_set_that_is_not_galois_stable():
-    z8 = CyclotomicElement.zeta(8)
-    with pytest.raises(RationalityError):
-        _expand([z8], 8)
-    with pytest.raises(RationalityError):
-        _expand([z8, z8.galois(3)], 8)
-    # the full orbit passes: prod (1 - zeta T) over primitive 8th roots
-    assert _expand([z8.galois(u) for u in (1, 3, 5, 7)], 8) == CharPoly((1, 0, 0, 0, 1))
+    table = multiplicative_character(FiniteField(17), 8)
+    orbit = [tuple(u * x % 8 for x in (1, 2, 3, 2)) for u in _units(8)]
+    assert char_poly_invariant(orbit, table).degree == 4
+    # one member, or the members under u = 1, 3 only, is not a whole orbit
+    for part in (orbit[:1], orbit[:2]):
+        with pytest.raises(ValueError, match="not Galois stable"):
+            char_poly_invariant(part, table)
+    # the norm of zeta_8: prod (1 - zeta T) over the primitive 8th roots
+    assert _expand(CyclotomicElement.zeta(8), 8) == CharPoly((1, 0, 0, 0, 1))
+
+
+def test_expand_division_must_be_exact(monkeypatch):
+    # traces of a degree-2 field in which x has trace 1 and x^2 = 1 has trace 2:
+    # 2*c_2 = -(1*(-1) + 2*1) = -1 is odd
+    monkeypatch.setattr(zetafermat, "_traces", lambda e: (2, 1))
+    with pytest.raises(RationalityError, match="T\\^2"):
+        _expand(CyclotomicElement.zeta(2), 2)
 
 
 # -- characteristic polynomials ----------------------------------------------------
