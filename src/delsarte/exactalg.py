@@ -1,8 +1,8 @@
-"""Exact integer linear algebra: one diagonalization U*M*V = diag(e_i) for det, d*M^-1, kernels mod N."""
+"""Exact integer linear algebra: one diagonalization U*M*V = diag(e_i) for d*M^-1 and kernels mod N."""
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 
@@ -73,12 +73,6 @@ class IntMatrix:
         if len(v) != n:
             raise ValueError("dimension mismatch")
         return tuple(sum(self.rows[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant: sign * prod(e_i) from `diagonalize`, 0 below full rank."""
-    _, diag, _, sign = diagonalize(m.rows)
-    return sign * prod(diag) if len(diag) == m.n else 0
 
 
 def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]], int]:
@@ -180,6 +174,13 @@ def minimal_map_matrix(m: IntMatrix) -> tuple[int, IntMatrix]:
     if len(diag) < m.n:
         raise SingularMatrixError("matrix is singular")
     d = lcm(*diag)
-    b = IntMatrix(v) * IntMatrix([[d // e * x for x in row] for e, row in zip(diag, u)])
-    assert b * m == IntMatrix.identity(m.n).scaled(d)
+    # the columns of diag(d/e_i)*U; B is built as plain rows and wrapped once
+    right = tuple(zip(*[[d // e * x for x in row] for e, row in zip(diag, u)]))
+    b = IntMatrix([[sum(map(mul, row, col)) for col in right] for row in v])
+    columns = tuple(zip(*m.rows))
+    assert all(
+        sum(map(mul, row, col)) == (d if i == j else 0)
+        for i, row in enumerate(b.rows)
+        for j, col in enumerate(columns)
+    ), "B*M is not d*I"
     return d, b

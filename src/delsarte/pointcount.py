@@ -4,7 +4,8 @@
 closed form: on each coordinate torus the count is a sum of products of
 Gauss sums over a lattice of characters (Weil 1949, "Numbers of solutions
 of equations in finite fields"; Koblitz 1983, "The number of points on
-certain families of hypersurfaces over finite fields"), walked by
+certain families of hypersurfaces over finite fields"); every such
+lattice is a slice of one kernel, walked once by
 `exactalg.kernel_elements` and evaluated exactly in an auxiliary prime
 field.  The brute-force cone walk is kept in
 `tests/oracles.py`, and the suite compares the two.  The toric singular
@@ -29,7 +30,7 @@ from .deformation import DeformationData
 from .exactalg import kernel_elements, kernel_mod
 
 DEFAULT_MAX_Q = 2**20
-# (q-1)^2 for the Gauss-sum table plus sum_S |K_S| for the character sums
+# (q-1)^2 for the Gauss-sum table plus |K| for the character sums
 COUNT_WORK_LIMIT = 40_000_000
 # Miller-Rabin with the 13 prime bases up to 41 is exact below this bound
 # (Sorenson-Webster 2015, psi_13)
@@ -304,15 +305,20 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
         N*_S = (N^s + N^(s+1)/N^m * sum_(k in K_S) prod_j G(chi^(-k_j)) chi^(k_j)(c_j)) / q
 
     where K_S is the kernel of the m x (s+1) matrix [a_j|_S | 1] mod N, and
-    N*_S = N^s when no term survives on S.  The count lies in [0, q^(n+1)],
-    so it is computed exactly in F_l for the prime l of `auxiliary_prime`,
-    with chi(g) and eta sent to elements of order N and p there.  A caller
-    that checked the work bound before building the field passes the
-    `torus_strata(spec, p, q)` it got.
+    N*_S = N^s when no term survives on S.  K_S is the slice of the full
+    kernel K (`torus_strata`) where k_j = 0 off those m terms, so K is
+    walked once with one table per term, prod_j over all r terms is
+    summed into one bucket per support of k, and the sum over K_S is the
+    buckets inside the live terms of S times G(1)^(r - m) = (-1)^(r - m).
+    The count lies in [0, q^(n+1)], so it is computed exactly in F_l for
+    the prime l of `auxiliary_prime`, with chi(g) and eta sent to elements
+    of order N and p there.  A caller that checked the work bound before
+    building the field passes the `torus_strata(spec, p, q)` it got.
     """
     q, p, n = field.q, field.p, field.q - 1
     if strata is None:
         strata = torus_strata(spec, p, q)
+    terms, kernel, subsets = strata
     ell = auxiliary_prime(p, q, q ** len(spec.weights))
     omega, eta = _element_of_order(n, ell), _element_of_order(p, ell)
     pw = [1] * n
@@ -332,30 +338,43 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
     gauss = [sum(psi) % ell]
     for k in range(1, n):
         gauss.append(sum(map(mul, psi, [pw[i % n] for i in range(0, (n - k) * n, n - k)])) % ell)
+    assert gauss[0] == ell - 1, "G(1) is not -1"
+    # chi^k(c) = omega^(k * log c) folded into G(chi^(-k)), term by term
+    tables = [[g * pw[k * field.log[c] % n] % ell for k, g in enumerate(gauss)] for _, c in terms]
+    full, buckets = 0, {}
+    if terms:
+        for k in kernel_elements(*kernel, n):
+            v = prod(map(getitem, tables, k))
+            if all(k):
+                full += v
+            else:
+                mask = sum(1 << j for j, kj in enumerate(k) if kj)
+                buckets[mask] = buckets.get(mask, 0) + v
+        buckets[(1 << len(terms)) - 1] = full
     inv_n, inv_q = pow(n, -1, ell), pow(q, -1, ell)
     total = 0
-    for s, live, u, steps in strata:
+    for s, live in subsets:
         if not live:
             total += n**s
             continue
-        # chi^k(c) = omega^(k * log c) folded into G(chi^(-k)), term by term
-        tables = []
-        for _, c in live:
-            log_c = field.log[c]
-            tables.append([g * pw[k * log_c % n] % ell for k, g in enumerate(gauss)])
-        char_sum = sum(prod(map(getitem, tables, k)) % ell for k in kernel_elements(u, steps, n))
-        total += (n**s + n ** (s + 1) * pow(inv_n, len(live), ell) * char_sum) * inv_q
+        m = live.bit_count()
+        char_sum = (-1) ** (len(terms) - m) * sum(v for mask, v in buckets.items() if not mask & ~live)
+        total += (n**s + n ** (s + 1) * pow(inv_n, m, ell) * char_sum) * inv_q
     return total % ell
 
 
-def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> list:
-    """(s, terms, U, steps) per coordinate subset S, after the work bound.
+def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> tuple:
+    """(terms, (U, steps), [(s, live)] per coordinate subset S), after the work bound.
 
-    The terms are the (exponents, coefficient mod p) with support in S and
-    a nonzero coefficient.  `exactalg.kernel_mod` gives K_S = {y*U}, the
-    kernel of M = [a_j|_S | 1] mod N, where y_i runs over the multiples of
-    steps[i].  The estimate (q-1)^2 + sum_S |K_S| is read off the steps
-    before any table is built, and so is the Miller-Rabin limit on q^(n+1).
+    The terms are the (exponents, coefficient mod p) with a nonzero
+    coefficient.  `exactalg.kernel_mod` gives their one kernel
+    K = {y*U}, the k with k*[a_j | 1] == 0 (mod N), where y_i runs over
+    the multiples of steps[i]; it is None when no term is left.  `live` is
+    the bitmask of the terms whose support lies in S: their rows of
+    [a_j | 1] vanish off S, so K_S is the slice of K where k_j = 0 for
+    every term j off `live`.  The estimate (q-1)^2 + |K| is read off the
+    steps before any table is built, and so is the Miller-Rabin limit on
+    q^(n+1).
     """
     n, n1 = q - 1, len(spec.weights)
     if q**n1 >= MILLER_RABIN_LIMIT:
@@ -363,22 +382,20 @@ def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> list:
             f"q^(n+1) = {q}^{n1} reaches the deterministic Miller-Rabin limit {MILLER_RABIN_LIMIT}"
         )
     terms = [(exps, c % p) for exps, c in spec.all_terms() if c % p]
-    strata = []
-    work = n * n
-    for s in range(n1 + 1):
-        for subset in itertools.combinations(range(n1), s):
-            outside = [i for i in range(n1) if i not in subset]
-            live = [(e, c) for e, c in terms if not any(e[i] for i in outside)]
-            u, steps = None, None
-            if live:
-                u, steps = kernel_mod([[e[i] for i in subset] + [1] for e, _ in live], n)
-                work += prod(n // step for step in steps)
-            strata.append((s, live, u, steps))
+    kernel, work = None, n * n
+    if terms:
+        kernel = kernel_mod([list(e) + [1] for e, _ in terms], n)
+        work += prod(n // step for step in kernel[1])
     if work > COUNT_WORK_LIMIT:
         raise ValueError(
-            f"point count work estimate (q-1)^2 + sum |K_S| = {work} exceeds the limit {COUNT_WORK_LIMIT}"
+            f"point count work estimate (q-1)^2 + |K| = {work} exceeds the limit {COUNT_WORK_LIMIT}"
         )
-    return strata
+    supports = [sum(1 << i for i, x in enumerate(e) if x) for e, _ in terms]
+    subsets = [
+        (subset.bit_count(), sum(1 << j for j, sup in enumerate(supports) if not sup & ~subset))
+        for subset in range(1 << n1)
+    ]
+    return terms, kernel, subsets
 
 
 def _is_prime(n: int) -> bool:

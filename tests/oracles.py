@@ -15,16 +15,21 @@ through the monomial map, the basis enumeration walks every tuple, the
 Galois-invariance test applies every automorphism, and the polynomial
 reference keys terms by plain exponent tuples over Q(zeta_8)
 coordinates of its own, sharing no code with `symbolic.MultiPoly`.
+Two references reuse the implementation's elimination and are checked
+against the independent ones: `determinant` reads det off
+`exactalg.diagonalize`, and `count_cone_by_strata` is the Gauss-sum
+count with one kernel and one table set per coordinate subset.
 """
 import itertools
+from operator import getitem, mul
 from dataclasses import dataclass
 from fractions import Fraction
 
-from math import gcd
+from math import gcd, prod
 
 from delsarte.cyclotomic import CyclotomicElement
-from delsarte.exactalg import IntMatrix
-from delsarte.pointcount import FiniteField
+from delsarte.exactalg import IntMatrix, diagonalize, kernel_elements, kernel_mod
+from delsarte.pointcount import FiniteField, _element_of_order, auxiliary_prime
 from delsarte.zetafermat import CharPoly
 
 
@@ -97,6 +102,16 @@ def enumerate_basis(d: int, n: int, allow_zero_entries: bool = False) -> list[tu
 def is_gmax_invariant(k, b, d):
     """True iff k is congruent to a multiple of b modulo d, by trying every multiple."""
     return any(all((t * bi - ki) % d == 0 for bi, ki in zip(b, k)) for t in range(d))
+
+
+def determinant(m):
+    """Exact determinant: sign * prod(e_i) from `exactalg.diagonalize`, 0 below full rank.
+
+    It shares the elimination with the implementation, so the suite checks
+    it against `laplace_determinant`.
+    """
+    _, diag, _, sign = diagonalize(m.rows)
+    return sign * prod(diag) if len(diag) == m.n else 0
 
 
 def laplace_determinant(rows):
@@ -310,6 +325,45 @@ def brute_count_cone(spec, field):
 
     descend(0, tuple(c for _, c in terms))
     return count
+
+
+def count_cone_by_strata(spec, field):
+    """The Gauss-sum cone count with its own kernel K_S for every subset S.
+
+    Each coordinate subset S gets one `exactalg.kernel_mod` of
+    [a_j|_S | 1] over the m terms supported in S, fresh tables for those
+    terms and its own walk, with no work bound; `pointcount.count_cone`
+    reads every K_S off one kernel instead.  Same formula:
+
+        N*_S = (N^s + N^(s+1)/N^m * sum_(k in K_S) prod_j G(chi^(-k_j)) chi^(k_j)(c_j)) / q
+    """
+    q, p, n = field.q, field.p, field.q - 1
+    n1 = len(spec.weights)
+    terms = [(exps, c % p) for exps, c in spec.all_terms() if c % p]
+    ell = auxiliary_prime(p, q, q**n1)
+    omega, eta = _element_of_order(n, ell), _element_of_order(p, ell)
+    pw = [pow(omega, i, ell) for i in range(n)]
+    psi = []
+    for j in range(n):
+        tr = 0
+        for i in range(field.k):
+            tr = field.add(tr, field.exp[j * p**i % n])
+        psi.append(pow(eta, tr, ell))
+    gauss = [sum(map(mul, psi, [pw[-k * j % n] for j in range(n)])) % ell for k in range(n)]
+    inv_n, inv_q = pow(n, -1, ell), pow(q, -1, ell)
+    total = 0
+    for s in range(n1 + 1):
+        for subset in itertools.combinations(range(n1), s):
+            outside = [i for i in range(n1) if i not in subset]
+            live = [(e, c) for e, c in terms if not any(e[i] for i in outside)]
+            if not live:
+                total += n**s
+                continue
+            u, steps = kernel_mod([[e[i] for i in subset] + [1] for e, _ in live], n)
+            tables = [[g * pw[k * field.log[c] % n] % ell for k, g in enumerate(gauss)] for _, c in live]
+            char_sum = sum(prod(map(getitem, tables, k)) % ell for k in kernel_elements(u, steps, n))
+            total += (n**s + n ** (s + 1) * pow(inv_n, len(live), ell) * char_sum) * inv_q
+    return total % ell
 
 
 def projective_points(field, n1):

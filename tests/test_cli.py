@@ -303,7 +303,7 @@ def test_count_work_bound_refused_before_any_table(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     limit = pointcount.COUNT_WORK_LIMIT
-    assert "error: point count work estimate (q-1)^2 + sum |K_S| = 67" in captured.err
+    assert "error: point count work estimate (q-1)^2 + |K| = 67" in captured.err
     assert f"exceeds the limit {limit}" in captured.err and "Traceback" not in captured.err
 
 

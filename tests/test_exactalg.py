@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from delsarte.exactalg import (
     IntMatrix,
     SingularMatrixError,
-    determinant,
     diagonalize,
     kernel_elements,
     kernel_mod,
     minimal_map_matrix,
 )
 
-from oracles import adjugate, laplace_determinant
+from oracles import adjugate, determinant, laplace_determinant
 
 FAMILY2 = IntMatrix([(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 3, 1), (0, 0, 1, 3)])
 FAMILY7 = IntMatrix([(3, 1, 0, 0), (1, 3, 0, 0), (0, 0, 3, 1), (0, 0, 0, 4)])

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delsarte.deformation import build, family, family_keys, validate_coefficient_matrix
-from delsarte.exactalg import IntMatrix, determinant
+from delsarte.exactalg import IntMatrix
 from delsarte.monomials import (
     dimension_triple,
     format_type,
@@ -22,6 +22,7 @@ from delsarte.monomials import (
 
 from golden_data import INVARIANT_TABLES, SUMMARY_TABLE
 from oracles import (
+    determinant,
     enumerate_basis,
     interior_sum_zero,
     invariant_image,

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import itertools
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_count_cone, brute_general_position, verify_cover_map
+from oracles import brute_count_cone, brute_general_position, count_cone_by_strata, verify_cover_map
 
-from delsarte import pointcount
+from delsarte import cli, pointcount
 from delsarte.deformation import family, family_keys
+from delsarte.exactalg import kernel_elements, kernel_mod
 from delsarte.pointcount import (
     FiniteField,
     HypersurfaceSpec,
@@ -305,6 +309,102 @@ DESCENT_COUNTS = [
 @pytest.mark.parametrize("key, q, lam, want", DESCENT_COUNTS)
 def test_count_matches_recorded_descent(key, q, lam, want):
     assert count_points(family_hypersurface(family(key), lam), FiniteField(q)) == want
+
+
+def _monomials(weights, degree):
+    """Every exponent vector of the given weighted degree."""
+    if not weights:
+        return [()] if degree == 0 else []
+    w, rest = weights[0], weights[1:]
+    return [(e,) + tail for e in range(degree // w + 1) for tail in _monomials(rest, degree - e * w)]
+
+
+@st.composite
+def _strata_cases(draw):
+    """(spec, p, q): 3 to 7 weighted variables, N = q - 1 for a prime power q <= 32.
+
+    The terms have nonzero coefficients mod p.  The lambda term is absent,
+    or present with a zero coefficient (so it drops out) or a nonzero one.
+    """
+    q = draw(st.sampled_from([q for q in PRIME_POWERS_TO_64 if q <= 32]))
+    p = prime_factors(q)[0]
+    n1 = draw(st.integers(3, 7))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n1, max_size=n1)))
+    monomials = _monomials(weights, draw(st.integers(1, 6)))
+    assume(monomials)
+    term = st.tuples(st.sampled_from(monomials), st.integers(1, p - 1))
+    terms = tuple(draw(st.lists(term, min_size=1, max_size=4)))
+    lam = draw(st.sampled_from([0, 1, p - 1]))
+    lambda_term = draw(st.none() | st.tuples(st.sampled_from(monomials), st.just(lam)))
+    return HypersurfaceSpec(weights=weights, terms=terms, lambda_term=lambda_term), p, q
+
+
+@settings(max_examples=150)
+@given(_strata_cases())
+def test_every_stratum_kernel_is_a_slice_of_the_full_kernel(case):
+    spec, p, q = case
+    n = q - 1
+    terms, kernel, subsets = torus_strata(spec, p, q)
+    assert len(subsets) == 2 ** len(spec.weights)
+    assume(prod(n // step for step in kernel[1]) <= 3000)
+    full = set(kernel_elements(*kernel, n))
+    columns = list(zip(*[e + (1,) for e, _ in terms]))
+    assert all(sum(map(mul, k, col)) % n == 0 for k in full for col in columns)
+    for subset, (s, live) in enumerate(subsets):
+        inside = [i for i in range(len(spec.weights)) if subset >> i & 1]
+        rows = [j for j, (e, _) in enumerate(terms) if not any(x for i, x in enumerate(e) if i not in inside)]
+        assert s == len(inside) and live == sum(1 << j for j in rows)
+        sliced = {k for k in full if not any(kj for j, kj in enumerate(k) if not live >> j & 1)}
+        if not rows:
+            assert sliced == {(0,) * len(terms)}
+            continue
+        u, steps = kernel_mod([[terms[j][0][i] for i in inside] + [1] for j in rows], n)
+        extended = set()
+        for k in kernel_elements(u, steps, n):
+            full_k = [0] * len(terms)
+            for j, kj in zip(rows, k):
+                full_k[j] = kj
+            extended.add(tuple(full_k))
+        assert extended == sliced, (subset, live)
+
+
+# q <= 32 includes the fields `count --ext` builds as 4^2, 3^2, 2^3 and 2^5
+STRATA_FIELDS = [FiniteField(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for k in range(1, 6) if p**k <= 32]
+
+
+def test_count_cone_matches_per_stratum_count_on_families():
+    for f in STRATA_FIELDS:
+        for key in family_keys():
+            for lam in range(f.p):
+                spec = family_hypersurface(family(key), lam)
+                assert count_cone(spec, f) == count_cone_by_strata(spec, f), (key, f.q, lam)
+
+
+def test_one_kernel_per_count(monkeypatch):
+    calls = []
+
+    def counting(rows, n):
+        calls.append(len(rows))
+        return kernel_mod(rows, n)
+
+    monkeypatch.setattr(pointcount, "kernel_mod", counting)
+    f = FiniteField(13)
+    for key in family_keys():
+        calls.clear()
+        count_points(family_hypersurface(family(key), 3), f)
+        assert calls == [5], key
+        calls.clear()
+        count_points(family_hypersurface(family(key), 0), f)
+        assert calls == [4], key
+    # the CLI checks the work bound on the same kernel it counts with
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["count", "family1", "--q", "4", "--ext", "2", "--lambda", "1"]) == 0
+    assert out.getvalue() == "258\n" and calls == [5]
+    # no term is left mod 13: no kernel, and the cone is all of F_13^2
+    calls.clear()
+    spec = HypersurfaceSpec(weights=(1, 1), terms=(((1, 0), 13),))
+    assert count_cone(spec, f) == 13**2 and calls == []
 
 
 def _prime_by_trial_division(n):
