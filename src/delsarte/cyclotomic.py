@@ -8,7 +8,6 @@ itself, where 1, zeta, ..., zeta^(phi(N)-1) form a basis.
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -191,18 +190,6 @@ class CyclotomicElement:
         if any(red[1:]):
             raise NotRationalError(f"element is not rational: {self!r}")
         return red[0] if red else 0
-
-    def embedding(self, root_power: int = 1) -> complex:
-        """Numerical image under zeta -> exp(2*pi*i*root_power/N)."""
-        n = self.order
-        z = cmath.exp(2j * cmath.pi * root_power / n)
-        value = 0j
-        acc = 1 + 0j
-        for a in self.coeffs:
-            if a:
-                value += float(a) * acc
-            acc *= z
-        return value
 
     def norm_squared_exact(self):
         """|self|^2 as an exact rational when self * conj(self) is rational.

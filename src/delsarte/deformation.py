@@ -9,7 +9,6 @@ monomial prod y_i^(b_i).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .exactalg import IntMatrix, SingularMatrixError, minimal_map_matrix
@@ -19,16 +18,29 @@ class DeformationError(ValueError):
     """Input does not satisfy the deformation-data conditions."""
 
 
-@dataclass(frozen=True)
 class DeformationData:
-    """The tuple (A, a, d, B, w, b) describing one family and its cover."""
+    """The tuple (A, a, d, B, w, b) describing one family and its cover.
 
-    matrix: IntMatrix
-    deformation: tuple[int, ...]
-    degree: int
-    map_matrix: IntMatrix
-    weights: tuple[int, ...]
-    cover_exponents: tuple[int, ...]
+    Instances are treated as immutable.
+    """
+
+    __slots__ = ("matrix", "deformation", "degree", "map_matrix", "weights", "cover_exponents")
+
+    def __init__(
+        self,
+        matrix: IntMatrix,
+        deformation: tuple[int, ...],
+        degree: int,
+        map_matrix: IntMatrix,
+        weights: tuple[int, ...],
+        cover_exponents: tuple[int, ...],
+    ):
+        self.matrix = matrix
+        self.deformation = deformation
+        self.degree = degree
+        self.map_matrix = map_matrix
+        self.weights = weights
+        self.cover_exponents = cover_exponents
 
     @property
     def n(self) -> int:

@@ -30,16 +30,6 @@ class IntMatrix:
         self.rows = rows
         self.n = n
 
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def diagonal(cls, entries) -> IntMatrix:
-        entries = tuple(entries)
-        n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -48,15 +38,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({list(map(list, self.rows))})"
-
-    def __mul__(self, other: IntMatrix) -> IntMatrix:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        columns = tuple(zip(*other.rows))
-        return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in self.rows))
-
-    def scaled(self, c: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def row_times(self, v) -> tuple[int, ...]:
         """Row vector times matrix: (v M)_j = sum_i v_i M[i][j]."""

@@ -11,7 +11,6 @@ lambda = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
@@ -158,17 +157,19 @@ def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     return _partition(type_set, neighbours)
 
 
-@dataclass(frozen=True)
 class ReducedForm:
     """Result of reducing an exponent vector into the interior basis.
 
     Either `basis` is an interior type and `coefficient` is a nonzero
     rational, or the class is zero in cohomology (`basis` is None and the
-    coefficient is 0).
+    coefficient is 0).  Instances are treated as immutable.
     """
 
-    coefficient: Fraction
-    basis: tuple[int, ...] | None
+    __slots__ = ("coefficient", "basis")
+
+    def __init__(self, coefficient: Fraction, basis: tuple[int, ...] | None):
+        self.coefficient = coefficient
+        self.basis = basis
 
     @property
     def is_zero(self) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 from operator import getitem, mul
 
@@ -117,7 +116,6 @@ def _find_primitive(p: int, k: int) -> list[int]:
     raise AssertionError(f"no primitive polynomial of degree {k} over F_{p}")
 
 
-@dataclass
 class FiniteField:
     """F_q, q = p^k, with exp/log/Zech tables over the generator g = x mod f.
 
@@ -129,18 +127,17 @@ class FiniteField:
     top digit back in with f.  Every operation is a table lookup, the same
     for prime and extension fields: `log` inverts `exp` (`log[0] = -1`),
     and the Zech logarithm `zech[j] = log(1 + g^j)` turns addition into
-    `g^a + g^b = g^(a + zech[b - a])`.
+    `g^a + g^b = g^(a + zech[b - a])`.  Instances are treated as immutable.
     """
 
-    p: int
-    k: int = 1
-    q: int = field(init=False)
-    generator: int = field(init=False)
-    exp: list[int] = field(init=False, repr=False)
-    log: list[int] = field(init=False, repr=False)
-    zech: list[int] = field(init=False, repr=False)
-    modulus: list[int] = field(init=False, repr=False)
+    __slots__ = ("p", "k", "q", "generator", "exp", "log", "zech", "modulus")
 
+    def __init__(self, p: int, k: int = 1):
+        self.p = p
+        self.k = k
+        self.__post_init__()
+
+    # a separate method under this name: bench/tracer.py times field construction by wrapping it
     def __post_init__(self):
         if prime_factors(self.p) != [self.p]:
             raise ValueError(f"{self.p} is not prime")
@@ -225,20 +222,26 @@ class FiniteField:
         return self.exp
 
 
-@dataclass(frozen=True)
 class HypersurfaceSpec:
     """A hypersurface in weighted projective space, given term by term.
 
     Coefficients are prime-field integer representatives.  `lambda_term`
     is the deformation monomial with its coefficient, kept separate so a
     single spec can be re-specialized at several parameter values.
+    Instances are treated as immutable.
     """
 
-    weights: tuple[int, ...]
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-    lambda_term: tuple[tuple[int, ...], int] | None = None
+    __slots__ = ("weights", "terms", "lambda_term")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        weights: tuple[int, ...],
+        terms: tuple[tuple[tuple[int, ...], int], ...],
+        lambda_term: tuple[tuple[int, ...], int] | None = None,
+    ):
+        self.weights = weights
+        self.terms = terms
+        self.lambda_term = lambda_term
         degrees = set()
         for exps, _ in self.all_terms():
             if len(exps) != len(self.weights):

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from dataclasses import field as dc_field
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -36,18 +34,25 @@ class RationalityError(ArithmeticError):
     """A quantity that must be a rational integer failed the exact test."""
 
 
-@dataclass(frozen=True)
 class CharPoly:
     """Integer polynomial in T with constant coefficient 1, ascending order.
 
     Normalized as a product of (1 - alpha*T) over Frobenius eigenvalues.
+    Instances are treated as immutable.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("constant coefficient must be 1")
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CharPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -78,7 +83,6 @@ class CharPoly:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
-@dataclass(frozen=True)
 class CharacterTable:
     """A multiplicative character of exact order d on F_q*.
 
@@ -87,28 +91,33 @@ class CharacterTable:
     also memoizes the per-orbit characteristic polynomials computed with
     it and the tables of chi^(d/e) for e | d (`sub_table`), so a table
     shared between calls shares that work; the caches live and die with
-    the table.
+    the table.  Apart from those caches, instances are treated as immutable.
     """
 
-    field: FiniteField
-    order: int
-    generator: int
-    chi_log: tuple[int, ...]
-    # (chi_log[v], chi_log[1 - v], multiplicity) over v != 0, 1; read off
-    # the field's Zech table when not given
-    log_pairs: tuple[tuple[int, int, int], ...] = dc_field(default=None, repr=False, compare=False)
-    orbit_polys: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    sub_tables: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("field", "order", "generator", "chi_log", "log_pairs", "orbit_polys", "sub_tables")
 
-    def __post_init__(self):
-        if self.log_pairs is not None:
-            return
-        # v = g^j, j != 0, and 1 - v = 1 + g^(j + log(-1)) = g^zech[j + log(-1)]
-        field = self.field
-        qm1, exp, zech, chi = field.q - 1, field.exp, field.zech, self.chi_log
-        shift = field.log[field.p - 1]
-        counts = Counter((chi[exp[j]], chi[exp[zech[(j + shift) % qm1]]]) for j in range(1, qm1))
-        object.__setattr__(self, "log_pairs", tuple((x, y, c) for (x, y), c in counts.items()))
+    def __init__(
+        self,
+        field: FiniteField,
+        order: int,
+        generator: int,
+        chi_log: tuple[int, ...],
+        log_pairs: tuple[tuple[int, int, int], ...] | None = None,
+    ):
+        self.field = field
+        self.order = order
+        self.generator = generator
+        self.chi_log = chi_log
+        self.orbit_polys = {}
+        self.sub_tables = {}
+        if log_pairs is None:
+            # v = g^j, j != 0, and 1 - v = 1 + g^(j + log(-1)) = g^zech[j + log(-1)]
+            qm1, exp, zech = field.q - 1, field.exp, field.zech
+            shift = field.log[field.p - 1]
+            counts = Counter((chi_log[exp[j]], chi_log[exp[zech[(j + shift) % qm1]]]) for j in range(1, qm1))
+            log_pairs = tuple((x, y, c) for (x, y), c in counts.items())
+        # (chi_log[v], chi_log[1 - v], multiplicity) over v != 0, 1
+        self.log_pairs = log_pairs
 
     def sub_table(self, e: int) -> CharacterTable:
         """The table of chi^(d/e), a character of exact order e | d.
@@ -363,15 +372,27 @@ def lift_types(types, d_from: int, d_to: int) -> list[tuple[int, ...]]:
     return sorted(tuple(scale * e for e in k) for k in types)
 
 
-@dataclass(frozen=True)
 class CommonFactorReport:
-    """Outcome of the common-factor divisibility check at lambda = 0."""
+    """Outcome of the common-factor divisibility check at lambda = 0.
 
-    joint_degree: int
-    common_types: tuple[tuple[int, ...], ...]
-    common_poly: CharPoly
-    family_polys: tuple[CharPoly, ...]
-    divides: tuple[bool, ...]
+    Instances are treated as immutable.
+    """
+
+    __slots__ = ("joint_degree", "common_types", "common_poly", "family_polys", "divides")
+
+    def __init__(
+        self,
+        joint_degree: int,
+        common_types: tuple[tuple[int, ...], ...],
+        common_poly: CharPoly,
+        family_polys: tuple[CharPoly, ...],
+        divides: tuple[bool, ...],
+    ):
+        self.joint_degree = joint_degree
+        self.common_types = common_types
+        self.common_poly = common_poly
+        self.family_polys = family_polys
+        self.divides = divides
 
     @property
     def common_degree(self) -> int:

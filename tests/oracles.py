@@ -15,11 +15,13 @@ through the monomial map, the basis enumeration walks every tuple, the
 Galois-invariance test applies every automorphism, and the polynomial
 reference keys terms by plain exponent tuples over Q(zeta_8)
 coordinates of its own, sharing no code with `symbolic.MultiPoly`.
-Two references reuse the implementation's elimination and are checked
-against the independent ones: `determinant` reads det off
+The integer-matrix helpers and the floating-point `embedding` serve
+only the tests.  Two references reuse the implementation's elimination
+and are checked against the independent ones: `determinant` reads det off
 `exactalg.diagonalize`, and `count_cone_by_strata` is the Gauss-sum
 count with one kernel and one table set per coordinate subset.
 """
+import cmath
 import itertools
 from operator import getitem, mul
 from dataclasses import dataclass
@@ -138,6 +140,33 @@ def adjugate(m):
         )
 
     return IntMatrix(tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n)))
+
+
+def diagonal_matrix(entries):
+    n = len(entries)
+    return IntMatrix(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def scaled(m, c):
+    return IntMatrix(tuple(tuple(c * x for x in row) for row in m.rows))
+
+
+def matrix_product(a, b):
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    columns = tuple(zip(*b.rows))
+    return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a.rows))
+
+
+def embedding(elem):
+    """Numerical image of a cyclotomic element under zeta -> exp(2*pi*i/N)."""
+    z = cmath.exp(2j * cmath.pi / elem.order)
+    value, acc = 0j, 1 + 0j
+    for a in elem.coeffs:
+        if a:
+            value += float(a) * acc
+        acc *= z
+    return value
 
 
 def weak_classes_all_units(types, b, d):

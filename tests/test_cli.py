@@ -77,6 +77,23 @@ def test_main_repeated_in_one_process_matches_separate_runs(capsys):
         assert capsys.readouterr().out == want, argv
 
 
+def test_start_up_imports_no_dataclasses_inspect_or_cmath():
+    # compared with the child's own modules before the import, so what `site` loads cannot matter
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import delsarte.cli\n"
+        "delsarte.cli.build_parser()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    added = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    assert "delsarte.cli" in added
+    assert not {"dataclasses", "inspect", "cmath"} & set(added), added
+
+
 def test_closed_stdout_ends_quietly():
     # the read end is closed before the command starts, so its first write
     # to stdout fails, with line-buffered and with block-buffered output alike

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from delsarte.cyclotomic import CyclotomicElement, NotRationalError, cyclotomic_polynomial
 
-from oracles import is_galois_invariant
+from oracles import embedding, is_galois_invariant
 
 
 def test_cyclotomic_polynomials():
@@ -76,9 +76,9 @@ def test_fraction_coefficients():
 
 def test_embedding_magnitude():
     z = CyclotomicElement.zeta(8, 3)
-    assert abs(abs(z.embedding()) - 1.0) < 1e-12
+    assert abs(abs(embedding(z)) - 1.0) < 1e-12
     val = 3 - 4 * CyclotomicElement.zeta(4)
-    assert abs(abs(val.embedding()) - 5.0) < 1e-9
+    assert abs(abs(embedding(val)) - 5.0) < 1e-9
     assert val.norm_squared_exact() == 25
 
 

@@ -16,10 +16,11 @@ from delsarte.deformation import (
 from delsarte.exactalg import IntMatrix
 
 from golden_data import SUMMARY_TABLE
+from oracles import diagonal_matrix
 
 
 def test_validate_family1_clean():
-    assert validate_coefficient_matrix(IntMatrix.diagonal((4, 4, 4, 4))) == []
+    assert validate_coefficient_matrix(diagonal_matrix((4, 4, 4, 4))) == []
 
 
 def test_validate_all_ones_singular():
@@ -54,7 +55,7 @@ def test_build_family9():
 
 def test_build_rejects_wrong_weighted_degree():
     with pytest.raises(DeformationError, match="not a deformation vector"):
-        build(IntMatrix.diagonal((4, 4, 4, 4)), (1, 1, 1, 2))
+        build(diagonal_matrix((4, 4, 4, 4)), (1, 1, 1, 2))
 
 
 def test_build_rejects_negative_cover_exponent():

@@ -158,6 +158,12 @@ def test_nonprime_rejected():
         FiniteField(6)
     with pytest.raises(ValueError):
         FiniteField(1)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        FiniteField(4)
+    with pytest.raises(ValueError, match="^extension degree must be positive$"):
+        FiniteField(5, 0)
+    f = FiniteField(5)
+    assert (f.p, f.k, f.q) == (5, 1, 5)
 
 
 def test_prime_factors_vs_naive():
@@ -168,6 +174,17 @@ def test_prime_factors_vs_naive():
 
 
 # -- counting ---------------------------------------------------------------------
+
+
+def test_spec_checks_and_keyword_construction():
+    spec = HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1),))
+    assert spec.lambda_term is None and spec.all_terms() == (((2, 0), 1),)
+    spec = HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1),), lambda_term=((0, 1), 3))
+    assert spec.all_terms() == (((2, 0), 1), ((0, 1), 3))
+    with pytest.raises(ValueError, match="^term length does not match the weight vector$"):
+        HypersurfaceSpec(weights=(1, 2), terms=(((2, 0, 0), 1),))
+    with pytest.raises(ValueError, match=r"^terms have different weighted degrees: \[2, 4\]$"):
+        HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1),), lambda_term=((0, 2), 1))
 
 
 def test_empty_polynomial_is_projective_space():

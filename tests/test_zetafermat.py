@@ -5,7 +5,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import char_poly_by_types, dense_expand, direct_eigenvalue, direct_jacobi_sum, enumerate_basis
+from oracles import (
+    char_poly_by_types,
+    dense_expand,
+    direct_eigenvalue,
+    direct_jacobi_sum,
+    embedding,
+    enumerate_basis,
+)
 
 from delsarte import zetafermat
 from delsarte.cyclotomic import CyclotomicElement
@@ -13,7 +20,9 @@ from delsarte.deformation import FAMILIES, family
 from delsarte.monomials import g_invariant_types, gmax_invariant_types
 from delsarte.pointcount import FiniteField, count_points, fermat_hypersurface
 from delsarte.zetafermat import (
+    CharacterTable,
     CharPoly,
+    CommonFactorReport,
     RationalityError,
     _expand,
     _jacobi_sum,
@@ -77,6 +86,18 @@ def test_log_pairs_match_brute_force(p, k):
         assert len(table.log_pairs) == len(brute)
 
 
+def test_character_table_construction():
+    # log_pairs read off the Zech table match the brute-force pairs; given ones are kept
+    f = FiniteField(3, 2)
+    chi_log = multiplicative_character(f, 4).chi_log
+    table = CharacterTable(f, 4, f.generator, chi_log)
+    brute = Counter((chi_log[v], chi_log[f.sub(1, v)]) for v in range(2, f.q))
+    assert sorted(table.log_pairs) == sorted((x, y, c) for (x, y), c in brute.items())
+    assert table.orbit_polys == {} and table.sub_tables == {}
+    given_pairs = ((0, 0, 7),)
+    assert CharacterTable(f, 4, f.generator, chi_log, log_pairs=given_pairs).log_pairs is given_pairs
+
+
 @pytest.mark.parametrize("p,k", [(13, 1), (2, 4), (7, 2), (3, 4)])
 def test_custom_generator_chi_log_matches_brute_force(p, k):
     f = FiniteField(p, k)
@@ -132,7 +153,7 @@ def test_weil_magnitude_exact_and_float():
         for k in enumerate_basis(d, n):
             ev = jacobi_eigenvalue(k, table)
             assert ev.norm_squared_exact() == q ** (n - 1)
-            approx = abs(ev.embedding())
+            approx = abs(embedding(ev))
             assert abs(approx - q ** ((n - 1) / 2)) <= 1e-6 * q ** ((n - 1) / 2)
 
 
@@ -309,7 +330,8 @@ def test_char_poly_matches_oracle_at_benchmark_fields(key, p, k):
     for e in (e for e in range(1, d + 1) if d % e == 0):
         fresh = multiplicative_character(field, e)
         sub = table.sub_table(e)
-        assert sub == fresh  # order, generator and chi_log
+        assert sub.field is fresh.field
+        assert (sub.order, sub.generator, sub.chi_log) == (fresh.order, fresh.generator, fresh.chi_log)
         assert sorted(sub.log_pairs) == sorted(fresh.log_pairs)
 
 
@@ -436,6 +458,16 @@ def test_char_poly_requires_galois_stable_input():
         char_poly_invariant([(1, 1, 1, 5)], multiplicative_character(f, 8))
 
 
+def test_char_poly_checks_equality_and_hash():
+    for coeffs in ((), (2, 1)):
+        with pytest.raises(ValueError, match="^constant coefficient must be 1$"):
+            CharPoly(coeffs)
+    p = CharPoly((1, -3, 2))
+    assert p == CharPoly((1, -3, 2)) and hash(p) == hash(CharPoly((1, -3, 2)))
+    assert p != CharPoly((1, -3, 3)) and p != (1, -3, 2)
+    assert len({p, CharPoly((1, -3, 2)), CharPoly((1,))}) == 2
+
+
 def test_char_poly_divides():
     p = CharPoly((1, -3, 2))  # (1 - T)(1 - 2T)
     q = CharPoly((1, -1)) * CharPoly((1, -2)) * CharPoly((1, 5))
@@ -493,6 +525,15 @@ def test_common_factor_single_family():
     assert report.common_degree == report.family_polys[0].degree == 15
     assert report.common_poly == report.family_polys[0]
     assert report.all_divide
+
+
+def test_common_factor_report_keywords():
+    common, other = CharPoly((1, -1)), CharPoly((1, -3, 2))
+    report = CommonFactorReport(
+        joint_degree=4, common_types=((1, 1, 1, 1),), common_poly=common, family_polys=(other,), divides=(True,)
+    )
+    assert (report.joint_degree, report.common_degree, report.all_divide) == (4, 1, True)
+    assert report.family_polys == (other,) and report.common_types == ((1, 1, 1, 1),)
 
 
 def test_common_factor_requires_common_cover():
