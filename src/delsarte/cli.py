@@ -17,7 +17,6 @@ import sys
 
 from . import deformation, monomials, pointcount, symbolic, zetafermat
 from .deformation import DeformationData, DeformationError
-from .exactalg import IntMatrix
 
 USAGE_ERROR = 2
 

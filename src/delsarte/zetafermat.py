@@ -3,29 +3,29 @@
 For d | q - 1 the middle cohomology of the degree-d Fermat hypersurface
 splits into eigenlines indexed by interior monomial types, and the
 Frobenius eigenvalue on the line of k is a Jacobi-type character sum.
-The sign and normalization conventions used here are not assumed: they
-are certified by requiring that the resulting closed-form point count
-agrees with brute-force enumeration (see `fermat_point_count_via_sums`
-and the point-count oracle in `pointcount`).
+Every integer that comes from types goes through one walk over their
+Galois orbits: `char_poly_invariant` multiplies the orbit polynomials,
+and `frobenius_trace` adds up their eigenvalues, so the Lefschetz count
+(q^n - 1)/(q - 1) + (-1)^(n-1) * trace is read off the same polynomials.
+The sign and normalization conventions are not assumed: the tests
+certify that count against brute-force enumeration (`pointcount`).
 
 Everything is exact: character sums live in the group ring Z[x]/(x^e-1)
-of the least order e | d that holds them.  The closed-form point count is
-checked rational modulo the e-th cyclotomic polynomial.  Each Galois
-orbit's characteristic polynomial is the norm of 1 - alpha*T from
-Q(zeta_e), read off the traces of the powers of one eigenvalue alpha by
-Newton's identities, so no coefficient needs a rationality reduction;
-the divisibility checks run in Z[T].
+of the least order e | d that holds them.  Each Galois orbit's
+characteristic polynomial is the norm of 1 - alpha*T from Q(zeta_e),
+read off the traces of the powers of one eigenvalue alpha by Newton's
+identities, so no coefficient needs a rationality reduction; the
+divisibility checks run in Z[T].
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 from operator import mul
 
 from .cyclotomic import CyclotomicElement
-from .deformation import DeformationData, common_cover
+from .deformation import common_cover
 from .monomials import g_invariant_types
 from .pointcount import FiniteField, prime_factors
 
@@ -86,44 +86,39 @@ class CharPoly:
 class CharacterTable:
     """A multiplicative character of exact order d on F_q*.
 
-    chi(g^j) = zeta_d^j for the chosen generator g; chi_log[code] is the
-    zeta-exponent of the nonzero field element with that code.  The table
-    also memoizes the per-orbit characteristic polynomials computed with
-    it and the tables of chi^(d/e) for e | d (`sub_table`), so a table
-    shared between calls shares that work; the caches live and die with
-    the table.  Apart from those caches, instances are treated as immutable.
+    chi(g^j) = zeta_d^j for the chosen generator g.  With u = 1/log(g)
+    mod q - 1, the zeta-exponent of chi at a nonzero element is u times
+    its field log, mod d; `log_pairs` holds those exponents at v and 1 - v
+    with their multiplicity over v != 0, 1.  The table also memoizes the
+    per-orbit characteristic polynomials computed with it and the tables
+    of chi^(d/e) for e | d (`sub_table`), so a table shared between calls
+    shares that work; the caches live and die with the table.  Apart from
+    those caches, instances are treated as immutable.
     """
 
-    __slots__ = ("field", "order", "generator", "chi_log", "log_pairs", "orbit_polys", "sub_tables")
+    __slots__ = ("field", "order", "generator", "u", "log_pairs", "orbit_polys", "sub_tables")
 
     def __init__(
         self,
         field: FiniteField,
         order: int,
         generator: int,
-        chi_log: tuple[int, ...],
-        log_pairs: tuple[tuple[int, int, int], ...] | None = None,
+        u: int,
+        log_pairs: tuple[tuple[int, int, int], ...],
     ):
         self.field = field
         self.order = order
         self.generator = generator
-        self.chi_log = chi_log
+        self.u = u
+        self.log_pairs = log_pairs
         self.orbit_polys = {}
         self.sub_tables = {}
-        if log_pairs is None:
-            # v = g^j, j != 0, and 1 - v = 1 + g^(j + log(-1)) = g^zech[j + log(-1)]
-            qm1, exp, zech = field.q - 1, field.exp, field.zech
-            shift = field.log[field.p - 1]
-            counts = Counter((chi_log[exp[j]], chi_log[exp[zech[(j + shift) % qm1]]]) for j in range(1, qm1))
-            log_pairs = tuple((x, y, c) for (x, y), c in counts.items())
-        # (chi_log[v], chi_log[1 - v], multiplicity) over v != 0, 1
-        self.log_pairs = log_pairs
 
     def sub_table(self, e: int) -> CharacterTable:
         """The table of chi^(d/e), a character of exact order e | d.
 
-        Its logs are this table's reduced mod e, and its pairs are this
-        table's merged mod e, so no pass over the field is needed.
+        Its pairs are this table's merged mod e, so no pass over the
+        field is needed.
         """
         if e == self.order:
             return self
@@ -134,18 +129,13 @@ class CharacterTable:
             counts = Counter()
             for x, y, c in self.log_pairs:
                 counts[x % e, y % e] += c
-            sub = self.sub_tables[e] = CharacterTable(
-                self.field,
-                e,
-                self.generator,
-                tuple(x % e for x in self.chi_log),
-                tuple((x, y, c) for (x, y), c in counts.items()),
-            )
+            pairs = tuple((x, y, c) for (x, y), c in counts.items())
+            sub = self.sub_tables[e] = CharacterTable(self.field, e, self.generator, self.u, pairs)
         return sub
 
     def chi_power_at(self, power: int, code: int) -> int:
         """zeta-exponent of chi^power at a nonzero element."""
-        return (power * self.chi_log[code]) % self.order
+        return power * self.u * self.field.log[code] % self.order
 
     def pair_sum(self, a: int, b: int) -> CyclotomicElement:
         """J(chi^a, chi^b) = sum over v != 0, 1 of chi^a(v) * chi^b(1 - v)."""
@@ -168,8 +158,10 @@ def multiplicative_character(field: FiniteField, d: int, generator: int | None =
     if j < 0 or gcd(j, q - 1) != 1:
         raise ValueError("supplied element does not generate the unit group")
     u = pow(j, -1, q - 1)
-    chi_log = (0,) + tuple(u * e % d for e in field.log[1:])
-    return CharacterTable(field, d, generator, chi_log)
+    # v = x^m, m != 0, and 1 - v = 1 + x^(m + log(-1)) = x^zech[m + log(-1)]
+    zech, shift = field.zech, field.log[field.p - 1]
+    counts = Counter((u * m % d, u * zech[(m + shift) % (q - 1)] % d) for m in range(1, q - 1))
+    return CharacterTable(field, d, generator, u, tuple((x, y, c) for (x, y), c in counts.items()))
 
 
 def _jacobi_sum(table: CharacterTable, powers) -> CyclotomicElement:
@@ -203,12 +195,15 @@ def _jacobi_sum(table: CharacterTable, powers) -> CyclotomicElement:
     return current
 
 
-def _count_term(k, table: CharacterTable) -> CyclotomicElement:
-    """(1/q) * prod_i g(chi^(k_i)) for an interior type, Gauss-sum free.
+def jacobi_eigenvalue(k, table: CharacterTable) -> CyclotomicElement:
+    """Frobenius eigenvalue on the eigenline of the interior type k = (k_0, ..., k_n).
 
-    Folding the last Gauss sum against its conjugate turns the product
-    into chi^(k_n)(-1) * J(chi^(k_0), ..., chi^(k_{n-1})), which stays in
-    Z[zeta_d] and needs no additive characters.
+    (1/q) * prod_i g(chi^(k_i)), up to the sign (-1)^(n-1) that makes the
+    Lefschetz count reproduce brute force.  Folding the last Gauss sum
+    against its conjugate turns the product into chi^(k_n)(-1) *
+    J(chi^(k_0), ..., chi^(k_(n-1))), which stays in Z[zeta_d] and needs
+    no additive characters.  Its complex absolute value is q^((n-1)/2) in
+    every embedding.
     """
     d = table.order
     k = tuple(e % d for e in k)
@@ -217,43 +212,8 @@ def _count_term(k, table: CharacterTable) -> CyclotomicElement:
     if any(e == 0 for e in k):
         raise ValueError("type must be interior (no zero entries)")
     sign_exp = table.chi_power_at(k[-1], table.field.p - 1)  # chi^(k_n)(-1); -1 is the code p - 1
-    j = _jacobi_sum(table, k[:-1])
-    return CyclotomicElement.zeta(d, sign_exp) * j
-
-
-def jacobi_eigenvalue(k, table: CharacterTable) -> CyclotomicElement:
-    """Frobenius eigenvalue on the eigenline of the interior type k.
-
-    Equals (-1)^(n-1) times the count term, so that the closed-form point
-    count below reproduces brute force; its complex absolute value is
-    q^((n-1)/2) in every embedding.
-    """
-    n = len(tuple(k)) - 1
-    term = _count_term(k, table)
-    return term if (n - 1) % 2 == 0 else -term
-
-
-def fermat_point_count_via_sums(d: int, n: int, field: FiniteField) -> int:
-    """#X(F_q) for the degree-d Fermat hypersurface in P^n via character sums.
-
-    Main term (q^n - 1)/(q - 1) plus the signed sum of eigenline terms
-    over all interior monomial types.  Exact; certifies the eigenvalue
-    conventions against `pointcount.count_points`.
-    """
-    table = multiplicative_character(field, d)
-    q = field.q
-    main = (q**n - 1) // (q - 1)
-    total = CyclotomicElement.constant(d, 0)
-    # interior types: first n entries free in (0, d), last forced
-    for head in itertools.product(range(1, d), repeat=n):
-        last = (-sum(head)) % d
-        if last == 0:
-            continue
-        total = total + _count_term(head + (last,), table)
-    value = total.rational_value()
-    if not isinstance(value, int):
-        raise RationalityError("character-sum total is not a rational integer")
-    return main + value
+    term = CyclotomicElement.zeta(d, sign_exp) * _jacobi_sum(table, k[:-1])
+    return -term if len(k) % 2 else term
 
 
 @lru_cache(maxsize=None)
@@ -324,8 +284,8 @@ def _expand(alpha: CyclotomicElement, e: int) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
-    """prod (1 - j(k) T) over a Galois-stable set of interior types, in Z[T].
+def _orbit_polys(types, table: CharacterTable):
+    """Yield the polynomial prod (1 - j(k) T) over each Galois orbit of the types, in Z[T].
 
     The types split into orbits under k -> u*k for units u mod d.  One
     eigenvalue per orbit is a Jacobi sum; the others are its conjugates
@@ -334,17 +294,16 @@ def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
     exact order e.  The stabilizer of k is {u == 1 mod e}, so the orbit
     has phi(e) members, one per unit mod e, and its product is the norm
     from Q(zeta_e) of 1 - j T (`_expand`), with j the eigenvalue of k/g
-    under the sub-table of order e; the integer orbit polynomials are
-    then multiplied in Z[T].  The types live mod d = table.order; calls
-    with the same table share its memoized orbit polynomials, keyed by
-    the orbits of those types.
+    under the sub-table of order e.  The types live mod d = table.order;
+    walks with the same table share its memoized orbit polynomials, keyed
+    by the orbits of those types.  A set that is not Galois stable raises
+    ValueError when the walk reaches an orbit it does not hold.
     """
     d = table.order
     types = sorted(tuple(e % d for e in k) for k in types)
     type_set = set(types)
     units = [1] + [u for u in range(2, d) if gcd(u, d) == 1]
     seen = set()
-    poly = CharPoly((1,))
     for k in types:
         if k in seen:
             continue
@@ -360,8 +319,24 @@ def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
             assert len(orbit) == _traces(e)[0], "orbit size is not phi(e)"
             ev = jacobi_eigenvalue(tuple(x // g for x in k), table.sub_table(e))
             orbit_poly = table.orbit_polys[key] = _expand(ev, e)
-        poly = poly * orbit_poly
-    return poly
+        yield orbit_poly
+
+
+def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
+    """prod (1 - j(k) T) over a Galois-stable set of interior types, in Z[T]: the orbit polynomials multiplied."""
+    return reduce(mul, _orbit_polys(types, table), CharPoly((1,)))
+
+
+def frobenius_trace(types, table: CharacterTable) -> int:
+    """sum of j(k) over a Galois-stable set of interior types, in Z.
+
+    Each orbit adds -c_1 of its own polynomial, the trace of its
+    eigenvalue, so the product of the orbit polynomials is never formed.
+    Over all interior types (k_0, ..., k_n) mod d, the degree-d Fermat
+    hypersurface in P^n has (q^n - 1)/(q - 1) + (-1)^(n-1) * trace points
+    over F_q (Weil, 1949).
+    """
+    return -sum(poly.coeffs[1] for poly in _orbit_polys(types, table))
 
 
 def lift_types(types, d_from: int, d_to: int) -> list[tuple[int, ...]]:

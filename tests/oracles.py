@@ -20,6 +20,8 @@ only the tests.  Two references reuse the implementation's elimination
 and are checked against the independent ones: `determinant` reads det off
 `exactalg.diagonalize`, and `count_cone_by_strata` is the Gauss-sum
 count with one kernel and one table set per coordinate subset.
+`fermat_count_by_trace` reads the Fermat count off the implementation's
+`zetafermat.frobenius_trace`; the tests hold it to brute force.
 """
 import cmath
 import itertools
@@ -32,7 +34,7 @@ from math import gcd, prod
 from delsarte.cyclotomic import CyclotomicElement
 from delsarte.exactalg import IntMatrix, diagonalize, kernel_elements, kernel_mod
 from delsarte.pointcount import FiniteField, _element_of_order, auxiliary_prime
-from delsarte.zetafermat import CharPoly
+from delsarte.zetafermat import CharPoly, frobenius_trace, multiplicative_character
 
 
 def image_by_enumeration(data):
@@ -258,7 +260,7 @@ def direct_jacobi_sum(table, powers):
     field = table.field
     d = table.order
     m = len(powers)
-    chi_log = table.chi_log
+    chi_log = [0] + [table.chi_power_at(1, v) for v in range(1, field.q)]
     coeffs = [0] * d
     if m == 1:
         # single character: J = chi(1) = 1
@@ -283,6 +285,18 @@ def direct_jacobi_sum(table, powers):
 
     accumulate(0, m, 0)
     return CyclotomicElement(d, coeffs)
+
+
+def fermat_count_by_trace(d, n, field):
+    """#X(F_q) for the degree-d Fermat hypersurface in P^n, n >= 1, from its Frobenius trace.
+
+    (q^n - 1)/(q - 1) + (-1)^(n-1) * frobenius_trace over every interior
+    type (k_0, ..., k_n) mod d; the types are built here, as
+    `enumerate_basis` needs n >= 2.
+    """
+    types = [head + (-sum(head) % d,) for head in itertools.product(range(1, d), repeat=n) if sum(head) % d]
+    q = field.q
+    return (q**n - 1) // (q - 1) + (-1) ** (n - 1) * frobenius_trace(types, multiplicative_character(field, d))
 
 
 def direct_eigenvalue(k, table):

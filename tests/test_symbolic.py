@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from oracles import RefPoly, ref_coeff
 
 from delsarte import deformation, symbolic
-from delsarte.cyclotomic import CyclotomicElement
 from delsarte.symbolic import (
     FAMILY_INDICES,
     VAR_ORDER,

@@ -12,6 +12,7 @@ from oracles import (
     direct_jacobi_sum,
     embedding,
     enumerate_basis,
+    fermat_count_by_trace,
 )
 
 from delsarte import zetafermat
@@ -27,7 +28,7 @@ from delsarte.zetafermat import (
     _expand,
     _jacobi_sum,
     char_poly_invariant,
-    fermat_point_count_via_sums,
+    frobenius_trace,
     jacobi_eigenvalue,
     lift_types,
     multiplicative_character,
@@ -44,15 +45,15 @@ def test_character_table_q5_d4():
     f = FiniteField(5)
     table = multiplicative_character(f, 4)
     assert table.generator == 2
-    assert table.chi_log[2] == 1  # chi(2) is a primitive fourth root
-    values = {table.chi_log[x] for x in range(1, 5)}
+    assert table.chi_power_at(1, 2) == 1  # chi(2) is a primitive fourth root
+    values = {table.chi_power_at(1, x) for x in range(1, 5)}
     assert values == {0, 1, 2, 3}  # surjective onto the fourth roots
 
 
 def test_character_table_trivial():
     f = FiniteField(5)
     table = multiplicative_character(f, 1)
-    assert all(table.chi_log[x] == 0 for x in range(1, 5))
+    assert all(table.chi_power_at(1, x) == 0 for x in range(1, 5))
 
 
 def test_character_table_requires_divisibility():
@@ -66,7 +67,7 @@ def test_character_table_custom_generator():
     gens = [g for g in range(2, 13) if math.gcd(f.log[g], 12) == 1]
     assert len(gens) == 4
     table = multiplicative_character(f, 12, generator=gens[1])
-    assert table.chi_log[gens[1]] == 1
+    assert table.chi_power_at(1, gens[1]) == 1
     with pytest.raises(ValueError):
         multiplicative_character(f, 12, generator=4)  # 4 = 2^2 is not a generator
 
@@ -80,8 +81,7 @@ def test_log_pairs_match_brute_force(p, k):
     f = FiniteField(p, k)
     for d in (d for d in range(1, f.q) if (f.q - 1) % d == 0):
         table = multiplicative_character(f, d)
-        chi = table.chi_log
-        brute = Counter((chi[v], chi[f.sub(1, v)]) for v in range(2, f.q))
+        brute = Counter((table.chi_power_at(1, v), table.chi_power_at(1, f.sub(1, v))) for v in range(2, f.q))
         assert Counter({(x, y): c for x, y, c in table.log_pairs}) == brute, (f.q, d)
         assert len(table.log_pairs) == len(brute)
 
@@ -89,13 +89,16 @@ def test_log_pairs_match_brute_force(p, k):
 def test_character_table_construction():
     # log_pairs read off the Zech table match the brute-force pairs; given ones are kept
     f = FiniteField(3, 2)
-    chi_log = multiplicative_character(f, 4).chi_log
-    table = CharacterTable(f, 4, f.generator, chi_log)
-    brute = Counter((chi_log[v], chi_log[f.sub(1, v)]) for v in range(2, f.q))
+    table = multiplicative_character(f, 4)
+    brute = Counter((table.chi_power_at(1, v), table.chi_power_at(1, f.sub(1, v))) for v in range(2, f.q))
     assert sorted(table.log_pairs) == sorted((x, y, c) for (x, y), c in brute.items())
     assert table.orbit_polys == {} and table.sub_tables == {}
+    # the default generator x has log 1, so u = 1/log(x) = 1
+    assert table.u == 1
     given_pairs = ((0, 0, 7),)
-    assert CharacterTable(f, 4, f.generator, chi_log, log_pairs=given_pairs).log_pairs is given_pairs
+    built = CharacterTable(f, 4, f.generator, table.u, log_pairs=given_pairs)
+    assert built.log_pairs is given_pairs and built.orbit_polys == {} and built.sub_tables == {}
+    assert [built.chi_power_at(3, v) for v in range(1, f.q)] == [table.chi_power_at(3, v) for v in range(1, f.q)]
 
 
 @pytest.mark.parametrize("p,k", [(13, 1), (2, 4), (7, 2), (3, 4)])
@@ -114,8 +117,9 @@ def test_custom_generator_chi_log_matches_brute_force(p, k):
         for d in (d for d in range(1, q) if (q - 1) % d == 0):
             table = multiplicative_character(f, d, generator=g)
             assert table.generator == g
-            # chi(g^m) = zeta_d^m
-            assert all(table.chi_log[v] == m % d for m, v in enumerate(powers)), (q, g, d)
+            # chi(g^m) = zeta_d^m, and chi^3(g^m) = zeta_d^(3m)
+            assert all(table.chi_power_at(1, v) == m % d for m, v in enumerate(powers)), (q, g, d)
+            assert all(table.chi_power_at(3, v) == 3 * m % d for m, v in enumerate(powers)), (q, g, d)
 
 
 # -- point counts as certification ----------------------------------------------
@@ -124,23 +128,21 @@ def test_custom_generator_chi_log_matches_brute_force(p, k):
 def test_fermat_count_matches_brute_force_grid():
     for d, n, q in GRID:
         f = FiniteField(q)
-        assert fermat_point_count_via_sums(d, n, f) == count_points(
-            fermat_hypersurface(d, n), f
-        ), (d, n, q)
+        assert fermat_count_by_trace(d, n, f) == count_points(fermat_hypersurface(d, n), f), (d, n, q)
 
 
 def test_fermat_count_trivial_degree():
+    # d = 1 has no interior type: the trace is empty and the count is all of P^3
     f = FiniteField(7)
-    assert fermat_point_count_via_sums(1, 3, f) == (7**3 - 1) // 6
+    assert frobenius_trace([], multiplicative_character(f, 1)) == 0
+    assert fermat_count_by_trace(1, 3, f) == (7**3 - 1) // 6
 
 
 def test_fermat_count_extension_field():
     # octic Fermat curve over F_9 (8 | 9 - 1): the certification also
     # holds over a non-prime field
     f = FiniteField(3, 2)
-    assert fermat_point_count_via_sums(8, 2, f) == count_points(
-        fermat_hypersurface(8, 2), f
-    )
+    assert fermat_count_by_trace(8, 2, f) == count_points(fermat_hypersurface(8, 2), f)
 
 
 # -- eigenvalues -----------------------------------------------------------------
@@ -203,11 +205,11 @@ def _field_and_order(draw, max_order=48):
 @settings(max_examples=40)
 @given(_field_and_order(max_order=12), st.data())
 def test_fermat_count_matches_brute_force_random(field_and_order, data):
-    # random d | q - 1: the closed form against the cone count
+    # random d | q - 1: the count read off the trace against the cone count, n = 1 included
     p, k, d = field_and_order
     n = data.draw(st.integers(1, 3 if p**k <= 32 else 2))
     f = FiniteField(p, k)
-    assert fermat_point_count_via_sums(d, n, f) == count_points(fermat_hypersurface(d, n), f)
+    assert fermat_count_by_trace(d, n, f) == count_points(fermat_hypersurface(d, n), f)
 
 
 @st.composite
@@ -307,7 +309,9 @@ def test_char_poly_matches_oracle_on_all_families():
         field = _smallest_field(data.degree)
         types = g_invariant_types(data)
         table = multiplicative_character(field, data.degree)
-        assert char_poly_invariant(types, table) == char_poly_by_types(types, table), (key, field.q)
+        poly = char_poly_invariant(types, table)
+        assert poly == char_poly_by_types(types, table), (key, field.q)
+        assert frobenius_trace(types, table) == -poly.coeffs[1], (key, field.q)
 
 
 # the benchmark's single-family fields, where orbits reduce to e = d/gcd(d, k) < d
@@ -331,7 +335,8 @@ def test_char_poly_matches_oracle_at_benchmark_fields(key, p, k):
         fresh = multiplicative_character(field, e)
         sub = table.sub_table(e)
         assert sub.field is fresh.field
-        assert (sub.order, sub.generator, sub.chi_log) == (fresh.order, fresh.generator, fresh.chi_log)
+        assert (sub.order, sub.generator, sub.u) == (fresh.order, fresh.generator, fresh.u)
+        assert all(sub.chi_power_at(1, v) == fresh.chi_power_at(1, v) for v in range(1, field.q))
         assert sorted(sub.log_pairs) == sorted(fresh.log_pairs)
 
 
@@ -348,9 +353,13 @@ def test_char_poly_shared_table():
     types = g_invariant_types(family("family2"))
     table = multiplicative_character(f, 8)
     shared = char_poly_invariant(types, table)
-    assert table.orbit_polys
+    memo = dict(table.orbit_polys)
+    assert memo
     fresh = multiplicative_character(f, 8)
     assert char_poly_invariant(types, table) == shared == char_poly_invariant(types, fresh)
+    # the trace walks the same orbits and answers from the same memo
+    assert frobenius_trace(types, table) == -shared.coeffs[1]
+    assert table.orbit_polys == memo
 
 
 # -- orbit norms against the dense conjugate product -----------------------------
@@ -409,6 +418,8 @@ def test_expand_rejects_a_set_that_is_not_galois_stable():
     for part in (orbit[:1], orbit[:2]):
         with pytest.raises(ValueError, match="not Galois stable"):
             char_poly_invariant(part, table)
+        with pytest.raises(ValueError, match="not Galois stable"):
+            frobenius_trace(part, table)
     # the norm of zeta_8: prod (1 - zeta T) over the primitive 8th roots
     assert _expand(CyclotomicElement.zeta(8), 8) == CharPoly((1, 0, 0, 0, 1))
 
@@ -427,6 +438,35 @@ def test_expand_division_must_be_exact(monkeypatch):
 def test_char_poly_empty():
     f = FiniteField(5)
     assert char_poly_invariant([], multiplicative_character(f, 4)) == CharPoly((1,))
+    assert frobenius_trace([], multiplicative_character(f, 4)) == 0
+
+
+# prime and extension fields: (p, k, [(d, n), ...]) with d | q - 1
+TRACE_CASES = [
+    (13, 1, [(4, 3), (12, 2), (6, 1)]),
+    (3, 2, [(8, 3), (4, 2), (2, 1)]),
+    (5, 2, [(8, 2), (3, 3), (24, 1)]),
+    (2, 4, [(5, 2), (15, 2), (3, 3)]),
+]
+
+
+@pytest.mark.parametrize("p,k,cases", TRACE_CASES)
+def test_frobenius_trace_matches_direct_eigenvalues(p, k, cases):
+    # against the sum of the direct-sum eigenvalues, every interior type and
+    # a family's invariant types, with duplicates and a type list in any order
+    f = FiniteField(p, k)
+    for d, n in cases:
+        table = multiplicative_character(f, d)
+        # enumerate_basis needs n >= 2
+        types = enumerate_basis(d, n) if n > 1 else [(a, d - a) for a in range(1, d)]
+        direct = sum((direct_eigenvalue(t, table) for t in types), CyclotomicElement.constant(d, 0))
+        assert frobenius_trace(types, table) == direct.rational_value(), (f.q, d, n)
+        assert frobenius_trace(types[::-1] + types[:3], multiplicative_character(f, d)) == direct.rational_value()
+    if (f.q - 1) % 8 == 0:
+        types = g_invariant_types(family("family2"))
+        table = multiplicative_character(f, 8)
+        direct = sum((direct_eigenvalue(t, table) for t in types), CyclotomicElement.constant(8, 0))
+        assert frobenius_trace(types, table) == direct.rational_value()
 
 
 def test_char_poly_family1_gmax():
@@ -456,6 +496,8 @@ def test_char_poly_requires_galois_stable_input():
     f = FiniteField(17)
     with pytest.raises(ValueError, match="not rational"):
         char_poly_invariant([(1, 1, 1, 5)], multiplicative_character(f, 8))
+    with pytest.raises(ValueError, match="not rational"):
+        frobenius_trace([(1, 1, 1, 5)], multiplicative_character(f, 8))
 
 
 def test_char_poly_checks_equality_and_hash():
