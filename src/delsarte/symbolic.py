@@ -4,11 +4,14 @@ Coefficients are rationals or elements of Q(zeta_8) (enough for I and
 sqrt(2)); terms live in a sparse dict keyed by packed monomials, one int
 per exponent vector, whose integer order is graded-lex order.  On top
 of the arithmetic this module provides quadratic discriminants,
-fraction-free Sylvester resultants, and the full derivation of the
+resultants by the subresultant PRS, and the full derivation of the
 bitangents to the five special plane quartics attached to the families
 1, 2, 3, 6, 7: the degree-20/24 eliminants in the slope parameter, the
 vertical-line bitangents, the quotient identities, and the isomorphisms
-between the three del Pezzo quotient surfaces of each family.
+between the three del Pezzo quotient surfaces of each family.  The
+quotient surfaces, branch quartics, restrictions and eliminants of a
+family index are memoized (`functools.cache`), so one process derives
+each of them once.
 """
 from __future__ import annotations
 
@@ -89,10 +92,7 @@ def _c_norm(c):
 
 
 def _c_div(a, b):
-    if isinstance(a, CyclotomicElement) or isinstance(b, CyclotomicElement):
-        raise InexactDivisionError("division of cyclotomic coefficients is not supported")
-    if b == 0:
-        raise ZeroDivisionError
+    """a / b for a rational a and a nonzero rational b."""
     if type(a) is int and type(b) is int and a % b == 0:
         return a // b
     return _c_norm(Fraction(a) / Fraction(b))
@@ -266,25 +266,29 @@ class MultiPoly:
         """Coefficients [c_0, ..., c_deg] with self = sum c_k * name^k."""
         return [self.coeff_in(name, k) for k in range(self.degree_in(name) + 1)]
 
-    def substitute(self, mapping: dict) -> MultiPoly:
-        """Simultaneous substitution; values may be polynomials or scalars."""
+    def substitute(self, mapping) -> MultiPoly:
+        """Simultaneous substitution; values may be polynomials or scalars.
+
+        Each term's image, scaled by its coefficient, is gathered into one
+        raw dict that is canonicalized once at the end.
+        """
         images = {name: self._coerce(value) for name, value in mapping.items()}
-        result = MultiPoly.zero()
         power_cache: dict[tuple[str, int], MultiPoly] = {}
-
-        def power_of(name: str, e: int) -> MultiPoly:
-            key = (name, e)
-            if key not in power_cache:
-                base = images.get(name, MultiPoly.variable(name))
-                power_cache[key] = base**e
-            return power_cache[key]
-
+        out: dict = {}
+        get = out.get
         for key, c in self.terms.items():
-            term = MultiPoly.constant(c)
+            term = None
             for name, e in _exponents(key):
-                term = term * power_of(name, e)
-            result = result + term
-        return result
+                power = power_cache.get((name, e))
+                if power is None:
+                    power = power_cache[name, e] = images.get(name, MultiPoly.variable(name)) ** e
+                term = power if term is None else term * power
+            if term is None:
+                out[0] = get(0, 0) + c
+                continue
+            for k, v in term.terms.items():
+                out[k] = get(k, 0) + c * v
+        return _canonical(out)
 
     # -- rational normalization ---------------------------------------------------
 
@@ -361,8 +365,8 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact polynomial quotient p / q; raises InexactDivisionError otherwise.
+def _quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly | str:
+    """Exact polynomial quotient p / q, or the reason (a str) there is none.
 
     The leading monomial of the remainder is its largest key; it is
     divisible by q's leading monomial iff no guard bit is borrowed when
@@ -378,8 +382,11 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     while rem:
         lead = max(rem)
         if ((lead | _GUARDS) - q_lead) & _GUARDS != _GUARDS:
-            raise InexactDivisionError("leading term not divisible")
-        c = _c_div(rem.pop(lead), q_lead_c)
+            return "leading term not divisible"
+        c = rem.pop(lead)
+        if isinstance(c, CyclotomicElement) or isinstance(q_lead_c, CyclotomicElement):
+            return "division of cyclotomic coefficients is not supported"
+        c = _c_div(c, q_lead_c)
         diff = lead - q_lead
         # leading monomials strictly decrease, so each quotient term is new
         out[diff] = c
@@ -395,12 +402,16 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return _wrap(out)
 
 
+def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Exact polynomial quotient p / q; raises InexactDivisionError otherwise."""
+    quotient = _quotient(p, q)
+    if isinstance(quotient, str):
+        raise InexactDivisionError(quotient)
+    return quotient
+
+
 def divides(q: MultiPoly, p: MultiPoly) -> bool:
-    try:
-        exact_div(p, q)
-        return True
-    except InexactDivisionError:
-        return False
+    return not isinstance(_quotient(p, q), str)
 
 
 def discriminant_in(p: MultiPoly, name: str) -> MultiPoly:
@@ -413,55 +424,61 @@ def discriminant_in(p: MultiPoly, name: str) -> MultiPoly:
     return b * b - 4 * a * c
 
 
+def _pseudo_remainder(a: list[MultiPoly], b: list[MultiPoly]) -> list[MultiPoly]:
+    """Coefficients of lc(b)^(deg a - deg b + 1) * a mod b, without leading zeros."""
+    lead, db = b[-1], len(b) - 1
+    r, e = a[:], len(a) - db
+    while len(r) > db:
+        top = r.pop()
+        shift = len(r) - db
+        r = [c * lead for c in r]
+        for j in range(db):
+            r[shift + j] = r[shift + j] - top * b[j]
+        e -= 1
+        while r and r[-1].is_zero():
+            r.pop()
+    if e and r:
+        scale = lead**e
+        r = [c * scale for c in r]
+    return r
+
+
 def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     """Sylvester resultant of p and q with respect to `name`.
 
-    Computed as the fraction-free (Bareiss) determinant of the Sylvester
-    matrix: every division is exact in the polynomial ring, so no
-    rational functions ever appear.
+    The sign is that of the Sylvester determinant with the rows of p
+    first.  Computed by the subresultant PRS (Collins, J. ACM 1967; Brown
+    and Traub, J. ACM 1971) on coefficient lists in `name`: each
+    pseudo-remainder divides exactly by g*h^delta, so no rational
+    functions appear and the coefficients stay as small as the
+    subresultants they are.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    cp = p.as_univariate(name)
-    cq = q.as_univariate(name)
-    m = len(cp) - 1
-    n = len(cq) - 1
-    if m == 0 and n == 0:
-        return MultiPoly.constant(1)
-    size = m + n
-    matrix = [[MultiPoly.zero() for _ in range(size)] for _ in range(size)]
-    for row in range(n):
-        for j, coeff in enumerate(reversed(cp)):
-            matrix[row][row + j] = coeff
-    for row in range(m):
-        for j, coeff in enumerate(reversed(cq)):
-            matrix[n + row][row + j] = coeff
-    return _bareiss_determinant(matrix)
-
-
-def _bareiss_determinant(matrix: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(matrix)
-    a = [row[:] for row in matrix]
+    a, b = p.as_univariate(name), q.as_univariate(name)
     sign = 1
-    prev = MultiPoly.constant(1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero()
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * pivot - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev) if not num.is_zero() else MultiPoly.zero()
-            a[i][k] = MultiPoly.zero()
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    if len(a) < len(b):
+        # res(q, p) = (-1)^(deg p * deg q) res(p, q); each step below
+        # takes the same sign for its own pair of degrees
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    g = h = MultiPoly.constant(1)
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return MultiPoly.zero()
+        divisor = g * h**delta
+        a, b = b, r if divisor == 1 else [exact_div(c, divisor) for c in r]
+        g = a[-1]
+        if delta:
+            h = g**delta if delta == 1 else exact_div(g**delta, h ** (delta - 1))
+    da = len(a) - 1
+    h = b[0] ** da if da == 1 or h == 1 else exact_div(b[0] ** da, h ** (da - 1))
+    return -h if sign < 0 else h
 
 
 # -- named polynomials ---------------------------------------------------------
@@ -561,6 +578,7 @@ def family_split(i: int) -> tuple[MultiPoly, MultiPoly]:
     return quartic - g, g
 
 
+@cache
 def quotient_surface(i: int, sheet: int) -> MultiPoly:
     """Defining polynomial of the degree-2 del Pezzo quotient surface.
 
@@ -583,6 +601,7 @@ def quotient_surface(i: int, sheet: int) -> MultiPoly:
     raise ValueError("sheet must be 1, 2 or 3")
 
 
+@cache
 def branch_quartic(i: int) -> MultiPoly:
     """Discriminant (in v) of the sheet-1 quotient surface: a plane quartic."""
     return discriminant_in(quotient_surface(i, 1), "v")
@@ -616,64 +635,27 @@ def verify_isomorphism(substitution: dict, source: MultiPoly, target: MultiPoly)
 def _a2_isomorphism_registry():
     """Verified coordinate maps between the quotient surfaces.
 
-    Each entry is (name, substitution, source, target) with
-    source o substitution == target up to a nonzero scalar.  Every map
-    here has been recomputed from the surface equations; the test suite
-    re-verifies each one by exact expansion.
+    Each entry is (name, substitution, source, target): source and target
+    are the (family, sheet) of a `quotient_surface`, and source o
+    substitution == target up to a nonzero scalar.  No surface is built
+    here.  Every map has been recomputed from the surface equations; the
+    test suite re-verifies each one by exact expansion.
     """
-    i_unit = MultiPoly.constant(root_i())
+    i_unit, z8 = MultiPoly.constant(root_i()), lambda k: MultiPoly.constant(zeta8(k))
     u, v, x2, x3, lam = _v("u"), _v("v"), _v("x2"), _v("x3"), _v("lam")
-    entries = []
-    for i in (1, 2, 6):
-        entries.append(
-            (
-                f"family{i}: sheet2 -> sheet1",
-                {"u": i_unit * u},
-                quotient_surface(i, 2),
-                quotient_surface(i, 1),
-            )
-        )
-    entries.append(
-        (
-            "family3: sheet2 -> sheet1",
-            {"u": i_unit * u, "x3": -x3},
-            quotient_surface(3, 1),
-            quotient_surface(3, 2),
-        )
-    )
-    entries.append(
+    entries = [(f"family{i}: sheet2 -> sheet1", {"u": i_unit * u}, (i, 2), (i, 1)) for i in (1, 2, 6)]
+    return entries + [
+        ("family3: sheet2 -> sheet1", {"u": i_unit * u, "x3": -x3}, (3, 1), (3, 2)),
         (
             "family7: sheet2 -> sheet1 (acts on lam)",
-            {"u": MultiPoly.constant(zeta8(3)) * u, "v": i_unit * v, "lam": -i_unit * lam},
-            quotient_surface(7, 1),
-            quotient_surface(7, 2),
-        )
-    )
-    entries.append(
-        (
-            "family1: sheet3 -> sheet2",
-            {"v": i_unit * v, "x3": -i_unit * x3},
-            quotient_surface(1, 3),
-            quotient_surface(1, 2),
-        )
-    )
-    entries.append(
-        (
-            "family2: sheet3 -> sheet2",
-            {"v": i_unit * v, "x2": MultiPoly.constant(zeta8(1)) * x2, "x3": MultiPoly.constant(zeta8(5)) * x3},
-            quotient_surface(2, 3),
-            quotient_surface(2, 2),
-        )
-    )
-    entries.append(
-        (
-            "family6: sheet3 -> sheet2 (acts on lam)",
-            {"v": i_unit * v, "lam": -i_unit * lam},
-            quotient_surface(6, 3),
-            quotient_surface(6, 2),
-        )
-    )
-    return entries
+            {"u": z8(3) * u, "v": i_unit * v, "lam": -i_unit * lam},
+            (7, 1),
+            (7, 2),
+        ),
+        ("family1: sheet3 -> sheet2", {"v": i_unit * v, "x3": -i_unit * x3}, (1, 3), (1, 2)),
+        ("family2: sheet3 -> sheet2", {"v": i_unit * v, "x2": z8(1) * x2, "x3": z8(5) * x3}, (2, 3), (2, 2)),
+        ("family6: sheet3 -> sheet2 (acts on lam)", {"v": i_unit * v, "lam": -i_unit * lam}, (6, 3), (6, 2)),
+    ]
 
 
 # -- bitangents ----------------------------------------------------------------
@@ -690,24 +672,25 @@ def _strip_spurious(poly: MultiPoly) -> MultiPoly:
         drop = low * _var_key("a2")
         poly = _wrap({key - drop: c for key, c in poly.terms.items()})
     quartic = _v("a2") ** 4 - 1
-    while True:
-        try:
-            poly = exact_div(poly, quartic)
-        except InexactDivisionError:
-            return poly
+    while not isinstance(reduced := _quotient(poly, quartic), str):
+        poly = reduced
+    return poly
+
+
+@cache
+def _restriction(i: int) -> tuple[MultiPoly, ...]:
+    r = branch_quartic(i).substitute({"u": _v("a2") * _v("x2") + _v("a3") * _v("x3")})
+    return tuple(r.coeff_in("x2", 4 - j).coeff_in("x3", j) for j in range(5))
 
 
 def bitangent_restriction(i: int) -> list[MultiPoly]:
     """Coefficients r_0..r_4 (in x2^(4-j) x3^j) of the quartic on u = a2 x2 + a3 x3."""
-    q = branch_quartic(i)
-    a2, a3, x2, x3 = _v("a2"), _v("a3"), _v("x2"), _v("x3")
-    r = q.substitute({"u": a2 * x2 + a3 * x3})
-    return [r.coeff_in("x2", 4 - j).coeff_in("x3", j) for j in range(5)]
+    return list(_restriction(i))
 
 
 def bitangent_leading_factor(i: int) -> MultiPoly:
     """The x2^4 coefficient of the restricted quartic (a polynomial in a2)."""
-    return bitangent_restriction(i)[0]
+    return _restriction(i)[0]
 
 
 @cache
@@ -718,13 +701,13 @@ def bitangent_eliminant(i: int) -> MultiPoly:
     restriction equals C*(x2^2 + b*x2*x3 + c*x3^2)^2 for some b, c, with
     C the x2^4 coefficient of the restriction.  Solving the two linear
     conditions for b and c and clearing denominators leaves two
-    polynomial conditions; eliminating a3 by a Sylvester resultant and
+    polynomial conditions; eliminating a3 by a resultant and
     stripping the spurious content (powers of a2 and of a2^4 - 1 coming
     from the cleared denominators) yields a primitive polynomial of
     degree 20 (family 1) or 24 (families 2, 3, 6, 7) in a2.  Cached: the
     five eliminants are shared by several checks.
     """
-    r0, r1, r2, r3, r4 = bitangent_restriction(i)
+    r0, r1, r2, r3, r4 = _restriction(i)
     c_lead = r0
     e1 = 8 * c_lead**2 * r3 - 4 * c_lead * r1 * r2 + r1**3
     e2 = 64 * c_lead**3 * r4 - (4 * c_lead * r2 - r1**2) ** 2
@@ -895,6 +878,10 @@ def _resultant_spot_check(seed: int) -> bool:
     return ok
 
 
+def _verify_registered(substitution: dict, source: tuple, target: tuple) -> bool:
+    return verify_isomorphism(substitution, quotient_surface(*source), quotient_surface(*target))
+
+
 def _eliminant_is_even(i: int) -> bool:
     eliminant = bitangent_eliminant(i)
     return all(eliminant.coeff_in("a2", k).is_zero() for k in range(1, eliminant.degree_in("a2") + 1, 2))
@@ -914,7 +901,7 @@ def appendix_checks(seed: int = 0, only=None) -> list[tuple[str, bool]]:
     for i in FAMILY_INDICES:
         checks.append((f"discriminant-q{i}", lambda i=i: (branch_quartic(i) - builtin(f"q{i}")).is_zero()))
     for name, sub, source, target in _a2_isomorphism_registry():
-        checks.append((f"isomorphism {name}", partial(verify_isomorphism, sub, source, target)))
+        checks.append((f"isomorphism {name}", partial(_verify_registered, sub, source, target)))
     for i in FAMILY_INDICES:
         checks.append(
             (

@@ -1,6 +1,8 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import settings  # noqa: E402
@@ -8,3 +10,17 @@ from hypothesis import settings  # noqa: E402
 # derandomized, so every run of the suite draws the same examples
 settings.register_profile("delsarte", derandomize=True, database=None, deadline=None)
 settings.load_profile("delsarte")
+
+
+@pytest.fixture(autouse=True)
+def fresh_symbolic_caches():
+    """Empty every memoized derivation of `symbolic` before each test.
+
+    A derivation cached by an earlier test would otherwise hide what a
+    test monkeypatches, such as `symbolic._REGISTRY`.
+    """
+    symbolic = sys.modules.get("delsarte.symbolic")
+    if symbolic is not None:
+        for value in vars(symbolic).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

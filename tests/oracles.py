@@ -22,6 +22,9 @@ and are checked against the independent ones: `determinant` reads det off
 count with one kernel and one table set per coordinate subset.
 `fermat_count_by_trace` reads the Fermat count off the implementation's
 `zetafermat.frobenius_trace`; the tests hold it to brute force.
+`substitute_by_terms` and `sylvester_resultant` run on `MultiPoly`
+arithmetic but by other algorithms than `symbolic`: a running sum of one
+product per term, and the Bareiss determinant of the Sylvester matrix.
 """
 import cmath
 import itertools
@@ -34,6 +37,7 @@ from math import gcd, prod
 from delsarte.cyclotomic import CyclotomicElement
 from delsarte.exactalg import IntMatrix, diagonalize, kernel_elements, kernel_mod
 from delsarte.pointcount import FiniteField, _element_of_order, auxiliary_prime
+from delsarte.symbolic import MultiPoly, _exponents, exact_div
 from delsarte.zetafermat import CharPoly, frobenius_trace, multiplicative_character
 
 
@@ -687,3 +691,64 @@ class RefPoly:
             else:
                 parts.append(f"{coeff}*{monomial}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# -- references for symbolic's substitution and resultant -------------------------
+
+
+def substitute_by_terms(poly, mapping):
+    """poly with its variables replaced, one term at a time.
+
+    Each term's image is the product of its coefficient and the powers of
+    the images, added to a running sum, so every step is one MultiPoly
+    product or sum.
+    """
+    images = {name: MultiPoly._coerce(value) for name, value in mapping.items()}
+    result = MultiPoly.zero()
+    for key, c in poly.terms.items():
+        term = MultiPoly.constant(c)
+        for name, e in _exponents(key):
+            term = term * images.get(name, MultiPoly.variable(name)) ** e
+        result = result + term
+    return result
+
+
+def sylvester_resultant(p, q, name):
+    """Resultant of p and q in `name`: the Bareiss determinant of their Sylvester matrix.
+
+    The n = deg q rows of p's coefficients come first, then the m = deg p
+    rows of q's.  Every Bareiss step divides exactly by the previous pivot,
+    so no rational functions appear.
+    """
+    if p.is_zero() or q.is_zero():
+        raise ValueError("resultant of the zero polynomial is undefined")
+    cp, cq = p.as_univariate(name), q.as_univariate(name)
+    m, n = len(cp) - 1, len(cq) - 1
+    if m == 0 and n == 0:
+        return MultiPoly.constant(1)
+    size = m + n
+    a = [[MultiPoly.zero()] * size for _ in range(size)]
+    for row in range(n):
+        for j, coeff in enumerate(reversed(cp)):
+            a[row][row + j] = coeff
+    for row in range(m):
+        for j, coeff in enumerate(reversed(cq)):
+            a[n + row][row + j] = coeff
+    sign = 1
+    prev = MultiPoly.constant(1)
+    for k in range(size - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, size) if not a[i][k].is_zero()), None)
+            if swap is None:
+                return MultiPoly.zero()
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = a[i][j] * pivot - a[i][k] * a[k][j]
+                a[i][j] = exact_div(num, prev) if not num.is_zero() else MultiPoly.zero()
+            a[i][k] = MultiPoly.zero()
+        prev = pivot
+    det = a[size - 1][size - 1]
+    return -det if sign < 0 else det

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import RefPoly, ref_coeff
+from oracles import RefPoly, ref_coeff, substitute_by_terms, sylvester_resultant
 
 from delsarte import deformation, symbolic
 from delsarte.symbolic import (
@@ -68,6 +69,64 @@ def test_substitution_and_degree():
     assert p.coeff_in("u", 0) == 3 * V("v")
 
 
+_IMAGE_SPECS = st.tuples(
+    st.permutations(VAR_ORDER).map(lambda names: names[:2]),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3),
+)
+# polynomials (with a zeta_8 coefficient now and then), ints, Fractions, zeta_8 constants
+_IMAGES = st.one_of(
+    _IMAGE_SPECS.map(lambda spec: MultiPoly(*spec)),
+    _IMAGE_SPECS.map(lambda spec: MultiPoly(*spec) * zeta8(3) + 1),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.tuples(st.integers(0, 7), st.integers(-2, 2)).map(lambda t: t[1] * zeta8(t[0])),
+)
+
+
+@st.composite
+def _substitutions(draw):
+    """A polynomial in lam and up to 3 more variables, and a map from some of them to images."""
+    names = ("lam",) + tuple(draw(st.permutations(VAR_ORDER[1:]))[: draw(st.integers(0, 3))])
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    terms = draw(st.dictionaries(exps, _COEFFS, min_size=1, max_size=5))
+    mapping = draw(st.dictionaries(st.sampled_from(names), _IMAGES, min_size=1, max_size=3))
+    return _both((names, terms))[0], mapping
+
+
+@given(_substitutions())
+def test_substitute_matches_term_by_term_oracle(case):
+    poly, mapping = case
+    image = poly.substitute(mapping)
+    want = substitute_by_terms(poly, mapping)
+    assert image == want
+    assert str(image) == str(want)
+
+
+def test_substitute_maps_lam_and_cyclotomic_constants():
+    lam, u, v = V("lam"), V("u"), V("v")
+    i_unit = MultiPoly.constant(root_i())
+    p = lam * u**3 * v + Fraction(1, 2) * u**4 - 3 * lam**2
+    mapping = {"lam": -i_unit * lam, "u": MultiPoly.constant(zeta8(3)) * u, "v": i_unit * v}
+    assert p.substitute(mapping) == substitute_by_terms(p, mapping)
+    # (-I) * zeta^9 * I = zeta, zeta^12 = -1 and (-I)^2 = -1
+    assert p.substitute(mapping) == MultiPoly.constant(zeta8(1)) * lam * u**3 * v - Fraction(1, 2) * u**4 + 3 * lam**2
+    assert p.substitute({"u": 2, "lam": Fraction(1, 3)}) == Fraction(8, 3) * v + 8 - Fraction(1, 3)
+
+
+def test_substitute_keeps_the_degree_limit():
+    square = {"u": V("v") ** 2, "x2": V("x3") ** 2}
+    # each power fits, their product would reach 2^15
+    both = MultiPoly(("u", "x2"), {(2**13, 2**13): 1})
+    for substitute in (MultiPoly.substitute, substitute_by_terms):
+        with pytest.raises(OverflowError, match="32768"):
+            substitute(both, square)
+    # one power alone would reach 2^15
+    with pytest.raises(OverflowError, match="32768"):
+        MultiPoly(("u",), {(2**14,): 1}).substitute(square)
+    below = MultiPoly(("u", "x2"), {(2**13, 2**13 - 1): 1}).substitute(square)
+    assert (below.degree_in("v"), below.degree_in("x3")) == (2**14, 2**14 - 2)
+
+
 def test_fraction_coefficients_exact():
     p = Fraction(1, 2) * V("u") + Fraction(1, 3)
     assert (6 * p) == 3 * V("u") + 2
@@ -91,6 +150,36 @@ def test_exact_div():
         exact_div(V("u") ** 2 + 1, V("u") + 1)
     assert divides(V("u") + V("v"), p)
     assert not divides(V("u") + 1, V("u") ** 2 + 1)
+
+
+def test_quotient_reports_what_exact_div_raises():
+    u, v = V("u"), V("v")
+    i_u = MultiPoly.constant(root_i()) * u
+    assert symbolic._quotient(u**2 - v**2, u + v) == u - v
+    assert symbolic._quotient(u**2 + 1, u + 1) == "leading term not divisible"
+    assert symbolic._quotient(u, i_u) == "division of cyclotomic coefficients is not supported"
+    with pytest.raises(InexactDivisionError, match="^leading term not divisible$"):
+        exact_div(u**2 + 1, u + 1)
+    with pytest.raises(InexactDivisionError, match="^division of cyclotomic coefficients is not supported$"):
+        exact_div(u, i_u)
+    for quotient in (symbolic._quotient, exact_div):
+        with pytest.raises(ZeroDivisionError):
+            quotient(u, MultiPoly.zero())
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-40, 40), max_size=5))
+def test_integer_content_and_primitive(terms):
+    p = MultiPoly(("u", "v"), terms)
+    assume(not p.is_zero())
+    content, prim = p.content_and_primitive()
+    coeffs = list(p.terms.values())
+    lead = p.terms[max(p.terms)]
+    assert type(content) is Fraction and content.denominator == 1
+    assert content == (1 if lead > 0 else -1) * math.gcd(*coeffs)
+    assert all(type(c) is int for c in prim.terms.values())
+    assert prim * content == p
+    # p / 7 has a Fraction coefficient unless 7 divides them all
+    assert (Fraction(1, 7) * p).content_and_primitive() == (content / 7, prim)
 
 
 _rational_polys = st.dictionaries(
@@ -369,6 +458,63 @@ def test_resultant_vanishes_iff_a_factor_is_shared(roots_p, roots_q, share, lead
     assert resultant(p, q, "v").is_zero() == shared
 
 
+# rationals, and linear polynomials in lam or u
+_RES_COEFFS = st.one_of(
+    st.integers(-3, 3).map(MultiPoly.constant),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).map(MultiPoly.constant),
+    st.tuples(st.sampled_from(["lam", "u"]), st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda t: t[1] * V(t[0]) + t[2]
+    ),
+)
+
+
+@st.composite
+def _in_s(draw, max_degree):
+    """A polynomial of degree 0..max_degree in s over Q[lam, u]; its leading coefficient may involve lam, u."""
+    coeffs = draw(st.lists(_RES_COEFFS, min_size=1, max_size=max_degree + 1))
+    if coeffs[-1].is_zero():
+        coeffs[-1] = MultiPoly.constant(draw(st.sampled_from([1, -2, Fraction(1, 3)])))
+    return sum((c * V("s") ** k for k, c in enumerate(coeffs)), MultiPoly.zero())
+
+
+@st.composite
+def _resultant_pairs(draw):
+    """(p, q, shared): degrees 0..5 in s, with a common factor when shared.
+
+    A "gap" pair is p = (s + c) * q + r with deg r <= 2 < deg q, so the
+    remainder sequence drops by two or more degrees after its first step.
+    """
+    kind = draw(st.sampled_from(["plain", "shared", "gap"]))
+    if kind == "plain":
+        return draw(_in_s(5)), draw(_in_s(5)), False
+    if kind == "gap":
+        q = draw(_in_s(4).filter(lambda q: q.degree_in("s") == 4))
+        return (V("s") + draw(_RES_COEFFS)) * q + draw(_in_s(2)), q, False
+    factor = draw(st.sampled_from([V("s") - V("u"), V("u") * V("s") + V("lam") + 1, Fraction(2, 3) * V("s") + 1]))
+    return factor * draw(_in_s(4)), factor * draw(_in_s(4)), True
+
+
+@settings(max_examples=60)
+@given(_resultant_pairs())
+def test_resultant_matches_sylvester_oracle(case):
+    p, q, shared = case
+    for a, b in ((p, q), (q, p)):
+        got = resultant(a, b, "s")
+        assert got == sylvester_resultant(a, b, "s")
+        assert str(got) == str(sylvester_resultant(a, b, "s"))
+    if shared:
+        assert resultant(p, q, "s").is_zero()
+
+
+@pytest.mark.parametrize("i", FAMILY_INDICES)
+def test_resultant_matches_sylvester_oracle_on_the_eliminant_pairs(i):
+    r0, r1, r2, r3, r4 = symbolic.bitangent_restriction(i)
+    e1 = 8 * r0**2 * r3 - 4 * r0 * r1 * r2 + r1**3
+    e2 = 64 * r0**3 * r4 - (4 * r0 * r2 - r1**2) ** 2
+    assert resultant(e1, e2, "a3") == sylvester_resultant(e1, e2, "a3")
+    assert resultant(e2, e1, "a3") == sylvester_resultant(e2, e1, "a3")
+
+
 def test_resultant_rejects_zero():
     with pytest.raises(ValueError):
         resultant(MultiPoly.zero(), V("s"), "s")
@@ -520,6 +666,57 @@ def test_appendix_computes_each_eliminant_once(monkeypatch):
     results = appendix_checks()
     assert all(ok for _, ok in results)
     assert len(eliminated) == len(FAMILY_INDICES)
+
+
+def test_appendix_derives_each_branch_quartic_once(monkeypatch):
+    sheet1 = {i: quotient_surface(i, 1) for i in FAMILY_INDICES}
+    derived = []
+    real_discriminant = symbolic.discriminant_in
+
+    def counting_discriminant(p, name):
+        derived.extend(i for i, surface in sheet1.items() if surface == p)
+        return real_discriminant(p, name)
+
+    monkeypatch.setattr(symbolic, "discriminant_in", counting_discriminant)
+    results = appendix_checks()
+    assert results and all(ok for _, ok in results)
+    assert sorted(derived) == sorted(FAMILY_INDICES)
+
+
+def test_appendix_only_quotient_identity_builds_no_surface(monkeypatch):
+    def unexpected(i, sheet):
+        raise AssertionError(f"quotient surface ({i}, {sheet}) built for an unselected check")
+
+    monkeypatch.setattr(symbolic, "quotient_surface", unexpected)
+    results = appendix_checks(only=["quotient-identity"])
+    assert results == [("quotient-identity-h1", True), ("quotient-identity-h2", True)]
+
+
+def test_memoized_derivations_hand_out_no_mutable_lists():
+    assert isinstance(symbolic._restriction(2), tuple)
+    assert branch_quartic(2) is branch_quartic(2)
+    assert quotient_surface(6, 3) is quotient_surface(6, 3)
+    restriction = symbolic.bitangent_restriction(2)
+    restriction.clear()
+    assert len(symbolic.bitangent_restriction(2)) == 5
+
+
+def test_appendix_raises_no_inexact_division(monkeypatch):
+    # a2^4 - 1 is stripped by trial division that reports, not raises
+    raised = []
+    real_exact_div = symbolic.exact_div
+
+    def watching(p, q):
+        try:
+            return real_exact_div(p, q)
+        except InexactDivisionError:
+            raised.append((p, q))
+            raise
+
+    monkeypatch.setattr(symbolic, "exact_div", watching)
+    results = appendix_checks()
+    assert results and all(ok for _, ok in results)
+    assert raised == []
 
 
 def test_appendix_only_token_must_match():
