@@ -9,6 +9,7 @@ monomial prod y_i^(b_i).
 """
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 
 from .exactalg import IntMatrix, SingularMatrixError, minimal_map_matrix
@@ -76,7 +77,17 @@ def validate_coefficient_matrix(a: IntMatrix) -> list[str]:
 
 
 def build(a_matrix: IntMatrix, deformation) -> DeformationData:
-    """Assemble full deformation data from (A, a), checking every invariant."""
+    """Assemble full deformation data from (A, a), checking every invariant.
+
+    The data depend on the values of A and a alone, so one process derives
+    them once per distinct input and hands every caller the same immutable
+    instance; invalid input raises on every call.
+    """
+    return _build(a_matrix, tuple(deformation))
+
+
+@cache
+def _build(a_matrix: IntMatrix, deformation: tuple) -> DeformationData:
     problems, cover = _check_matrix(a_matrix)
     if problems:
         raise DeformationError("; ".join(problems))

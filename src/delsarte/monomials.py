@@ -12,6 +12,7 @@ lambda = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, prod
 
 from .deformation import DeformationData
@@ -29,14 +30,15 @@ def format_type(k) -> str:
 
 def gmax_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
     """Distinct interior multiples of b modulo d (a set, not a multiplier count)."""
-    d = data.degree
-    b = data.cover_exponents
-    seen = set()
-    for t in range(d):
-        k = tuple((t * bi) % d for bi in b)
-        if all(0 < e < d for e in k):
-            seen.add(k)
-    return sorted(seen)
+    return list(_gmax_types(data.degree, data.cover_exponents))
+
+
+@cache
+def _gmax_types(d: int, b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # t*b runs through the cyclic group generated by b, whose order is
+    # d / gcd(d, b_0, ..., b_n), so these t give each multiple once
+    multiples = (tuple(t * bi % d for bi in b) for t in range(d // gcd(d, *b)))
+    return tuple(sorted(k for k in multiples if all(k)))
 
 
 def is_g_invariant(k, data: DeformationData) -> bool:
@@ -61,14 +63,27 @@ def g_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
     k*A == 0 and a zero entry sum, walked by `exactalg.kernel_elements`.
     The kernel has prod(d / step) points, at most |det A| as it is a
     subgroup of {m*B mod d}, and a larger kernel than the limit is
-    refused before enumeration.
+    refused before enumeration.  The kernel and its walk are derived once
+    per (A, d); the limit is checked on every call.
     """
-    d = data.degree
-    u, steps = kernel_mod([row + (1,) for row in data.matrix.rows], d)
-    size = prod(d // step for step in steps)
+    rows, d = data.matrix.rows, data.degree
+    size = _g_kernel(rows, d)[2]
     if size > _SUBGROUP_LIMIT:
         raise ValueError(f"invariant-type kernel of {size} points exceeds the enumeration limit {_SUBGROUP_LIMIT}")
-    return sorted(k for k in kernel_elements(u, steps, d) if all(k))
+    return list(_g_types(rows, d))
+
+
+@cache
+def _g_kernel(rows: tuple[tuple[int, ...], ...], d: int) -> tuple[list[list[int]], list[int], int]:
+    """U, steps and size of the kernel of [A | 1] mod d (`exactalg.kernel_mod`)."""
+    u, steps = kernel_mod([row + (1,) for row in rows], d)
+    return u, steps, prod(d // step for step in steps)
+
+
+@cache
+def _g_types(rows: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[int, ...], ...]:
+    u, steps, _ = _g_kernel(rows, d)
+    return tuple(sorted(k for k in kernel_elements(u, steps, d) if all(k)))
 
 
 def dimension_triple(data: DeformationData) -> tuple[int, int, int]:

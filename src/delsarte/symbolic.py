@@ -92,7 +92,17 @@ def _c_norm(c):
 
 
 def _c_div(a, b):
-    """a / b for a rational a and a nonzero rational b."""
+    """a / b for coefficients a and nonzero b.
+
+    A cyclotomic b is divided through its norm: N(b) = prod_u sigma_u(b)
+    over the units u mod 8 is rational, so a / b = a * c / N(b) with c the
+    product of the conjugates sigma_3(b) sigma_5(b) sigma_7(b).
+    """
+    if isinstance(b, CyclotomicElement):
+        c = b.galois(3) * b.galois(5) * b.galois(7)
+        a, b = a * c, _c_norm(b * c)
+    if isinstance(a, CyclotomicElement):
+        return _c_norm(a * (1 / Fraction(b)))
     if type(a) is int and type(b) is int and a % b == 0:
         return a // b
     return _c_norm(Fraction(a) / Fraction(b))
@@ -383,10 +393,7 @@ def _quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly | str:
         lead = max(rem)
         if ((lead | _GUARDS) - q_lead) & _GUARDS != _GUARDS:
             return "leading term not divisible"
-        c = rem.pop(lead)
-        if isinstance(c, CyclotomicElement) or isinstance(q_lead_c, CyclotomicElement):
-            return "division of cyclotomic coefficients is not supported"
-        c = _c_div(c, q_lead_c)
+        c = _c_div(rem.pop(lead), q_lead_c)
         diff = lead - q_lead
         # leading monomials strictly decrease, so each quotient term is new
         out[diff] = c

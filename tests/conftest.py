@@ -13,14 +13,15 @@ settings.load_profile("delsarte")
 
 
 @pytest.fixture(autouse=True)
-def fresh_symbolic_caches():
-    """Empty every memoized derivation of `symbolic` before each test.
+def fresh_caches():
+    """Empty every memoized derivation of the package before each test.
 
     A derivation cached by an earlier test would otherwise hide what a
-    test monkeypatches, such as `symbolic._REGISTRY`.
+    test monkeypatches, such as `symbolic._REGISTRY` or a helper whose
+    calls a test counts, and make a result depend on the order of tests.
     """
-    symbolic = sys.modules.get("delsarte.symbolic")
-    if symbolic is not None:
-        for value in vars(symbolic).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name == "delsarte" or name.startswith("delsarte."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()

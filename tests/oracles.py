@@ -112,6 +112,13 @@ def is_gmax_invariant(k, b, d):
     return any(all((t * bi - ki) % d == 0 for bi, ki in zip(b, k)) for t in range(d))
 
 
+def gmax_types_by_every_multiplier(data):
+    """The distinct interior t*b mod d over every t < d, sorted: the PF types by definition."""
+    d, b = data.degree, data.cover_exponents
+    multiples = {tuple(t * bi % d for bi in b) for t in range(d)}
+    return sorted(k for k in multiples if all(k))
+
+
 def determinant(m):
     """Exact determinant: sign * prod(e_i) from `exactalg.diagonalize`, 0 below full rank.
 
@@ -588,6 +595,20 @@ def _ref_coeff_mul(a, b):
     return tuple(out)
 
 
+def _ref_coeff_inverse(c):
+    """1 / c in Q(zeta_8): solves c * x = 1, column j of its matrix being c * z^j."""
+    columns = [_ref_coeff_mul(c, ref_coeff(1, j)) for j in range(4)]
+    rows = [[columns[j][i] for j in range(4)] + [Fraction(i == 0)] for i in range(4)]
+    for t in range(4):  # Gauss-Jordan; c != 0 makes the matrix invertible
+        pivot = next(i for i in range(t, 4) if rows[i][t])
+        rows[t], rows[pivot] = rows[pivot], rows[t]
+        rows[t] = [x / rows[t][t] for x in rows[t]]
+        for i in range(4):
+            if i != t and rows[i][t]:
+                rows[i] = [x - rows[i][t] * y for x, y in zip(rows[i], rows[t])]
+    return tuple(row[4] for row in rows)
+
+
 def _ref_coeff_text(c):
     """A coefficient as MultiPoly prints it: rationals bare, the rest in parentheses."""
     if not any(c[1:]):
@@ -654,16 +675,14 @@ class RefPoly:
         return RefPoly({e[:i] + (0,) + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == power})
 
     def exact_div(self, q):
-        """The quotient self / q, or None when q does not divide self (rational coefficients).
+        """The quotient self / q, or None when q does not divide self.
 
         Each step divides the graded-lex leading term of the remainder by
         that of q; when q divides self, the leading term of q divides the
         leading term of every remainder, because lt(q*h) = lt(q)*lt(h).
         """
-        coeffs = list(self.terms.values()) + list(q.terms.values())
-        if any(any(c[1:]) for c in coeffs):
-            raise ValueError("exact_div oracle takes rational coefficients only")
         q_lead = max(q.terms, key=_graded_lex)
+        q_inverse = _ref_coeff_inverse(q.terms[q_lead])
         rem = self
         out = {}
         while rem.terms:
@@ -671,7 +690,7 @@ class RefPoly:
             shift = tuple(x - y for x, y in zip(lead, q_lead))
             if min(shift) < 0:
                 return None
-            c = (rem.terms[lead][0] / q.terms[q_lead][0], 0, 0, 0)
+            c = _ref_coeff_mul(rem.terms[lead], q_inverse)
             out[shift] = c
             rem = rem + -(RefPoly({shift: c}) * q)
         return RefPoly(out)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from delsarte import cli, deformation, monomials, pointcount
+from delsarte import cli, deformation, exactalg, monomials, pointcount
 from delsarte.pointcount import FiniteField, family_hypersurface
 
 from golden_data import SUMMARY_TABLE
@@ -467,6 +467,45 @@ def test_invariant_walk_limit_is_its_own_size(monkeypatch, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     monkeypatch.setattr(monomials, "_SUBGROUP_LIMIT", size)
     assert len(monomials.g_invariant_types(data)) == 15
+
+
+def test_each_family_is_derived_once_per_process(monkeypatch, tmp_path):
+    maps, kernels, walks = [], [], []
+
+    def counting_map(m):
+        maps.append(m.rows)
+        return exactalg.minimal_map_matrix(m)
+
+    def counting_kernel(rows, n):
+        kernels.append(n)
+        return exactalg.kernel_mod(rows, n)
+
+    def counting_walk(u, steps, n):
+        walks.append(n)
+        return exactalg.kernel_elements(u, steps, n)
+
+    monkeypatch.setattr(deformation, "minimal_map_matrix", counting_map)
+    monkeypatch.setattr(monomials, "kernel_mod", counting_kernel)
+    monkeypatch.setattr(monomials, "kernel_elements", counting_walk)
+    rows, a = deformation.FAMILIES["family7"]
+    same = tmp_path / "family7.json"
+    same.write_text(json.dumps({"matrix": [list(r) for r in rows], "deformation": list(a)}))
+    # a degree-5 Fermat cover outside the registry, deformed by x0^2*x1*x2*x3
+    other = tmp_path / "quintic.json"
+    quintic = [[5 * (i == j) for j in range(4)] for i in range(4)]
+    other.write_text(json.dumps({"matrix": quintic, "deformation": [2, 1, 1, 1]}))
+    commands = (
+        ["invariants"],
+        ["invariants", "--group", "Gmax"],
+        ["classes", "--kind", "strong"],
+        ["classes", "--kind", "weak"],
+        ["analyze"],
+    )
+    for ref, derived in (("family7", 1), (str(same), 1), (str(other), 2)):
+        for command in commands:
+            status, text = run_cli([command[0], ref, *command[1:]])
+            assert status == 0 and text, (ref, command)
+        assert (len(maps), len(kernels), len(walks)) == (derived, derived, derived), ref
 
 
 def test_unknown_family(capsys):

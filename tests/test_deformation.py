@@ -124,6 +124,24 @@ def test_data_from_json_roundtrip():
         data_from_json({"matrix": [[1, 1], [1, 1]]})
 
 
+def test_equal_inputs_share_one_derivation():
+    rows, a = FAMILIES["family7"]
+    data = family("family7")
+    assert build(IntMatrix([list(r) for r in rows]), list(a)) is data
+    assert data_from_json({"matrix": [list(r) for r in rows], "deformation": list(a)}) is data
+    assert build(IntMatrix(rows), rows[3]) is not data
+
+
+def test_invalid_input_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(DeformationError, match="^matrix is singular; column 0 has no zero entry"):
+            build(IntMatrix([[1, 1], [1, 1]]), (1, 1))
+        with pytest.raises(DeformationError, match="not a deformation vector"):
+            build(diagonal_matrix((4, 4, 4, 4)), (1, 1, 1, 2))
+        with pytest.raises(DeformationError, match="wrong length"):
+            data_from_json({"matrix": [[4, 0], [0, 4]], "deformation": [1, 1, 1]})
+
+
 def test_equation_string():
     assert (
         equation_string(family("family2"))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from delsarte import monomials
 from delsarte.deformation import build, family, family_keys, validate_coefficient_matrix
 from delsarte.exactalg import IntMatrix
 from delsarte.monomials import (
@@ -23,6 +24,7 @@ from golden_data import INVARIANT_TABLES, SUMMARY_TABLE
 from oracles import (
     determinant,
     enumerate_basis,
+    gmax_types_by_every_multiplier,
     interior_sum_zero,
     invariant_image,
     is_gmax_invariant,
@@ -162,6 +164,50 @@ def _quintic_families(draw):
 @given(_quintic_families())
 def test_g_invariant_types_match_oracle_image_five_variables(data):
     assert g_invariant_types(data) == interior_sum_zero(invariant_image(data), data.degree)
+
+
+@st.composite
+def _fermat_deformations(draw):
+    """Degree-D Fermat families of 2-5 variables deformed by any a of entry sum D (then b = a)."""
+    degree = draw(st.integers(2, 40))
+    n1 = draw(st.integers(2, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=n1 - 1, max_size=n1 - 1)))
+    a_vec = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, degree])]
+    return build(IntMatrix([[degree * (i == j) for j in range(n1)] for i in range(n1)]), a_vec)
+
+
+def test_gmax_types_match_every_multiplier_oracle_on_families():
+    for key in family_keys():
+        data = family(key)
+        assert gmax_invariant_types(data) == gmax_types_by_every_multiplier(data), key
+
+
+@given(st.one_of(_fermat_deformations(), _valid_families(), _quintic_families()))
+def test_gmax_types_match_every_multiplier_oracle(data):
+    assert gmax_invariant_types(data) == gmax_types_by_every_multiplier(data)
+
+
+def test_invariant_types_hand_out_fresh_lists():
+    data = family("family7")
+    for types_of in (g_invariant_types, gmax_invariant_types):
+        first = types_of(data)
+        want = list(first)
+        first.append((0, 0, 0, 0))
+        first.reverse()
+        assert types_of(data) == want
+        assert types_of(data) is not types_of(data)
+
+
+def test_warm_invariant_walk_still_checks_the_limit(monkeypatch):
+    data = family("family2")
+    types = g_invariant_types(data)  # the kernel and its walk are now cached
+    monkeypatch.setattr(monomials, "_SUBGROUP_LIMIT", 1)
+    with pytest.raises(ValueError, match="exceeds the enumeration limit 1$"):
+        g_invariant_types(data)
+    with pytest.raises(ValueError, match="exceeds the enumeration limit 1$"):
+        dimension_triple(data)
+    monkeypatch.undo()
+    assert g_invariant_types(data) == types
 
 
 def test_invariant_image_order_on_families():

@@ -157,14 +157,31 @@ def test_quotient_reports_what_exact_div_raises():
     i_u = MultiPoly.constant(root_i()) * u
     assert symbolic._quotient(u**2 - v**2, u + v) == u - v
     assert symbolic._quotient(u**2 + 1, u + 1) == "leading term not divisible"
-    assert symbolic._quotient(u, i_u) == "division of cyclotomic coefficients is not supported"
+    assert symbolic._quotient(u, i_u) == MultiPoly.constant(-root_i())
     with pytest.raises(InexactDivisionError, match="^leading term not divisible$"):
         exact_div(u**2 + 1, u + 1)
-    with pytest.raises(InexactDivisionError, match="^division of cyclotomic coefficients is not supported$"):
-        exact_div(u, i_u)
+    assert exact_div(u, i_u) == MultiPoly.constant(-root_i())
     for quotient in (symbolic._quotient, exact_div):
         with pytest.raises(ZeroDivisionError):
             quotient(u, MultiPoly.zero())
+
+
+def test_quotient_divides_cyclotomic_coefficients():
+    u, lam = V("u"), V("lam")
+    i = MultiPoly.constant(root_i())
+    # u == (I*u) * (-I): once refused as a cyclotomic division
+    assert divides(i * u, u)
+    assert exact_div(i * u, u) == i
+    sqrt2 = MultiPoly.constant(zeta8(1) + zeta8(7))
+    assert sqrt2 * sqrt2 == MultiPoly.constant(2)
+    q = sqrt2 * u**2 + MultiPoly.constant(zeta8(1)) * lam - 3
+    p = MultiPoly.constant(Fraction(2, 7)) * (u * lam + MultiPoly.constant(zeta8(3)) * u - 1)
+    assert exact_div(p * q, q) == p
+    assert exact_div(p * q, p) == q
+    assert exact_div(MultiPoly.constant(2) * u, sqrt2) == sqrt2 * u
+    assert not divides(q, p * q + 1)
+    with pytest.raises(InexactDivisionError, match="^leading term not divisible$"):
+        exact_div(p * q + u, q)
 
 
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-40, 40), max_size=5))
@@ -249,6 +266,19 @@ def test_packed_exact_div_matches_tuple_oracle(a, b):
     if want is None:
         with pytest.raises(InexactDivisionError):
             exact_div(pa, pb)
+    else:
+        assert str(exact_div(pa, pb)) == want.text()
+
+
+@given(_poly_specs(), _poly_specs())
+def test_exact_div_over_zeta8_matches_tuple_oracle(a, b):
+    pa, ra = _both(a)
+    pb, rb = _both(b)
+    assume(not pb.is_zero())
+    assert str(exact_div(pa * pb, pb)) == (ra * rb).exact_div(rb).text() == ra.text()
+    want = ra.exact_div(rb)
+    if want is None:
+        assert not divides(pb, pa)
     else:
         assert str(exact_div(pa, pb)) == want.text()
 
