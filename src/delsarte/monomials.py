@@ -25,7 +25,7 @@ _SUBGROUP_LIMIT = 4_000_000
 
 
 def format_type(k) -> str:
-    return ",".join(str(e) for e in k)
+    return ",".join(map(str, k))
 
 
 def gmax_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
@@ -107,34 +107,28 @@ def dimension_triple(data: DeformationData) -> tuple[int, int, int]:
     return pf, gi - pf, full - gi
 
 
-def _partition(types, neighbours) -> list[list[tuple[int, ...]]]:
-    """Connected components of the given neighbour relation inside `types`.
+def _arcs(types, b, d: int) -> list[list[tuple[int, ...]]]:
+    """The strong classes of `types`; see `strong_classes`.
 
-    Each block starts at the least type not yet placed, so the blocks come
-    out sorted by their first type.
+    `weak_classes` starts from these too.  It calls this helper rather
+    than the public function, so the spans that bench/tracer.py records
+    for `strong_classes` time only its direct callers.
     """
-    pool = set(types)
+    pool = set(map(tuple, types))
+    minus_b = [-y for y in b]
     blocks = []
     for start in sorted(pool):
         if start not in pool:
             continue
-        block = {start}
-        frontier = [start]
         pool.remove(start)
-        while frontier:
-            k = frontier.pop()
-            for nxt in neighbours(k):
-                if nxt in pool:
-                    pool.remove(nxt)
-                    block.add(nxt)
-                    frontier.append(nxt)
+        block = [start]
+        for step in (b, minus_b):
+            k = start
+            while (k := tuple([(x + y) % d for x, y in zip(k, step)])) in pool:
+                pool.remove(k)
+                block.append(k)
         blocks.append(sorted(block))
     return blocks
-
-
-def _shifts(k, b, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """k + b and k - b (mod d)."""
-    return tuple((x + y) % d for x, y in zip(k, b)), tuple((x - y) % d for x, y in zip(k, b))
 
 
 def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
@@ -142,9 +136,12 @@ def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
 
     Orbits are the equivalence closure of the shift restricted to the
     given set, so a shift that leaves the set breaks the chain there.
+    Each coset of <b> is a cycle, so a block is an arc of one: walked
+    from the least type not yet placed by steps of +b, then of -b, until
+    a step leaves the unplaced types.  The blocks come out sorted by
+    their first type.
     """
-    type_set = set(map(tuple, types))
-    return _partition(type_set, lambda k: [t for t in _shifts(k, b, d) if t in type_set])
+    return _arcs(types, b, d)
 
 
 def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
@@ -152,24 +149,37 @@ def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
 
     The unit-scaling closure rule is this implementation's definition of
     weak equivalence; it is validated against the shipped regression data
-    for the built-in families but is intentionally conservative.  Unit
-    orbits partition the types, so each orbit is computed once, when its
-    first member is reached, and all its members in the set join the
-    block then.
+    for the built-in families but is intentionally conservative.  The
+    strong classes are joined by a search over them: unit orbits
+    partition the types, so each orbit is computed once, when its first
+    member is reached, and the strong classes of all its members in the
+    set join the block then.  Strong classes come sorted by their least
+    type, so the blocks do too.
     """
-    type_set = set(map(tuple, types))
-    units = [u for u in range(1, d) if gcd(u, d) == 1]
+    strong = _arcs(types, b, d)
+    block_of = {k: i for i, block in enumerate(strong) for k in block}
+    units = [u for u in range(2, d) if gcd(u, d) == 1]  # u = 1 fixes every type
     scaled = set()
-
-    def neighbours(k):
-        out = [t for t in _shifts(k, b, d) if t in type_set]
-        if k not in scaled:
-            orbit = {tuple((u * x) % d for x in k) for u in units}
-            scaled.update(orbit)
-            out += [t for t in orbit if t in type_set]
-        return out
-
-    return _partition(type_set, neighbours)
+    joined = [False] * len(strong)
+    blocks = []
+    for first in range(len(strong)):
+        if joined[first]:
+            continue
+        joined[first] = True
+        group = [first]
+        for i in group:
+            for k in strong[i]:
+                if k in scaled:
+                    continue
+                for u in units:
+                    t = tuple([(u * x) % d for x in k])
+                    scaled.add(t)
+                    j = block_of.get(t)
+                    if j is not None and not joined[j]:
+                        joined[j] = True
+                        group.append(j)
+        blocks.append(sorted([k for i in group for k in strong[i]]))
+    return blocks
 
 
 class ReducedForm:

@@ -8,10 +8,14 @@ resultants by the subresultant PRS, and the full derivation of the
 bitangents to the five special plane quartics attached to the families
 1, 2, 3, 6, 7: the degree-20/24 eliminants in the slope parameter, the
 vertical-line bitangents, the quotient identities, and the isomorphisms
-between the three del Pezzo quotient surfaces of each family.  The
-quotient surfaces, branch quartics, restrictions and eliminants of a
-family index are memoized (`functools.cache`), so one process derives
-each of them once.
+between the three del Pezzo quotient surfaces of each family.  These
+derivations are memoized (`functools.cache`), so one process derives
+each of them once however many checks or runs of `appendix_checks` use
+them: per family index, the quotient surfaces, branch quartics,
+restrictions, eliminants, vertical-bitangent conditions and products of
+the expected eliminant factors; the isomorphism registry (a tuple); and
+per registry index, the image of the source surface under its
+substitution.  Every check still compares on every run.
 """
 from __future__ import annotations
 
@@ -221,7 +225,9 @@ class MultiPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> MultiPoly:
-        ta, tb = self.terms, self._coerce(other).terms
+        if not isinstance(other, MultiPoly):
+            return self._scaled(other)
+        ta, tb = self.terms, other.terms
         if not ta or not tb:
             return _wrap({})
         degree = (max(ta) >> _DEG) + (max(tb) >> _DEG)
@@ -236,6 +242,20 @@ class MultiPoly:
         return _canonical(out)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c) -> MultiPoly:
+        """self * c for a scalar c, in one pass over the terms."""
+        c = _c_norm(c)
+        if not c:
+            return _wrap({})
+        out = {}
+        for key, v in self.terms.items():
+            v *= c
+            if type(v) is not int:
+                v = _c_norm(v)
+            # a product of nonzero field elements is nonzero
+            out[key] = v
+        return _wrap(out)
 
     def __pow__(self, e: int) -> MultiPoly:
         if e < 0:
@@ -280,15 +300,25 @@ class MultiPoly:
         """Simultaneous substitution; values may be polynomials or scalars.
 
         Each term's image, scaled by its coefficient, is gathered into one
-        raw dict that is canonicalized once at the end.
+        raw dict that is canonicalized once at the end.  A constant image
+        folds into the coefficient as a scalar power.
         """
-        images = {name: self._coerce(value) for name, value in mapping.items()}
+        images, scalars = {}, {}
+        for name, value in mapping.items():
+            image = self._coerce(value)
+            if image.terms.keys() <= {0}:
+                scalars[name] = image.terms.get(0, 0)
+            else:
+                images[name] = image
         power_cache: dict[tuple[str, int], MultiPoly] = {}
         out: dict = {}
         get = out.get
         for key, c in self.terms.items():
             term = None
             for name, e in _exponents(key):
+                if name in scalars:
+                    c = c * scalars[name] ** e
+                    continue
                 power = power_cache.get((name, e))
                 if power is None:
                     power = power_cache[name, e] = images.get(name, MultiPoly.variable(name)) ** e
@@ -458,11 +488,15 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     and Traub, J. ACM 1971) on coefficient lists in `name`: each
     pseudo-remainder divides exactly by g*h^delta, so no rational
     functions appear and the coefficients stay as small as the
-    subresultants they are.
+    subresultants they are.  Fraction coefficients are cleared first:
+    with L_p and L_q the lcm of the denominators of p and q,
+    res(L_p p, L_q q) = L_p^deg(q) L_q^deg(p) res(p, q).
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
+    (p, lp), (q, lq) = _cleared(p), _cleared(q)
     a, b = p.as_univariate(name), q.as_univariate(name)
+    scale = lp ** (len(b) - 1) * lq ** (len(a) - 1)
     sign = 1
     if len(a) < len(b):
         # res(q, p) = (-1)^(deg p * deg q) res(p, q); each step below
@@ -485,7 +519,18 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
             h = g**delta if delta == 1 else exact_div(g**delta, h ** (delta - 1))
     da = len(a) - 1
     h = b[0] ** da if da == 1 or h == 1 else exact_div(b[0] ** da, h ** (da - 1))
+    if scale != 1:
+        h = h * Fraction(1, scale)
     return -h if sign < 0 else h
+
+
+def _cleared(p: MultiPoly) -> tuple[MultiPoly, int]:
+    """(L * p, L) with L the lcm of the denominators of p's Fraction coefficients."""
+    denom = 1
+    for c in p.terms.values():
+        if type(c) is Fraction:
+            denom = lcm(denom, c.denominator)
+    return (p if denom == 1 else p * denom), denom
 
 
 # -- named polynomials ---------------------------------------------------------
@@ -639,7 +684,8 @@ def verify_isomorphism(substitution: dict, source: MultiPoly, target: MultiPoly)
     return image.equal_up_to_scalar(target)
 
 
-def _a2_isomorphism_registry():
+@cache
+def _a2_isomorphism_registry() -> tuple:
     """Verified coordinate maps between the quotient surfaces.
 
     Each entry is (name, substitution, source, target): source and target
@@ -651,7 +697,7 @@ def _a2_isomorphism_registry():
     i_unit, z8 = MultiPoly.constant(root_i()), lambda k: MultiPoly.constant(zeta8(k))
     u, v, x2, x3, lam = _v("u"), _v("v"), _v("x2"), _v("x3"), _v("lam")
     entries = [(f"family{i}: sheet2 -> sheet1", {"u": i_unit * u}, (i, 2), (i, 1)) for i in (1, 2, 6)]
-    return entries + [
+    return tuple(entries) + (
         ("family3: sheet2 -> sheet1", {"u": i_unit * u, "x3": -x3}, (3, 1), (3, 2)),
         (
             "family7: sheet2 -> sheet1 (acts on lam)",
@@ -662,7 +708,14 @@ def _a2_isomorphism_registry():
         ("family1: sheet3 -> sheet2", {"v": i_unit * v, "x3": -i_unit * x3}, (1, 3), (1, 2)),
         ("family2: sheet3 -> sheet2", {"v": i_unit * v, "x2": z8(1) * x2, "x3": z8(5) * x3}, (2, 3), (2, 2)),
         ("family6: sheet3 -> sheet2 (acts on lam)", {"v": i_unit * v, "lam": -i_unit * lam}, (6, 3), (6, 2)),
-    ]
+    )
+
+
+@cache
+def _isomorphism_image(index: int) -> MultiPoly:
+    """The source surface of registry entry `index` composed with its substitution."""
+    _, substitution, source, _ = _a2_isomorphism_registry()[index]
+    return quotient_surface(*source).substitute(substitution)
 
 
 # -- bitangents ----------------------------------------------------------------
@@ -722,6 +775,7 @@ def bitangent_eliminant(i: int) -> MultiPoly:
     return _strip_spurious(res.primitive_part()).primitive_part()
 
 
+@cache
 def vertical_bitangents(i: int) -> MultiPoly:
     """Condition on a for the line x2 = a*x3 to be bitangent, up to scalar.
 
@@ -842,9 +896,11 @@ def expected_eliminant_factors(i: int) -> list[MultiPoly]:
     raise ValueError(f"family index must be one of {FAMILY_INDICES}")
 
 
-def _product(polys) -> MultiPoly:
+@cache
+def _expected_eliminant(i: int) -> MultiPoly:
+    """Product of `expected_eliminant_factors(i)`."""
     out = MultiPoly.constant(1)
-    for p in polys:
+    for p in expected_eliminant_factors(i):
         out = out * p
     return out
 
@@ -885,8 +941,9 @@ def _resultant_spot_check(seed: int) -> bool:
     return ok
 
 
-def _verify_registered(substitution: dict, source: tuple, target: tuple) -> bool:
-    return verify_isomorphism(substitution, quotient_surface(*source), quotient_surface(*target))
+def _verify_registered(index: int) -> bool:
+    target = _a2_isomorphism_registry()[index][3]
+    return _isomorphism_image(index).equal_up_to_scalar(quotient_surface(*target))
 
 
 def _eliminant_is_even(i: int) -> bool:
@@ -907,8 +964,8 @@ def appendix_checks(seed: int = 0, only=None) -> list[tuple[str, bool]]:
     checks = [(f"quotient-identity-h{j}", partial(verify_quotient_identity, j)) for j in (1, 2)]
     for i in FAMILY_INDICES:
         checks.append((f"discriminant-q{i}", lambda i=i: (branch_quartic(i) - builtin(f"q{i}")).is_zero()))
-    for name, sub, source, target in _a2_isomorphism_registry():
-        checks.append((f"isomorphism {name}", partial(_verify_registered, sub, source, target)))
+    for index, entry in enumerate(_a2_isomorphism_registry()):
+        checks.append((f"isomorphism {entry[0]}", partial(_verify_registered, index)))
     for i in FAMILY_INDICES:
         checks.append(
             (
@@ -932,9 +989,7 @@ def appendix_checks(seed: int = 0, only=None) -> list[tuple[str, bool]]:
         checks.append(
             (
                 f"eliminant-factors-{i}",
-                lambda i=i: _product(expected_eliminant_factors(i)).equal_up_to_scalar(
-                    bitangent_eliminant(i)
-                ),
+                lambda i=i: _expected_eliminant(i).equal_up_to_scalar(bitangent_eliminant(i)),
             )
         )
     checks.append(("discriminant-double-root-spot-check", partial(_discriminant_spot_check, seed)))

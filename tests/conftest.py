@@ -12,6 +12,15 @@ settings.register_profile("delsarte", derandomize=True, database=None, deadline=
 settings.load_profile("delsarte")
 
 
+def clear_package_caches():
+    """Empty every memoized derivation (every `cache_clear`) of the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "delsarte" or name.startswith("delsarte."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Empty every memoized derivation of the package before each test.
@@ -20,8 +29,4 @@ def fresh_caches():
     test monkeypatches, such as `symbolic._REGISTRY` or a helper whose
     calls a test counts, and make a result depend on the order of tests.
     """
-    for name, module in list(sys.modules.items()):
-        if name == "delsarte" or name.startswith("delsarte."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+    clear_package_caches()

@@ -3,7 +3,8 @@
 These deliberately avoid the shortcuts used by the implementation: the
 invariance oracles enumerate the values m*B directly or close the rows
 of B under addition, the determinant and adjugate oracles expand
-cofactors, the weak-class oracle scales every type by every unit, the
+cofactors, the strong-class oracle closes the set under k -> k +- b by a
+frontier search, the weak-class oracle scales every type by every unit, the
 reduction
 oracle rewrites forms by explicit polynomial differentiation, the Jacobi
 sum oracle enumerates every tuple of nonzero field elements, the
@@ -182,14 +183,12 @@ def embedding(elem):
     return value
 
 
-def weak_classes_all_units(types, b, d):
-    """Weak classes with every unit multiple of every type as a neighbour.
+def _closure_blocks(types, near):
+    """Connected components of k ~ t, t in near(k), inside the set of types.
 
-    Blocks are the connected components of k ~ k +- b and k ~ u*k inside
-    the set, each sorted, listed by their least type.
+    Each block is sorted, and the blocks are listed by their least type.
     """
     type_set = set(map(tuple, types))
-    units = [u for u in range(1, d) if gcd(u, d) == 1]
     blocks = []
     placed = set()
     for start in sorted(type_set):
@@ -199,15 +198,36 @@ def weak_classes_all_units(types, b, d):
         frontier = [start]
         while frontier:
             k = frontier.pop()
-            near = [tuple((x + y) % d for x, y in zip(k, b)), tuple((x - y) % d for x, y in zip(k, b))]
-            near += [tuple(u * x % d for x in k) for u in units]
-            for t in near:
+            for t in near(k):
                 if t in type_set and t not in block:
                     block.add(t)
                     frontier.append(t)
         placed |= block
         blocks.append(sorted(block))
     return blocks
+
+
+def _plus_minus_b(k, b, d):
+    return [tuple((x + y) % d for x, y in zip(k, b)), tuple((x - y) % d for x, y in zip(k, b))]
+
+
+def strong_classes_by_closure(types, b, d):
+    """Strong classes as the equivalence closure of k -> k + b inside the set.
+
+    Blocks are the connected components of k ~ k +- b, found by a
+    frontier search over the whole set rather than by walking arcs.
+    """
+    return _closure_blocks(types, lambda k: _plus_minus_b(k, b, d))
+
+
+def weak_classes_all_units(types, b, d):
+    """Weak classes with every unit multiple of every type as a neighbour.
+
+    Blocks are the connected components of k ~ k +- b and k ~ u*k inside
+    the set, each sorted, listed by their least type.
+    """
+    units = [u for u in range(1, d) if gcd(u, d) == 1]
+    return _closure_blocks(types, lambda k: _plus_minus_b(k, b, d) + [tuple(u * x % d for x in k) for u in units])
 
 
 def oracle_reduce(exponents, d):

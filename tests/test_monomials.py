@@ -29,6 +29,7 @@ from oracles import (
     invariant_image,
     is_gmax_invariant,
     oracle_reduce,
+    strong_classes_by_closure,
     weak_classes_all_units,
 )
 
@@ -325,6 +326,55 @@ def test_strong_classes_family1_regression():
     data = family("family1")
     blocks = strong_classes(g_invariant_types(data), data.cover_exponents, data.degree)
     assert sorted(len(b) for b in blocks) == [1] * 18 + [3]
+
+
+def test_strong_classes_match_closure_oracle_on_families():
+    for key in family_keys():
+        data = family(key)
+        b, d = data.cover_exponents, data.degree
+        for types in (g_invariant_types(data), gmax_invariant_types(data)):
+            assert strong_classes(types, b, d) == strong_classes_by_closure(types, b, d)
+
+
+@settings(max_examples=60)
+@given(st.one_of(_valid_families(), _quintic_families()))
+def test_strong_classes_match_closure_oracle_on_generated_families(data):
+    types = g_invariant_types(data)
+    b, d = data.cover_exponents, data.degree
+    assert strong_classes(types, b, d) == strong_classes_by_closure(types, b, d)
+
+
+@settings(max_examples=60)
+@given(_fermat_deformations())
+def test_strong_classes_match_closure_oracle_on_multiples_of_b(data):
+    # the interior multiples of b: one <b> cycle, cut at every multiple with a zero entry
+    types = gmax_invariant_types(data)
+    b, d = data.cover_exponents, data.degree
+    assert strong_classes(types, b, d) == strong_classes_by_closure(types, b, d)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["family1", "family2", "family4", "family5", "family7"]), st.data())
+def test_strong_classes_match_closure_oracle_on_subsets(key, draw):
+    # arbitrary subsets break the <b> cycles into arcs anywhere
+    data = family(key)
+    b, d = data.cover_exponents, data.degree
+    pool = enumerate_basis(d, data.n) if d <= 8 else g_invariant_types(data)
+    types = sorted(draw.draw(st.sets(st.sampled_from(pool), min_size=1)))
+    assert strong_classes(types, b, d) == strong_classes_by_closure(types, b, d)
+
+
+def test_strong_classes_on_one_whole_cycle_and_its_arcs():
+    b, d = (2, 2, 2, 2), 8
+    cycle = [(1, 1, 1, 5), (3, 3, 3, 7), (5, 5, 5, 1), (7, 7, 7, 3)]
+    # the whole coset of <b>: the walk from the least type comes back to it
+    assert strong_classes(cycle[::-1], b, d) == [sorted(cycle)] == strong_classes_by_closure(cycle, b, d)
+    # without (3,3,3,7) the arc runs from (5,5,5,1) through (7,7,7,3) back to the least type
+    arc = [cycle[0], cycle[2], cycle[3]]
+    assert strong_classes(arc, b, d) == [arc] == strong_classes_by_closure(arc, b, d)
+    # two opposite gaps leave two single types
+    apart = [cycle[0], cycle[2]]
+    assert strong_classes(apart, b, d) == [[cycle[0]], [cycle[2]]] == strong_classes_by_closure(apart, b, d)
 
 
 def test_weak_classes_family5():

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import clear_package_caches
 from oracles import RefPoly, ref_coeff, substitute_by_terms, sylvester_resultant
 
 from delsarte import deformation, symbolic
+from delsarte.cyclotomic import CyclotomicElement
 from delsarte.symbolic import (
     FAMILY_INDICES,
     VAR_ORDER,
@@ -239,6 +241,41 @@ def _both(spec):
             packed[exps] = c
             ref[exps] = ref_coeff(c)
     return MultiPoly(names, packed), RefPoly.from_named(names, ref)
+
+
+_SCALARS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.tuples(st.integers(0, 7), st.integers(-2, 2)).map(lambda t: t[1] * zeta8(t[0])),
+    st.just(zeta8(1) + zeta8(7)),
+)
+
+
+@given(_poly_specs(), _SCALARS)
+def test_scalar_product_matches_constant_polynomial_product(spec, c):
+    p = _both(spec)[0]
+    want = p * MultiPoly.constant(c)
+    # CyclotomicElement.__mul__ refuses a MultiPoly operand (TypeError), so
+    # a cyclotomic scalar multiplies from the right only
+    products = (p * c,) if isinstance(c, CyclotomicElement) else (p * c, c * p)
+    for got in products:
+        assert got == want
+        assert str(got) == str(want)
+    assert (p * 0).is_zero() and (0 * p).is_zero()
+
+
+@given(_substitutions(), st.sampled_from(["constant", "mixed", "polynomial"]), _SCALARS)
+def test_substitute_with_constant_images_matches_term_by_term_oracle(case, kind, c):
+    poly, mapping = case
+    names = sorted(mapping)
+    if kind == "constant":
+        mapping = {name: c for name in names}
+    elif kind == "mixed":
+        mapping = dict(mapping, **{names[0]: MultiPoly.constant(c)})
+    image = poly.substitute(mapping)
+    want = substitute_by_terms(poly, mapping)
+    assert image == want
+    assert str(image) == str(want)
 
 
 @given(_poly_specs(), _poly_specs())
@@ -545,6 +582,33 @@ def test_resultant_matches_sylvester_oracle_on_the_eliminant_pairs(i):
     assert resultant(e2, e1, "a3") == sylvester_resultant(e2, e1, "a3")
 
 
+_FRACTION_COEFFS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda c: c != 0),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: MultiPoly(("lam", "u"), terms))
+
+
+@st.composite
+def _fraction_in_s(draw):
+    """A polynomial of degree 1..3 in s over Q[lam, u], its s^0 coefficient shifted by 1/k."""
+    coeffs = draw(st.lists(_FRACTION_COEFFS, min_size=2, max_size=4))
+    coeffs[0] = coeffs[0] + Fraction(1, draw(st.integers(2, 7)))
+    return sum((c * V("s") ** k for k, c in enumerate(coeffs)), MultiPoly.zero())
+
+
+@settings(max_examples=40)
+@given(_fraction_in_s(), _fraction_in_s())
+def test_resultant_clears_fraction_coefficients(p, q):
+    assume(any(type(c) is Fraction for c in p.terms.values()))
+    got = resultant(p, q, "s")
+    assert got == sylvester_resultant(p, q, "s")
+    assert str(got) == str(sylvester_resultant(p, q, "s"))
+    # scaling an argument scales the result by that factor to the other's degree
+    assert resultant(3 * p, q, "s") == got * 3 ** q.degree_in("s")
+
+
 def test_resultant_rejects_zero():
     with pytest.raises(ValueError):
         resultant(MultiPoly.zero(), V("s"), "s")
@@ -729,6 +793,48 @@ def test_memoized_derivations_hand_out_no_mutable_lists():
     restriction = symbolic.bitangent_restriction(2)
     restriction.clear()
     assert len(symbolic.bitangent_restriction(2)) == 5
+
+
+def test_repeated_appendix_runs_derive_each_check_polynomial_once(monkeypatch):
+    substituted = []
+    real_substitute = MultiPoly.substitute
+
+    def counting_substitute(self, mapping):
+        substituted.append((self, frozenset(mapping)))
+        return real_substitute(self, mapping)
+
+    products = []
+    real_factors = symbolic.expected_eliminant_factors
+
+    def counting_factors(i):
+        products.append(i)
+        return real_factors(i)
+
+    monkeypatch.setattr(MultiPoly, "substitute", counting_substitute)
+    monkeypatch.setattr(symbolic, "expected_eliminant_factors", counting_factors)
+    for only in (None, ["vertical", "isomorphism", "eliminant-factors"]):
+        results = appendix_checks(seed=5, only=only)
+        assert results and all(ok for _, ok in results)
+    registry = symbolic._a2_isomorphism_registry()
+    assert isinstance(registry, tuple)
+    for i in FAMILY_INDICES:
+        assert substituted.count((branch_quartic(i), frozenset({"x2"}))) == 1
+    for _, substitution, source, _ in registry:
+        assert substituted.count((quotient_surface(*source), frozenset(substitution))) == 1
+    assert sorted(products) == sorted(FAMILY_INDICES)
+
+
+def test_clearing_the_package_caches_empties_the_appendix_caches():
+    appendix_checks(seed=0)
+    derivations = (
+        symbolic.vertical_bitangents,
+        symbolic._expected_eliminant,
+        symbolic._isomorphism_image,
+        symbolic._a2_isomorphism_registry,
+    )
+    assert all(f.cache_info().currsize for f in derivations)
+    clear_package_caches()
+    assert not any(f.cache_info().currsize for f in derivations)
 
 
 def test_appendix_raises_no_inexact_division(monkeypatch):
