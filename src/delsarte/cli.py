@@ -69,11 +69,9 @@ def format_vector(v) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def _analyze_row(ref: str, data: DeformationData) -> str:
+def _analyze_row(ref: str, data: DeformationData) -> list[str]:
     pf, dim_w, c = monomials.dimension_triple(data)
-    return "\t".join(
-        [ref, str(data.degree), format_vector(data.cover_exponents), str(pf), str(dim_w), str(c)]
-    )
+    return [ref, str(data.degree), format_vector(data.cover_exponents), str(pf), str(dim_w), str(c)]
 
 
 ANALYZE_HEADER = "family\td\tb\tPF\tdimW\tc"
@@ -83,7 +81,7 @@ TABLE10_HEADER = "family\tF0\td\tb\tPF\tdimW\tc"
 def cmd_analyze(args, out) -> int:
     row = _analyze_row(args.family, resolve_family(args.family))
     print(ANALYZE_HEADER, file=out)
-    print(row, file=out)
+    print("\t".join(row), file=out)
     return 0
 
 
@@ -97,17 +95,8 @@ def cmd_table10(args, out) -> int:
     for key in keys:
         try:
             data = deformation.family(key)
-            pf, dim_w, c = monomials.dimension_triple(data)
-            f0 = deformation.equation_string(data).split("+lam*")[0]
-            row = [
-                key,
-                f0,
-                str(data.degree),
-                format_vector(data.cover_exponents),
-                str(pf),
-                str(dim_w),
-                str(c),
-            ]
+            row = _analyze_row(key, data)
+            row.insert(1, deformation.equation_string(data).split("+lam*")[0])  # F0 after the key
         except Exception as exc:  # diagnostic row, keep emitting the rest
             row = [key, f"ERROR: {exc}", "-", "-", "-", "-", "-"]
             status = 1

@@ -89,17 +89,20 @@ class CyclotomicElement:
         c[0] = value
         return cls(order, c)
 
-    def _coerce(self, other) -> CyclotomicElement:
+    def _coerce(self, other):
+        """The operand as an element of the same order; NotImplemented for a foreign type."""
         if isinstance(other, CyclotomicElement):
             if other.order != self.order:
                 raise ValueError("mixed cyclotomic orders")
             return other
         if isinstance(other, (int, Fraction)):
             return CyclotomicElement.constant(self.order, other)
-        raise TypeError(f"cannot coerce {type(other)!r}")
+        return NotImplemented
 
     def __add__(self, other) -> CyclotomicElement:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         return CyclotomicElement(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
@@ -108,15 +111,19 @@ class CyclotomicElement:
         return CyclotomicElement(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other) -> CyclotomicElement:
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + -other
 
     def __rsub__(self, other) -> CyclotomicElement:
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other) -> CyclotomicElement:
         if isinstance(other, (int, Fraction)):
             return CyclotomicElement(self.order, tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         n = self.order
         out = [0] * n
         for i, a in enumerate(self.coeffs):
@@ -179,10 +186,6 @@ class CyclotomicElement:
 
     def __hash__(self) -> int:
         return hash((self.order, self.reduced()))
-
-    def is_rational(self) -> bool:
-        red = self.reduced()
-        return not any(red[1:])
 
     def rational_value(self):
         """The element as a rational number; raises if it is not one."""

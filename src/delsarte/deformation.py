@@ -49,33 +49,6 @@ class DeformationData:
         return self.matrix.n - 1
 
 
-def _check_matrix(a: IntMatrix) -> tuple[list[str], tuple[int, IntMatrix] | None]:
-    """The violated conditions, and (d, B) unless A is singular."""
-    problems = []
-    if any(x < 0 for row in a.rows for x in row):
-        problems.append("matrix has a negative entry")
-    try:
-        cover = minimal_map_matrix(a)
-    except SingularMatrixError:
-        cover = None
-        problems.append("matrix is singular")
-    for j in range(a.n):
-        if all(a.rows[i][j] != 0 for i in range(a.n)):
-            problems.append(f"column {j} has no zero entry")
-    if cover is not None and any(w <= 0 for w in cover[1].times_col((1,) * a.n)):
-        problems.append("inverse weight vector has a nonpositive entry")
-    return problems, cover
-
-
-def validate_coefficient_matrix(a: IntMatrix) -> list[str]:
-    """Check the defining conditions; returns the violated ones (possibly none).
-
-    Violations are reported as data rather than raised, so callers can show
-    a complete diagnostic for bad input.
-    """
-    return _check_matrix(a)[0]
-
-
 def build(a_matrix: IntMatrix, deformation) -> DeformationData:
     """Assemble full deformation data from (A, a), checking every invariant.
 
@@ -88,16 +61,28 @@ def build(a_matrix: IntMatrix, deformation) -> DeformationData:
 
 @cache
 def _build(a_matrix: IntMatrix, deformation: tuple) -> DeformationData:
-    problems, cover = _check_matrix(a_matrix)
+    # every violated condition on A is reported at once
+    problems, n = [], a_matrix.n
+    if any(x < 0 for row in a_matrix.rows for x in row):
+        problems.append("matrix has a negative entry")
+    try:
+        d, b_matrix = minimal_map_matrix(a_matrix)
+        weights = b_matrix.times_col((1,) * n)
+    except SingularMatrixError:
+        weights = None
+        problems.append("matrix is singular")
+    for j in range(n):
+        if all(a_matrix.rows[i][j] != 0 for i in range(n)):
+            problems.append(f"column {j} has no zero entry")
+    if weights is not None and any(w <= 0 for w in weights):
+        problems.append("inverse weight vector has a nonpositive entry")
     if problems:
         raise DeformationError("; ".join(problems))
     a_vec = tuple(int(x) for x in deformation)
-    if len(a_vec) != a_matrix.n:
+    if len(a_vec) != n:
         raise DeformationError("deformation vector has wrong length")
     if any(x < 0 for x in a_vec):
         raise DeformationError("deformation vector has a negative entry")
-    d, b_matrix = cover
-    weights = b_matrix.times_col((1,) * a_matrix.n)
     if sum(ai * wi for ai, wi in zip(a_vec, weights)) != d:
         raise DeformationError("not a deformation vector: weighted degree differs from d")
     b_vec = b_matrix.row_times(a_vec)

@@ -56,8 +56,8 @@ class IntMatrix:
         return tuple(sum(self.rows[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
-def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]], int]:
-    """U, e_1..e_r > 0, V and det U * det V with U*M*V = diag(e_1..e_r, 0, ...).
+def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """U, e_1..e_r > 0 and V with U*M*V = diag(e_1..e_r, 0, ...).
 
     M is any m x c integer matrix given by its rows, U and V are
     unimodular and r = rank M.  Each pivot starts at the least nonzero
@@ -69,29 +69,27 @@ def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]], int]
     """
     m, c = len(rows), len(rows[0]) if rows else 0
     a = [list(row) for row in rows] + [[0] * i + [1] + [0] * (c - 1 - i) for i in range(c)]
-    u, diag, sign = _eliminate(a, m, c)
-    return u, diag, a[m:], sign
+    u, diag = _eliminate(a, m, c)
+    return u, diag, a[m:]
 
 
-def _eliminate(a, m: int, c: int) -> tuple[list[list[int]], list[int], int]:
+def _eliminate(a, m: int, c: int) -> tuple[list[list[int]], list[int]]:
     """Diagonalize the first m rows of the working array a in place.
 
-    Returns U, the e_i and the sign of `diagonalize`.  Rows of a below the
-    m-th take every column operation, so identity rows there end as V.
+    Returns U and the e_i.  Rows of a below the m-th take every column
+    operation, so identity rows there end as V.
     """
     u = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
-    sign, diag = 1, []
+    diag = []
     for t in range(min(m, c)):
         nonzero = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, c) if a[i][j]]
         while nonzero:
             _, i, j = min(nonzero)
             if i != t:
                 a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
-                sign = -sign
             if j != t:
                 for row in a[t:]:  # rows of M above t are zero in columns t and j
                     row[t], row[j] = row[j], row[t]
-                sign = -sign
             top, pivot = a[t], a[t][t]
             for i in range(t + 1, m):
                 f = a[i][t] // pivot
@@ -108,9 +106,9 @@ def _eliminate(a, m: int, c: int) -> tuple[list[list[int]], list[int], int]:
         if not a[t][t]:
             break
         if a[t][t] < 0:
-            a[t], u[t], sign = [-x for x in a[t]], [-x for x in u[t]], -sign
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
         diag.append(a[t][t])
-    return u, diag, sign
+    return u, diag
 
 
 def kernel_mod(rows, n: int) -> tuple[list[list[int]], list[int]]:
@@ -123,7 +121,7 @@ def kernel_mod(rows, n: int) -> tuple[list[list[int]], list[int]]:
     V is not needed, so the elimination runs on M alone.
     """
     m, c = len(rows), len(rows[0]) if rows else 0
-    u, diag, _ = _eliminate([list(row) for row in rows], m, c)
+    u, diag = _eliminate([list(row) for row in rows], m, c)
     diag += [0] * (m - len(diag))
     return u, [n // gcd(e, n) for e in diag]
 
@@ -151,7 +149,7 @@ def minimal_map_matrix(m: IntMatrix) -> tuple[int, IntMatrix]:
     and U, V are unimodular, so d = lcm(e_i) and B = V * diag(d/e_i) * U;
     no rational arithmetic.  B satisfies B*M = M*B = d*I exactly.
     """
-    u, diag, v, _ = diagonalize(m.rows)
+    u, diag, v = diagonalize(m.rows)
     if len(diag) < m.n:
         raise SingularMatrixError("matrix is singular")
     d = lcm(*diag)

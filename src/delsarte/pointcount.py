@@ -14,9 +14,11 @@ algebraic closure of F_p, without building a field.
 
 Fields F_{p^k} are integer codes whose base-p digits are the coefficients
 of the residue polynomial modulo a primitive polynomial f, so the root x
-of f is the multiplicative generator.  Arithmetic goes through
-discrete-log tables over x and a Zech-logarithm table, one path for
-every q; `zetafermat` reads its characters off the same tables.
+of f is the multiplicative generator.  `FiniteField` holds the
+discrete-log tables over x and a Zech-logarithm table, one set for every
+q, and no arithmetic methods: `count_cone` and `zetafermat` read the
+tables inline, and the trace to F_p is read off f.  The method
+arithmetic of the brute-force oracles lives in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -124,9 +126,9 @@ class FiniteField:
     digits of a code are the coefficients of the residue polynomial, and
     the prime subfield embeds as the codes 0..p-1.  `exp[j] = x^j` is
     filled by multiplying by x: shift the digits up one place and fold the
-    top digit back in with f.  Every operation is a table lookup, the same
-    for prime and extension fields: `log` inverts `exp` (`log[0] = -1`),
-    and the Zech logarithm `zech[j] = log(1 + g^j)` turns addition into
+    top digit back in with f.  The tables are the same for prime and
+    extension fields: `log` inverts `exp` (`log[0] = -1`), and the Zech
+    logarithm `zech[j] = log(1 + g^j)` turns addition into
     `g^a + g^b = g^(a + zech[b - a])`.  Instances are treated as immutable.
     """
 
@@ -172,54 +174,6 @@ class FiniteField:
         self.generator = exp[1 % (q - 1)]  # x mod f, which is 1 when q = 2
         # 1 + x bumps digit 0 of x's code; log[0] = -1 marks 1 + g^j = 0
         self.zech = [log[x - x % p + (x + 1) % p] for x in exp]
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        qm1 = self.q - 1
-        la = self.log[a]
-        z = self.zech[(self.log[b] - la) % qm1]
-        return 0 if z < 0 else self.exp[(la + z) % qm1]
-
-    def neg(self, a: int) -> int:
-        # -1 is the code p - 1: g^((q-1)/2) for odd q, and 1 when p = 2
-        if a == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[self.p - 1]) % (self.q - 1)]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.exp[(-self.log[a]) % (self.q - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0 if e else 1
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
-
-    def from_int(self, c: int) -> int:
-        """Embed a prime-field integer representative."""
-        return c % self.p
-
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return self.exp
 
 
 class HypersurfaceSpec:
@@ -329,14 +283,8 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
         pw[i] = pw[i - 1] * omega % ell
     # psi(g^j) = eta^Tr(g^j); the trace of g^j is a prime-field code
     eta_pw = [pow(eta, t, ell) for t in range(p)]
-    exp = field.exp
-    frob = [p**i for i in range(field.k)]
-    psi = []
-    for j in range(n):
-        tr = 0
-        for f in frob:
-            tr = field.add(tr, exp[j * f % n])
-        psi.append(eta_pw[tr])
+    tr = _trace_table(field)
+    psi = [eta_pw[tr[c]] for c in field.exp]
     # gauss[k] = G(chi^(-k)) = sum_j psi(g^j) * omega^(-k*j)
     gauss = [sum(psi) % ell]
     for k in range(1, n):
@@ -364,6 +312,25 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
         char_sum = (-1) ** (len(terms) - m) * sum(v for mask, v in buckets.items() if not mask & ~live)
         total += (n**s + n ** (s + 1) * pow(inv_n, m, ell) * char_sum) * inv_q
     return total % ell
+
+
+def _trace_table(field: FiniteField) -> list[int]:
+    """Tr(c) from F_q to F_p for every code c, read off the modulus f.
+
+    Tr is F_p-linear, so Tr(c) weighs the base-p digits of c by
+    Tr(x^i), i < k, which are the power sums P_i of the roots of f.  For
+    f = x^k + f_(k-1) x^(k-1) + ... + f_0, Newton's identities give
+    P_i = -(i*f_(k-i) + sum_(0<j<i) f_(k-j) P_(i-j)) and P_0 = k
+    (Lidl-Niederreiter, *Finite Fields*, 2.3), in k^2/2 steps mod p.
+    """
+    p, k, f = field.p, field.k, field.modulus
+    sums = [k % p]
+    for i in range(1, k):
+        sums.append(-(i * f[k - i] + sum(f[k - j] * sums[i - j] for j in range(1, i))) % p)
+    tr = [0]
+    for t in sums:  # digit i of a code is the outer index of step i
+        tr = [(s + a * t) % p for a in range(p) for s in tr]
+    return tr
 
 
 def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> tuple:

@@ -673,17 +673,6 @@ def verify_quotient_identity(j: int) -> bool:
     return (image - f).is_zero()
 
 
-def verify_isomorphism(substitution: dict, source: MultiPoly, target: MultiPoly) -> bool:
-    """True iff source composed with the substitution equals target up to scalar.
-
-    The substitution maps variable names to polynomials (or scalars);
-    mapping `lam` is allowed, for the isomorphisms that act on the
-    deformation parameter as well.
-    """
-    image = source.substitute(substitution)
-    return image.equal_up_to_scalar(target)
-
-
 @cache
 def _a2_isomorphism_registry() -> tuple:
     """Verified coordinate maps between the quotient surfaces.

@@ -2,8 +2,8 @@
 
 These deliberately avoid the shortcuts used by the implementation: the
 invariance oracles enumerate the values m*B directly or close the rows
-of B under addition, the determinant and adjugate oracles expand
-cofactors, the strong-class oracle closes the set under k -> k +- b by a
+of B under addition, the adjugate oracle and `laplace_determinant` expand
+cofactors and `determinant` runs Bareiss elimination, the strong-class oracle closes the set under k -> k +- b by a
 frontier search, the weak-class oracle scales every type by every unit, the
 reduction
 oracle rewrites forms by explicit polynomial differentiation, the Jacobi
@@ -16,11 +16,12 @@ through the monomial map, the basis enumeration walks every tuple, the
 Galois-invariance test applies every automorphism, and the polynomial
 reference keys terms by plain exponent tuples over Q(zeta_8)
 coordinates of its own, sharing no code with `symbolic.MultiPoly`.
-The integer-matrix helpers and the floating-point `embedding` serve
-only the tests.  Two references reuse the implementation's elimination
-and are checked against the independent ones: `determinant` reads det off
-`exactalg.diagonalize`, and `count_cone_by_strata` is the Gauss-sum
-count with one kernel and one table set per coordinate subset.
+The integer-matrix helpers, the floating-point `embedding` and the
+element-wise field arithmetic of `OracleField` serve only the tests.
+`count_cone_by_strata` reuses the implementation's kernel and is
+checked against brute force: it is the Gauss-sum count with one kernel
+and one table set per coordinate subset, and it adds up each trace by
+Zech addition where `count_cone` reads it off the modulus.
 `fermat_count_by_trace` reads the Fermat count off the implementation's
 `zetafermat.frobenius_trace`; the tests hold it to brute force.
 `substitute_by_terms` and `sylvester_resultant` run on `MultiPoly`
@@ -36,10 +37,77 @@ from fractions import Fraction
 from math import gcd, prod
 
 from delsarte.cyclotomic import CyclotomicElement
-from delsarte.exactalg import IntMatrix, diagonalize, kernel_elements, kernel_mod
+from delsarte.exactalg import IntMatrix, kernel_elements, kernel_mod
 from delsarte.pointcount import FiniteField, _element_of_order, auxiliary_prime
 from delsarte.symbolic import MultiPoly, _exponents, exact_div
 from delsarte.zetafermat import CharPoly, frobenius_trace, multiplicative_character
+
+
+class OracleField(FiniteField):
+    """F_q with element-wise arithmetic over the tables of `pointcount.FiniteField`.
+
+    The package's field holds its exp/log/Zech tables and no methods; the
+    brute-force oracles add, multiply and raise to powers one element at a
+    time through these.  `of` views a built field this way without
+    building its tables again.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, field):
+        if isinstance(field, cls):
+            return field
+        view = cls.__new__(cls)
+        for name in FiniteField.__slots__:
+            setattr(view, name, getattr(field, name))
+        return view
+
+    def add(self, a: int, b: int) -> int:
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        qm1 = self.q - 1
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % qm1]
+        return 0 if z < 0 else self.exp[(la + z) % qm1]
+
+    def neg(self, a: int) -> int:
+        # -1 is the code p - 1: g^((q-1)/2) for odd q, and 1 when p = 2
+        if a == 0:
+            return 0
+        return self.exp[(self.log[a] + self.log[self.p - 1]) % (self.q - 1)]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.exp[(-self.log[a]) % (self.q - 1)]
+
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return 0 if e else 1
+        return self.exp[(self.log[a] * e) % (self.q - 1)]
+
+    def from_int(self, c: int) -> int:
+        """Embed a prime-field integer representative."""
+        return c % self.p
+
+    def elements(self):
+        return range(self.q)
+
+    def units(self):
+        return self.exp
 
 
 def image_by_enumeration(data):
@@ -121,13 +189,23 @@ def gmax_types_by_every_multiplier(data):
 
 
 def determinant(m):
-    """Exact determinant: sign * prod(e_i) from `exactalg.diagonalize`, 0 below full rank.
+    """Exact determinant by fraction-free (Bareiss) elimination with row swaps.
 
-    It shares the elimination with the implementation, so the suite checks
-    it against `laplace_determinant`.
+    Every step divides exactly by the previous pivot, so all entries stay
+    integers; the suite checks it against `laplace_determinant`.
     """
-    _, diag, _, sign = diagonalize(m.rows)
-    return sign * prod(diag) if len(diag) == m.n else 0
+    a, n = [list(row) for row in m.rows], m.n
+    sign, prev = 1, 1
+    for t in range(n - 1):
+        if not a[t][t]:
+            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
+            if swap is None:
+                return 0
+            a[t], a[swap], sign = a[swap], a[t], -sign
+        for i in range(t + 1, n):
+            a[i] = [(a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev for j in range(n)]
+        prev = a[t][t]
+    return sign * a[-1][-1]
 
 
 def laplace_determinant(rows):
@@ -288,7 +366,7 @@ def direct_jacobi_sum(table, powers):
 
     (q - 1)^(m - 1) tuples; any powers, trivial characters included.
     """
-    field = table.field
+    field = OracleField.of(table.field)
     d = table.order
     m = len(powers)
     chi_log = [0] + [table.chi_power_at(1, v) for v in range(1, field.q)]
@@ -334,7 +412,7 @@ def direct_eigenvalue(k, table):
     """(-1)^(n-1) * chi^(k_n)(-1) * J(chi^(k_0), ..., chi^(k_(n-1))), from the direct sum."""
     d = table.order
     k = tuple(e % d for e in k)
-    field = table.field
+    field = OracleField.of(table.field)
     minus_one = field.sub(0, field.from_int(1))
     term = CyclotomicElement.zeta(d, table.chi_power_at(k[-1], minus_one)) * direct_jacobi_sum(table, k[:-1])
     return term if (len(k) - 2) % 2 == 0 else -term
@@ -366,6 +444,7 @@ def brute_count_cone(spec, field):
     Descends over the coordinates with prefix products and evaluates the
     whole polynomial at every one of the q^(n+1) points.
     """
+    field = OracleField.of(field)
     q = field.q
     n1 = len(spec.weights)
     terms = [(exps, field.from_int(c)) for exps, c in spec.all_terms()]
@@ -411,6 +490,7 @@ def count_cone_by_strata(spec, field):
 
         N*_S = (N^s + N^(s+1)/N^m * sum_(k in K_S) prod_j G(chi^(-k_j)) chi^(k_j)(c_j)) / q
     """
+    field = OracleField.of(field)
     q, p, n = field.q, field.p, field.q - 1
     n1 = len(spec.weights)
     terms = [(exps, c % p) for exps, c in spec.all_terms() if c % p]
@@ -458,7 +538,7 @@ def brute_general_position(spec, field, max_ext=1):
     base_terms = [t for t in spec.all_terms() if t[1] % field.p != 0]
     n1 = len(spec.weights)
     for j in range(1, max_ext + 1):
-        ext = field if j == 1 else FiniteField(field.p, field.k * j)
+        ext = OracleField.of(field) if j == 1 else OracleField(field.p, field.k * j)
         terms = [(exps, ext.from_int(c)) for exps, c in base_terms]
         # x_i * df/dx_i has the same monomials as f, coefficients scaled by e_i
         equations = [
@@ -504,6 +584,7 @@ def verify_cover_map(data, lam, field):
     means every image satisfies the family's equation; the histogram
     counts cover points per distinct image point of P(w).
     """
+    field = OracleField.of(field)
     q = field.q
     d = data.degree
     n1 = data.n + 1

@@ -86,7 +86,7 @@ def test_conjugate():
     z = CyclotomicElement.zeta(8)
     elem = 2 * z + 3 * z**3
     prod = elem * elem.conjugate()
-    assert prod.is_rational()
+    assert not any(prod.reduced()[1:])
     assert prod.rational_value() == elem.norm_squared_exact()
 
 
@@ -98,7 +98,7 @@ def test_rational_iff_galois_invariant():
         for _ in range(20):
             coeffs = [rng.randint(-3, 3) for _ in range(d)]
             elem = CyclotomicElement(d, coeffs)
-            assert elem.is_rational() == is_galois_invariant(elem)
+            assert (not any(elem.reduced()[1:])) == is_galois_invariant(elem)
 
 
 def test_power_products(monkeypatch):
@@ -184,7 +184,7 @@ def test_equal_elements_hash_alike(triple, data):
         assert ring == 0
         twin = a + ring
     assert twin == a and hash(twin) == hash(a)
-    if a.is_rational():
+    if not any(a.reduced()[1:]):
         # a rational element equals, and hashes like, its constant
         value = a.rational_value()
         assert a == value and hash(a) == hash(CyclotomicElement.constant(n, value))

@@ -11,7 +11,6 @@ from delsarte.deformation import (
     equation_string,
     family,
     family_keys,
-    validate_coefficient_matrix,
 )
 from delsarte.exactalg import IntMatrix
 
@@ -20,17 +19,17 @@ from oracles import diagonal_matrix
 
 
 def test_validate_family1_clean():
-    assert validate_coefficient_matrix(diagonal_matrix((4, 4, 4, 4))) == []
+    assert build(diagonal_matrix((4, 4, 4, 4)), (1, 1, 1, 1)).degree == 4
 
 
 def test_validate_all_ones_singular():
-    report = validate_coefficient_matrix(IntMatrix([[1] * 4] * 4))
-    assert any("singular" in item for item in report)
+    with pytest.raises(DeformationError, match="singular"):
+        build(IntMatrix([[1] * 4] * 4), (1, 1, 1, 1))
 
 
 def test_validate_column_zero_condition():
-    report = validate_coefficient_matrix(IntMatrix([[2, 1], [1, 2]]))
-    assert any("no zero" in item for item in report)
+    with pytest.raises(DeformationError, match="no zero"):
+        build(IntMatrix([[2, 1], [1, 2]]), (1, 1))
 
 
 def test_build_family2():

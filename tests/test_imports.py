@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import delsarte
@@ -38,3 +39,72 @@ def test_every_package_import_is_used():
     assert len(SOURCES) >= 9
     unused = {path.name: names for path in SOURCES if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+# Names that no module of the package reads, kept on purpose, each with its reason.
+UNREFERENCED_ALLOWED = {
+    "norm_squared_exact": "acceptance criterion 6 checks |alpha|^2 = q^(n-1) exactly with it",
+    "is_g_invariant": "acceptance criterion 10 tests each type's G-invariance with it",
+    "reduce_form": "acceptance criterion 11 reduces every form with it",
+    "fermat_hypersurface": "acceptance criterion 5 counts the Fermat hypersurfaces with it",
+    "frobenius_trace": "acceptance criterion 12 subtracts the invariant trace from the count with it",
+    "all_divide": "acceptance criterion 4 reads each grouping's divisibility verdict off it",
+    "bitangent_restriction": "its digests are pinned in tests/test_symbolic_pins.py",
+}
+
+
+def _reference(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Non-dunder functions, methods and classes whose name nothing else in the sources reads.
+
+    A name counts as referenced when it is read as a variable or as an
+    attribute anywhere outside its own definition, so recursion alone
+    does not keep a function.  Names are matched as strings: a method
+    that shares its name with any other identifier read in the package
+    (`add`, `mul`, `pow`, ...) counts as referenced and is not caught.
+    """
+    trees = [ast.parse(source) for source in sources]
+    reads = Counter(name for tree in trees for node in ast.walk(tree) if (name := _reference(node)))
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = sum(_reference(inner) == name for inner in ast.walk(node))
+            if reads[name] == own:
+                found.add(name)
+    return sorted(found)
+
+
+def test_unreferenced_definitions_detector():
+    source = (
+        "class Used:\n"
+        "    def helper(self):\n"
+        "        return self.helper()\n"
+        "    def add(self, x):\n"
+        "        return x\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "def orphan():\n"
+        "    return Used()\n"
+        "def fact(n):\n"
+        "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "seen = set()\n"
+        "seen.add(orphan)\n"
+    )
+    assert unreferenced_definitions([source]) == ["fact", "helper"]
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    # an allowlisted name that gained a caller leaves the list
+    assert unreferenced_definitions([path.read_text() for path in SOURCES]) == sorted(UNREFERENCED_ALLOWED)

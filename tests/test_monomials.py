@@ -3,11 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from delsarte import monomials
-from delsarte.deformation import build, family, family_keys, validate_coefficient_matrix
+from delsarte.deformation import DeformationError, build, family, family_keys
 from delsarte.exactalg import IntMatrix
 from delsarte.monomials import (
     dimension_triple,
@@ -113,6 +113,14 @@ def test_invariant_tables_golden():
             assert tuple(x % d for x in data.map_matrix.row_times(m)) == k
 
 
+def _build_or_reject(rows):
+    """build(A, first row of A), or a rejected example when A breaks a condition."""
+    try:
+        return build(IntMatrix(rows), rows[0])
+    except DeformationError:
+        reject()
+
+
 @st.composite
 def _valid_families(draw):
     """Diagonal-dominated coefficient matrices with at most one off-diagonal entry per row."""
@@ -125,10 +133,9 @@ def _valid_families(draw):
         if j != i:
             row[j] = draw(st.integers(0, 3))
         rows.append(row)
-    a = IntMatrix(rows)
-    assume(not validate_coefficient_matrix(a))
-    # any row of A is a deformation vector: its cover exponents are d*e_i
-    return build(a, rows[0])
+    # any row of A is a deformation vector (its cover exponents are d*e_i),
+    # so build rejects exactly the matrices that break a condition on A
+    return _build_or_reject(rows)
 
 
 @given(_valid_families())
@@ -156,9 +163,7 @@ def _quintic_families(draw):
         row[i] = degree - e
         row[draw(st.integers(0, 4).filter(lambda j: j != i))] += e
         rows.append(row)
-    a = IntMatrix(rows)
-    assume(not validate_coefficient_matrix(a))
-    return build(a, rows[0])
+    return _build_or_reject(rows)
 
 
 @settings(max_examples=60)

@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_count_cone, brute_general_position, count_cone_by_strata, verify_cover_map
+from oracles import OracleField, brute_count_cone, brute_general_position, count_cone_by_strata, verify_cover_map
 
 from delsarte import cli, pointcount
 from delsarte.deformation import family, family_keys
@@ -28,6 +28,7 @@ from delsarte.pointcount import (
 
 def naive_projective_count(spec, field):
     """Independent oracle: loop over projective representatives directly."""
+    field = OracleField.of(field)
     q = field.q
     n1 = len(spec.weights)
     terms = [(exps, field.from_int(c)) for exps, c in spec.all_terms()]
@@ -51,7 +52,7 @@ def naive_projective_count(spec, field):
 
 
 def test_prime_field_tables():
-    f = FiniteField(17)
+    f = OracleField(17)
     assert f.q == 17
     for a in range(1, 17):
         assert f.mul(a, f.inv(a)) == 1
@@ -60,7 +61,7 @@ def test_prime_field_tables():
 
 
 def test_extension_field_axioms():
-    f = FiniteField(5, 2)
+    f = OracleField(5, 2)
     assert f.q == 25
     els = list(f.elements())
     sample = els[::3]
@@ -97,7 +98,7 @@ def test_zech_arithmetic_matches_digit_addition():
     for q in PRIME_POWERS_TO_64:
         p = prime_factors(q)[0]
         k = next(j for j in range(1, 7) if p**j == q)
-        f = FiniteField(p, k)
+        f = OracleField(p, k)
         assert len(f.zech) == q - 1
         for a in range(q):
             assert f.neg(a) == _digitwise(0, a, p, -1), (q, a)
@@ -141,6 +142,22 @@ def test_field_tables_are_the_powers_of_x():
         if k == 1:
             g = _least_primitive_root(p)
             assert f.generator == g and f.modulus == [-g % p, 1], q
+
+
+def test_trace_table_matches_zech_sum_trace():
+    # Tr(g^j) = sum_i g^(j*p^i), added up by the oracle's Zech addition
+    for q in PRIME_POWERS_TO_1024 + [2187, 4096]:
+        p = prime_factors(q)[0]
+        k = next(j for j in range(1, 13) if p**j == q)
+        f = OracleField(p, k)
+        n = q - 1
+        tr = pointcount._trace_table(f)
+        assert len(tr) == q and tr[0] == 0, q
+        for j, c in enumerate(f.exp):
+            want = 0
+            for i in range(k):
+                want = f.add(want, f.exp[j * p**i % n])
+            assert tr[c] == want, (q, j)
 
 
 def test_field_size_bound(monkeypatch):

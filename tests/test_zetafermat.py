@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    OracleField,
     char_poly_by_types,
     dense_expand,
     direct_eigenvalue,
@@ -78,7 +79,7 @@ PAIR_FIELDS = [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1), (7, 2), (3, 4)]
 
 @pytest.mark.parametrize("p,k", PAIR_FIELDS)
 def test_log_pairs_match_brute_force(p, k):
-    f = FiniteField(p, k)
+    f = OracleField(p, k)
     for d in (d for d in range(1, f.q) if (f.q - 1) % d == 0):
         table = multiplicative_character(f, d)
         brute = Counter((table.chi_power_at(1, v), table.chi_power_at(1, f.sub(1, v))) for v in range(2, f.q))
@@ -88,7 +89,7 @@ def test_log_pairs_match_brute_force(p, k):
 
 def test_character_table_construction():
     # log_pairs read off the Zech table match the brute-force pairs; given ones are kept
-    f = FiniteField(3, 2)
+    f = OracleField(3, 2)
     table = multiplicative_character(f, 4)
     brute = Counter((table.chi_power_at(1, v), table.chi_power_at(1, f.sub(1, v))) for v in range(2, f.q))
     assert sorted(table.log_pairs) == sorted((x, y, c) for (x, y), c in brute.items())
@@ -103,7 +104,7 @@ def test_character_table_construction():
 
 @pytest.mark.parametrize("p,k", [(13, 1), (2, 4), (7, 2), (3, 4)])
 def test_custom_generator_chi_log_matches_brute_force(p, k):
-    f = FiniteField(p, k)
+    f = OracleField(p, k)
     q = f.q
     for g in range(1, q):
         powers, acc = [1], g
