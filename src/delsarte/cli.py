@@ -42,19 +42,16 @@ def resolve_family(ref: str) -> DeformationData:
     raise CliError(f"unknown family {ref!r}: not a registry key and not a file")
 
 
-def check_field_size(q: int, ext: int = 1) -> None:
-    """Refuse F_(q^ext) above the DELSARTE_MAX_Q bound before q is factored."""
+def parse_prime_power(q: int, ext: int = 1) -> tuple[int, int]:
+    """p, k with q = p^k; F_(q^ext) above the DELSARTE_MAX_Q bound is refused before q is factored."""
     if q < 2:
-        return  # parse_prime_power rejects it
+        raise CliError(f"{q} is not a prime power")
     bound = pointcount._max_q()
     # q^ext >= 2^ext, so a huge ext exceeds the bound without being computed
     if ext > max(bound, 1).bit_length():
         raise CliError(f"field size {q}^{ext} exceeds the configured bound")
     if q**ext > bound:
         raise CliError(f"field size {q**ext} exceeds the configured bound")
-
-
-def parse_prime_power(q: int) -> tuple[int, int]:
     factors = pointcount.prime_factors(q)
     if len(factors) != 1:
         raise CliError(f"{q} is not a prime power")
@@ -129,7 +126,6 @@ def cmd_classes(args, out) -> int:
 
 def cmd_common_factor(args, out) -> int:
     data_list = [resolve_family(ref) for ref in args.families]
-    check_field_size(args.q)
     p, k = parse_prime_power(args.q)
     field = pointcount.FiniteField(p, k)
     try:
@@ -154,8 +150,7 @@ def cmd_count(args, out) -> int:
         raise CliError(f"--ext must be at least 1, got {args.ext}")
     if args.scan:
         return _scan(args, out)
-    check_field_size(args.q, args.ext)
-    p, k = parse_prime_power(args.q)
+    p, k = parse_prime_power(args.q, args.ext)
     spec = pointcount.family_hypersurface(resolve_family(args.family), args.lam or 0)
     strata = pointcount.torus_strata(spec, p, p ** (k * args.ext))  # the work bound, before any table
     field = pointcount.FiniteField(p, k * args.ext)
@@ -168,7 +163,6 @@ def _scan(args, out) -> int:
     for option, given in (("--ext", args.ext != 1), ("--lambda", args.lam is not None)):
         if given:
             raise CliError(f"--scan covers every lambda over the closure of F_p and takes no {option}")
-    check_field_size(args.q)
     p, k = parse_prime_power(args.q)
     if k > 1:
         raise CliError(f"--scan takes a prime --q, got {args.q} = {p}^{k}")

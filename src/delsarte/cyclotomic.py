@@ -11,6 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
+
+from .exactalg import poly_divmod, poly_mul, power
 
 
 class NotRationalError(ValueError):
@@ -26,38 +29,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = poly_divmod(poly, cyclotomic_polynomial(d))
+            assert not any(rem), "division was not exact"
     return tuple(poly)
-
-
-def _polydiv_exact(num: list, den: list) -> list:
-    """Exact quotient of integer polynomials (den monic, remainder 0)."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - dn] = c
-        for j, dj in enumerate(den):
-            num[i - dn + j] -= c * dj
-    if any(num):
-        raise AssertionError("division was not exact")
-    return out
-
-
-def _polymod(coeffs: list, den: tuple[int, ...]) -> list:
-    """Remainder of coeffs modulo the monic integer polynomial den."""
-    rem = list(coeffs)
-    dn = len(den) - 1
-    for i in range(len(rem) - 1, dn - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        for j, dj in enumerate(den):
-            rem[i - dn + j] -= c * dj
-    return rem[:dn]
 
 
 class CyclotomicElement:
@@ -124,37 +98,18 @@ class CyclotomicElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
+        # the product in Z[x], folded by x^n = 1: out[i] += out[i + n]
+        out = poly_mul(self.coeffs, other.coeffs)
         n = self.order
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                if k >= n:
-                    k -= n
-                out[k] += a * b
-        return CyclotomicElement(n, out)
+        out[: n - 1] = map(add, out, out[n:])
+        return CyclotomicElement(n, out[:n])
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> CyclotomicElement:
         if e < 0:
             raise ValueError("negative powers not supported")
-        if e == 0:
-            return CyclotomicElement.constant(self.order, 1)
-        # bit_length(e) - 1 squarings and popcount(e) - 1 other products
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return power(self, e) if e else CyclotomicElement.constant(self.order, 1)
 
     def galois(self, u: int) -> CyclotomicElement:
         """Apply zeta -> zeta^u; u must be a unit modulo the order."""
@@ -172,10 +127,7 @@ class CyclotomicElement:
 
     def reduced(self) -> tuple:
         """Canonical coordinates on the basis 1, zeta, ..., zeta^(phi(N)-1)."""
-        return tuple(_polymod(list(self.coeffs), cyclotomic_polynomial(self.order)))
-
-    def is_zero(self) -> bool:
-        return not any(self.reduced())
+        return tuple(poly_divmod(self.coeffs, cyclotomic_polynomial(self.order))[1])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

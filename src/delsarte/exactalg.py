@@ -1,4 +1,10 @@
-"""Exact integer linear algebra: one diagonalization U*M*V = diag(e_i) for d*M^-1 and kernels mod N."""
+"""Exact algorithms written once: integer matrices and dense polynomials.
+
+One diagonalization U*M*V = diag(e_i) gives d*M^-1 and kernels mod N.
+Dense polynomials are coefficient lists in ascending order over any ring
+whose zero is falsy: `poly_mul` convolves, `poly_divmod` divides by a
+monic polynomial, and `power` is square-and-multiply for any product.
+"""
 from __future__ import annotations
 
 import itertools
@@ -163,3 +169,42 @@ def minimal_map_matrix(m: IntMatrix) -> tuple[int, IntMatrix]:
         for j, col in enumerate(columns)
     ), "B*M is not d*I"
     return d, b
+
+
+def poly_mul(a, b) -> list:
+    """The product of two dense polynomials; zero coefficients of either are skipped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def poly_divmod(num, den) -> tuple[list, list]:
+    """Quotient and remainder of num by the monic den: num = den*quot + rem, len(rem) = deg den."""
+    k = len(den) - 1
+    rem = list(num) + [0] * (k - len(num))
+    quot = [0] * (len(rem) - k)
+    for i in range(len(rem) - 1, k - 1, -1):
+        if c := rem[i]:
+            quot[i - k] = c
+            for j, y in enumerate(den, i - k):
+                rem[j] -= c * y
+    return quot, rem[:k]
+
+
+def power(x, e: int, times=mul):
+    """x^e for e >= 1 under the product `times`, by square-and-multiply.
+
+    bit_length(e) - 1 squarings and popcount(e) - 1 other products.
+    """
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else times(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = times(x, x)

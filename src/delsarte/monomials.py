@@ -107,12 +107,15 @@ def dimension_triple(data: DeformationData) -> tuple[int, int, int]:
     return pf, gi - pf, full - gi
 
 
-def _arcs(types, b, d: int) -> list[list[tuple[int, ...]]]:
-    """The strong classes of `types`; see `strong_classes`.
+def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
+    """Partition of `types` into orbits of k -> k + b (mod d).
 
-    `weak_classes` starts from these too.  It calls this helper rather
-    than the public function, so the spans that bench/tracer.py records
-    for `strong_classes` time only its direct callers.
+    Orbits are the equivalence closure of the shift restricted to the
+    given set, so a shift that leaves the set breaks the chain there.
+    Each coset of <b> is a cycle, so a block is an arc of one: walked
+    from the least type not yet placed by steps of +b, then of -b, until
+    a step leaves the unplaced types.  The blocks come out sorted by
+    their first type.
     """
     pool = set(map(tuple, types))
     minus_b = [-y for y in b]
@@ -131,19 +134,6 @@ def _arcs(types, b, d: int) -> list[list[tuple[int, ...]]]:
     return blocks
 
 
-def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
-    """Partition of `types` into orbits of k -> k + b (mod d).
-
-    Orbits are the equivalence closure of the shift restricted to the
-    given set, so a shift that leaves the set breaks the chain there.
-    Each coset of <b> is a cycle, so a block is an arc of one: walked
-    from the least type not yet placed by steps of +b, then of -b, until
-    a step leaves the unplaced types.  The blocks come out sorted by
-    their first type.
-    """
-    return _arcs(types, b, d)
-
-
 def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     """Coarsening of the strong classes by unit scaling k -> u*k (mod d).
 
@@ -156,7 +146,7 @@ def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     set join the block then.  Strong classes come sorted by their least
     type, so the blocks do too.
     """
-    strong = _arcs(types, b, d)
+    strong = strong_classes(types, b, d)
     block_of = {k: i for i, block in enumerate(strong) for k in block}
     units = [u for u in range(2, d) if gcd(u, d) == 1]  # u = 1 fixes every type
     scaled = set()

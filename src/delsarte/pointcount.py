@@ -28,7 +28,7 @@ from math import gcd, lcm, prod
 from operator import getitem, mul
 
 from .deformation import DeformationData
-from .exactalg import kernel_elements, kernel_mod
+from .exactalg import kernel_elements, kernel_mod, poly_divmod, poly_mul, power
 
 DEFAULT_MAX_Q = 2**20
 # (q-1)^2 for the Gauss-sum table plus |K| for the character sums
@@ -62,34 +62,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _poly_mulmod(a, b, mod_poly, p):
-    """Product of coefficient lists modulo (mod_poly, p); mod_poly monic."""
-    k = len(mod_poly) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * mod_poly[j]) % p
-    return out[:k]
-
-
-def _poly_powmod(a, e, mod_poly, p):
-    result = [1] + [0] * (len(mod_poly) - 2)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod_poly, p)
-        base = _poly_mulmod(base, base, mod_poly, p)
-        e >>= 1
-    return result
-
-
 def _find_primitive(p: int, k: int) -> list[int]:
     """The first primitive f = x^k - h(x) over F_p, h running over codes 1, 2, ...
 
@@ -107,13 +79,18 @@ def _find_primitive(p: int, k: int) -> list[int]:
     if k == 1:
         g = next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in cofactors))
         return [-g % p, 1]
-    x, one = [0, 1], [1] + [0] * (k - 1)
+    x, one = [0, 1] + [0] * (k - 2), [1] + [0] * (k - 1)
     for h in range(p, q):
         if h % p == 0:
             continue  # f(0) = 0, so x is not a unit
         # base-p digits of h, negated: f = x^k - h(x)
         f = [-(h // p**i) % p for i in range(k)] + [1]
-        if _poly_powmod(x, q - 1, f, p) == one and all(_poly_powmod(x, e, f, p) != one for e in cofactors):
+
+        def times(a, b):
+            # the product reduced mod p before the division, so its entries stay small
+            return [c % p for c in poly_divmod([c % p for c in poly_mul(a, b)], f)[1]]
+
+        if power(x, q - 1, times) == one and all(power(x, e, times) != one for e in cofactors):
             return f
     raise AssertionError(f"no primitive polynomial of degree {k} over F_{p}")
 

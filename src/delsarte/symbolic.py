@@ -26,6 +26,7 @@ from math import gcd, lcm
 
 from . import deformation
 from .cyclotomic import CyclotomicElement
+from .exactalg import power
 
 # Canonical variable order.  A monomial is packed into one int with a
 # 16-bit field per variable, VAR_ORDER[0] highest, and the total degree in
@@ -260,18 +261,7 @@ class MultiPoly:
     def __pow__(self, e: int) -> MultiPoly:
         if e < 0:
             raise ValueError("negative exponent")
-        if e == 0:
-            return MultiPoly.constant(1)
-        # bit_length(e) - 1 squarings and popcount(e) - 1 other products
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return power(self, e) if e else MultiPoly.constant(1)
 
     def __eq__(self, other) -> bool:
         # canonical coefficients: equal polynomials have equal term dicts

@@ -26,6 +26,7 @@ from operator import mul
 
 from .cyclotomic import CyclotomicElement
 from .deformation import common_cover
+from .exactalg import poly_divmod, poly_mul
 from .monomials import g_invariant_types
 from .pointcount import FiniteField, prime_factors
 
@@ -59,25 +60,11 @@ class CharPoly:
         return len(self.coeffs) - 1
 
     def __mul__(self, other: CharPoly) -> CharPoly:
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return CharPoly(tuple(out))
+        return CharPoly(tuple(poly_mul(self.coeffs, other.coeffs)))
 
     def divides(self, other: CharPoly) -> bool:
-        """Exact divisibility in Z[T] (division from the constant side)."""
-        if self.degree > other.degree:
-            return False
-        rem = list(other.coeffs)
-        quot_len = other.degree - self.degree + 1
-        for i in range(quot_len):
-            c = rem[i]
-            if c == 0:
-                continue
-            for j, pj in enumerate(self.coeffs):
-                rem[i + j] -= c * pj
-        return not any(rem)
+        """Exact divisibility in Z[T]: the reversed self is monic, as its constant term is 1."""
+        return not any(poly_divmod(other.coeffs[::-1], self.coeffs[::-1])[1])
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"

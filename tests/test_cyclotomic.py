@@ -25,7 +25,7 @@ def test_zeta_power_sum_vanishes():
         total = CyclotomicElement.constant(d, 0)
         for j in range(d):
             total = total + CyclotomicElement.zeta(d, j)
-        assert total.is_zero()
+        assert not any(total.reduced())
 
 
 def test_ring_axioms_spot():

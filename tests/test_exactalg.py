@@ -1,6 +1,8 @@
 import itertools
 import random
+from functools import reduce
 from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +15,13 @@ from delsarte.exactalg import (
     kernel_elements,
     kernel_mod,
     minimal_map_matrix,
+    poly_divmod,
+    poly_mul,
+    power,
 )
+from delsarte.cyclotomic import CyclotomicElement
+from delsarte.pointcount import FiniteField
+from delsarte.symbolic import MultiPoly
 
 from oracles import (
     adjugate,
@@ -185,3 +193,67 @@ def test_diagonalize_kernel_mod_n_matches_brute_force(case):
     # the streamed walk gives each kernel point exactly once
     walked = list(kernel_elements(*kernel_mod(rows, n), n))
     assert set(walked) == brute and len(walked) == len(kernel)
+
+
+# -- dense polynomials and powers ---------------------------------------------------
+
+
+def _convolve(a, b):
+    """The product of two coefficient lists, one output coefficient at a time."""
+    return [sum(a[j] * b[i - j] for j in range(len(a)) if 0 <= i - j < len(b)) for i in range(len(a) + len(b) - 1)]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.one_of(st.integers(-50, 50), st.fractions(-5, 5, max_denominator=7)), max_size=12),
+    st.lists(st.integers(-9, 9), max_size=6),
+)
+def test_poly_divmod_rebuilds_the_dividend(num, low):
+    den = low + [1]
+    quot, rem = poly_divmod(num, den)
+    assert len(rem) == len(den) - 1
+    assert len(quot) == max(len(num) - len(low), 0)
+    product = poly_mul(den, quot) if quot else []
+    assert product == (_convolve(den, quot) if quot else [])
+    size = max(len(num), len(product), len(rem))
+
+    def padded(v):
+        return list(v) + [0] * (size - len(v))
+
+    assert [x + y for x, y in zip(padded(product), padded(rem))] == padded(num)
+
+
+@st.composite
+def _cyclotomic(draw):
+    n = draw(st.sampled_from((1, 2, 3, 4, 8, 12)))
+    return CyclotomicElement(n, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+
+# F_q for q = p^k, k >= 2, whose modulus f reduces F_p[x]/(f)
+EXTENSIONS = ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2))
+
+
+@settings(max_examples=120)
+@given(st.integers(-50, 50), st.integers(1, 40), st.data())
+def test_power_is_the_repeated_product(x, e, data):
+    assert power(x, e) == reduce(mul, [x] * e) == x**e
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    poly = MultiPoly(("u", "v"), data.draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=4)))
+    m = 1 + e % 6
+    assert power(poly, m) == reduce(mul, [poly] * m) == poly**m
+    elem = data.draw(_cyclotomic())
+    assert power(elem, e) == reduce(mul, [elem] * e) == elem**e
+    assert elem**0 == 1 and poly**0 == MultiPoly.constant(1)
+    # F_p[x]/(f): the residue with the base-p digits of a nonzero code c
+    p, k = data.draw(st.sampled_from(EXTENSIONS))
+    field = FiniteField(p, k)
+    c = data.draw(st.integers(1, field.q - 1))
+
+    def times(u, v):
+        return [y % p for y in poly_divmod(poly_mul(u, v), field.modulus)[1]]
+
+    a = [c // p**i % p for i in range(k)]
+    got = power(a, e, times)
+    assert got == reduce(times, [a] * e)
+    # c = g^log(c), so c^e is g^(e*log(c)) in the field's tables
+    assert sum(d * p**i for i, d in enumerate(got)) == field.exp[field.log[c] * e % (field.q - 1)]

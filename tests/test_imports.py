@@ -108,3 +108,13 @@ def test_unreferenced_definitions_detector():
 def test_every_definition_has_a_caller_in_the_package():
     # an allowlisted name that gained a caller leaves the list
     assert unreferenced_definitions([path.read_text() for path in SOURCES]) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_exactalg_imports_nothing_from_the_package():
+    # the leaf of exact algorithms: every other module may import it without a cycle
+    tree = ast.parse((Path(delsarte.__file__).parent / "exactalg.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [
+        "." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ]
+    assert modules and not [m for m in modules if m.startswith(".") or m.split(".")[0] == "delsarte"]

@@ -144,6 +144,36 @@ def test_field_tables_are_the_powers_of_x():
             assert f.generator == g and f.modulus == [-g % p, 1], q
 
 
+def _order_of_x(modulus, p, q):
+    """The order of x in F_p[x]/(modulus), walked power by power; None if x^j != 1 for all j < q."""
+    code = 1
+    for j in range(1, q):
+        code = _times_x(code, modulus, p)
+        if code == 1:
+            return j
+    return None
+
+
+def test_modulus_is_the_first_primitive_candidate():
+    # f = x^k - h(x) for the least code h whose x has order q - 1; constants
+    # and h(0) = 0 are not skipped here, the walk rules them out itself
+    for q in range(2, 4097):
+        factors = prime_factors(q)
+        if len(factors) != 1:
+            continue
+        p = factors[0]
+        k = next(j for j in range(1, 13) if p**j == q)
+        if k == 1:
+            g = _least_primitive_root(p)
+            assert pointcount._find_primitive(p, k) == [-g % p, 1], q
+            continue
+        for h in range(1, q):
+            f = [-(h // p**i) % p for i in range(k)] + [1]
+            if _order_of_x(f, p, q) == q - 1:
+                break
+        assert pointcount._find_primitive(p, k) == f, q
+
+
 def test_trace_table_matches_zech_sum_trace():
     # Tr(g^j) = sum_i g^(j*p^i), added up by the oracle's Zech addition
     for q in PRIME_POWERS_TO_1024 + [2187, 4096]:

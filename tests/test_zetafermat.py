@@ -519,6 +519,24 @@ def test_char_poly_divides():
     assert CharPoly((1,)).divides(p)
 
 
+# a CharPoly with a nonzero top coefficient: degree >= 1, and 0 is no root as the constant term is 1
+_nonconstant_char_poly = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda tail: tail[-1]).map(
+    lambda tail: CharPoly((1, *tail))
+)
+
+
+@given(_nonconstant_char_poly, _nonconstant_char_poly, st.data())
+def test_char_poly_divides_products_and_not_perturbed_ones(a, b, data):
+    c = a * b
+    assert a.divides(c) and b.divides(c)
+    assert not c.divides(a)  # deg c > deg a
+    # c + delta*T^i is divisible by a only if a divides T^i, which has no nonzero root
+    i = data.draw(st.integers(1, c.degree))
+    delta = data.draw(st.integers(-5, 5).filter(bool))
+    perturbed = CharPoly(tuple(x + delta * (j == i) for j, x in enumerate(c.coeffs)))
+    assert not a.divides(perturbed) and not b.divides(perturbed)
+
+
 # -- lifting -------------------------------------------------------------------------
 
 
