@@ -13,26 +13,26 @@ certify that count against brute-force enumeration (`pointcount`).
 Everything is exact: character sums live in the group ring Z[x]/(x^e-1)
 of the least order e | d that holds them.  Each Galois orbit's
 characteristic polynomial is the norm of 1 - alpha*T from Q(zeta_e),
-read off the traces of the powers of one eigenvalue alpha by Newton's
-identities, so no coefficient needs a rationality reduction; the
-divisibility checks run in Z[T].
+one product over the conjugates of alpha in Z/Phi_e(2^B), where zeta_e
+-> 2^B is a ring map and B is set by the L1 norm of alpha so that every
+coefficient is read back exactly; the divisibility checks run in Z[T].
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd
 from operator import mul
 
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from .deformation import common_cover
 from .exactalg import poly_divmod, poly_mul
 from .monomials import g_invariant_types
-from .pointcount import FiniteField, prime_factors
+from .pointcount import FiniteField
 
 
 class RationalityError(ArithmeticError):
-    """A quantity that must be a rational integer failed the exact test."""
+    """An integer the eigenvalues fix exactly, such as the size of a norm, came out wrong."""
 
 
 class CharPoly:
@@ -203,72 +203,27 @@ def jacobi_eigenvalue(k, table: CharacterTable) -> CyclotomicElement:
     return -term if len(k) % 2 else term
 
 
-@lru_cache(maxsize=None)
-def _traces(e: int) -> tuple[int, ...]:
-    """Tr(zeta_e^m) over Q(zeta_e)/Q for m = 0..e-1; the m = 0 entry is phi(e).
-
-    The trace of zeta_e^m is the Ramanujan sum mu(e/g) * phi(e) / phi(e/g),
-    g = gcd(m, e) (von Sterneck; Hardy-Wright, ch. XVI).
-    """
-
-    def phi_mu(n: int) -> tuple[int, int]:
-        phi, mu = n, 1
-        for p in prime_factors(n):
-            phi = phi // p * (p - 1)
-            mu = 0 if n % (p * p) == 0 else -mu
-        return phi, mu
-
-    phi_e = phi_mu(e)[0]
-    return tuple(mu * (phi_e // phi) for phi, mu in (phi_mu(e // gcd(m, e)) for m in range(e)))
-
-
 def _expand(alpha: CyclotomicElement, e: int) -> CharPoly:
     """The norm N(1 - alpha T) = prod over units u mod e of (1 - sigma_u(alpha) T), in Z[T].
 
-    Newton's identities i*c_i = -(p_1 c_(i-1) + ... + p_i c_0) give the
-    s = phi(e) coefficients from the power sums p_j = Tr(alpha^j), and
-    each trace is linear in the group-ring coefficients (`_traces`).  The
-    powers are one running product in Z/(2^(B*e) - 1) through the ring map
-    x -> 2^B on Z[x]/(x^e - 1) (Kronecker substitution), one packed int
-    per power.  With A the L1 norm of alpha, alpha^j has L1 norm at most
-    A^j <= A^s, as cyclic convolution is submultiplicative in L1; B bounds
-    that with room for a sign and an offset, so every entry unpacks
-    exactly.  Every division in Newton's identities must be exact.
+    With t = 2^B and M = Phi_e(t), zeta_e -> t is a ring map Z[zeta_e]
+    -> Z/M, as Phi_e(t) = 0 mod M; it sends sigma_u(alpha) to alpha(t^u).
+    So the norm's coefficients are those of prod (1 - alpha(t^u) T) mod M,
+    once M exceeds twice their size.  With A the L1 norm of alpha, every
+    conjugate has |.| <= A, so |c_i| <= C(s, i) A^i <= (2A)^s, s = phi(e);
+    and M >= (t - 1)^s.  B = bit length of 8A makes t - 1 >= 8A, so
+    M > 2 (2A)^s, and each coefficient is read back from (-M/2, M/2].
     """
-    traces = _traces(e)
-    s = traces[0]
-    bound = max(sum(map(abs, alpha.coeffs)), 1) ** s
-    # fields of 8*width bits; |entry| <= bound <= 2^(bits - 1) - 2
-    width = ((bound + 1).bit_length() + 8) // 8
-    bits = 8 * width
-    span = bits * e
-    modulus = (1 << span) - 1
-    # 2^(bits - 1) in every field: entry + half is a digit in [2, 2^bits - 2]
-    half = 1 << (bits - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * e, "little")
-    # only the fields whose trace is nonzero are read back
-    read = [(m * width, (m + 1) * width, t) for m, t in enumerate(traces) if t]
-
-    def fold(x: int) -> int:
-        while x > modulus:
-            x = (x & modulus) + (x >> span)
-        return x
-
-    packed = int.from_bytes(b"".join((a + half).to_bytes(width, "little") for a in alpha.coeffs), "little")
-    base = power = (packed - offset) % modulus
-    sums = []  # sums[j - 1] = Tr(alpha^j)
-    for j in range(1, s + 1):
-        if j > 1:
-            power = fold(power * base)
-        raw = fold(power + offset).to_bytes(width * e, "little")
-        sums.append(sum((int.from_bytes(raw[lo:hi], "little") - half) * t for lo, hi, t in read))
+    phi = cyclotomic_polynomial(e)
+    bits = (8 * max(sum(map(abs, alpha.coeffs)), 1)).bit_length()
+    modulus = sum(c << (bits * i) for i, c in enumerate(phi))
     coeffs = [1]
-    for i in range(1, s + 1):
-        c, r = divmod(-sum(map(mul, sums, reversed(coeffs))), i)
-        if r:
-            raise RationalityError(f"Newton's identity at T^{i} does not divide exactly")
-        coeffs.append(c)
-    return CharPoly(tuple(coeffs))
+    for u in range(1, e + 1):
+        if gcd(u, e) == 1:
+            value = sum(c << (bits * (u * j % e)) for j, c in enumerate(alpha.coeffs) if c) % modulus
+            coeffs = [(a - value * b) % modulus for a, b in zip(coeffs + [0], [0] + coeffs)]
+    half = modulus >> 1
+    return CharPoly(tuple(c - modulus if c > half else c for c in coeffs))
 
 
 def _orbit_polys(types, table: CharacterTable):
@@ -284,7 +239,8 @@ def _orbit_polys(types, table: CharacterTable):
     under the sub-table of order e.  The types live mod d = table.order;
     walks with the same table share its memoized orbit polynomials, keyed
     by the orbits of those types.  A set that is not Galois stable raises
-    ValueError when the walk reaches an orbit it does not hold.
+    ValueError when the walk reaches an orbit it does not hold, and an
+    orbit polynomial whose norm has the wrong size raises RationalityError.
     """
     d = table.order
     types = sorted(tuple(e % d for e in k) for k in types)
@@ -303,9 +259,14 @@ def _orbit_polys(types, table: CharacterTable):
         if orbit_poly is None:
             g = gcd(d, *k)
             e = d // g
-            assert len(orbit) == _traces(e)[0], "orbit size is not phi(e)"
+            assert len(orbit) == len(cyclotomic_polynomial(e)) - 1, "orbit size is not phi(e)"
             ev = jacobi_eigenvalue(tuple(x // g for x in k), table.sub_table(e))
-            orbit_poly = table.orbit_polys[key] = _expand(ev, e)
+            orbit_poly = _expand(ev, e)
+            # |N(j)|^2 = q^((n-1) phi(e)), as |j|^2 = q^(n-1) in every embedding
+            weight, s = len(k) - 2, orbit_poly.degree
+            if orbit_poly.coeffs[-1] ** 2 != (table.field.q**weight) ** s:
+                raise RationalityError(f"orbit of {k}: the squared norm is not q^({weight}*{s})")
+            table.orbit_polys[key] = orbit_poly
         yield orbit_poly
 
 

@@ -1,9 +1,12 @@
+import importlib.util
 import os
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# the checkout's own package, unless PYTHONPATH already names another copy of it
+if importlib.util.find_spec("delsarte") is None:
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import settings  # noqa: E402
 

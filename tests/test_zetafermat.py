@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import os
 from collections import Counter
 
 import pytest
@@ -18,7 +20,7 @@ from oracles import (
 
 from delsarte import zetafermat
 from delsarte.cyclotomic import CyclotomicElement
-from delsarte.deformation import FAMILIES, family
+from delsarte.deformation import FAMILIES, data_from_json, family
 from delsarte.monomials import g_invariant_types, gmax_invariant_types
 from delsarte.pointcount import FiniteField, count_points, fermat_hypersurface
 from delsarte.zetafermat import (
@@ -365,7 +367,7 @@ def test_char_poly_shared_table():
 
 # -- orbit norms against the dense conjugate product -----------------------------
 
-EXPAND_ORDERS = (1, 2, 5, 8, 27, 80, 108)
+EXPAND_ORDERS = (1, 2, 5, 8, 27, 64, 80, 108)
 
 
 def _units(e):
@@ -425,12 +427,16 @@ def test_expand_rejects_a_set_that_is_not_galois_stable():
     assert _expand(CyclotomicElement.zeta(8), 8) == CharPoly((1, 0, 0, 0, 1))
 
 
-def test_expand_division_must_be_exact(monkeypatch):
-    # traces of a degree-2 field in which x has trace 1 and x^2 = 1 has trace 2:
-    # 2*c_2 = -(1*(-1) + 2*1) = -1 is odd
-    monkeypatch.setattr(zetafermat, "_traces", lambda e: (2, 1))
-    with pytest.raises(RationalityError, match="T\\^2"):
-        _expand(CyclotomicElement.zeta(2), 2)
+def test_orbit_norm_of_wrong_size_is_refused(monkeypatch):
+    # every eigenvalue has |j|^2 = q^(n-1), so each orbit's squared norm is q^((n-1) phi(e));
+    # twice the true eigenvalue breaks that by 4^phi(e)
+    table = multiplicative_character(FiniteField(17), 8)
+    types = [tuple(u * x % 8 for x in (1, 2, 3, 2)) for u in _units(8)]
+    true_eigenvalue = zetafermat.jacobi_eigenvalue
+    monkeypatch.setattr(zetafermat, "jacobi_eigenvalue", lambda k, t: true_eigenvalue(k, t) * 2)
+    with pytest.raises(RationalityError, match="squared norm is not q\\^\\(2\\*4\\)"):
+        char_poly_invariant(types, table)
+    assert not table.orbit_polys
 
 
 # -- characteristic polynomials ----------------------------------------------------
@@ -663,3 +669,45 @@ def test_common_degree_equals_intersection_cardinality():
     assert report.common_degree == 5
     lifted12 = [set(lift_types(g_invariant_types(x), x.degree, 8)) for x in fams[:2]]
     assert len(set.intersection(*lifted12)) == 7
+
+
+# -- quintic threefold pencils ------------------------------------------------------
+
+QUINTICS = os.path.join(os.path.dirname(__file__), "quintics")
+
+
+def _quintic(name):
+    """A quintic pencil with deformation x0*x1*x2*x3*x4, in the labels of Doran, Greene and Judes (2008)."""
+    with open(os.path.join(QUINTICS, f"{name}.json"), encoding="utf-8") as handle:
+        return data_from_json(json.load(handle))
+
+
+def test_quintic_fermat_f1l4_common_factor_at_256():
+    fermat, f1l4 = _quintic("fermat"), _quintic("f1l4")
+    assert (fermat.degree, f1l4.degree) == (5, 255)
+    report = verify_common_factor([fermat, f1l4], FiniteField(2, 8))
+    assert (report.joint_degree, report.common_degree) == (255, 4)
+    assert report.divides == (True, True)
+    assert [p.degree for p in report.family_polys] == [204, 204]
+    # F1L4 has orbits at e = 255, whose norms from Q(zeta_255) have degree phi(255) = 128
+    assert any(math.gcd(255, *k) == 1 for k in g_invariant_types(f1l4))
+
+
+def test_quintic_fermat_l2f3_common_factor_at_31():
+    report = verify_common_factor([_quintic("fermat"), _quintic("l2f3")], FiniteField(31))
+    assert (report.joint_degree, report.common_degree) == (15, 52)
+    assert report.divides == (True, True)
+    assert [p.degree for p in report.family_polys] == [204, 180]
+
+
+def test_quintic_orbit_polys_match_dense_conjugate_product():
+    table = multiplicative_character(FiniteField(31), 15)
+    for data in (_quintic("fermat"), _quintic("l2f3")):
+        char_poly_invariant(lift_types(g_invariant_types(data), data.degree, 15), table)
+    assert table.orbit_polys
+    for orbit, poly in table.orbit_polys.items():
+        k = orbit[0]
+        g = math.gcd(15, *k)
+        e = 15 // g
+        alpha = jacobi_eigenvalue(tuple(x // g for x in k), table.sub_table(e))
+        assert poly == dense_expand([alpha.galois(u) for u in _units(e)], e), orbit
