@@ -1,17 +1,16 @@
-"""Exact cyclotomic arithmetic in the group ring Z[x]/(x^N - 1).
+"""Exact cyclotomic arithmetic in Z[zeta_N] and Q(zeta_N).
 
-Elements are stored with a full vector of N coefficients (integers or
-Fractions) and multiplied by cyclic convolution, which keeps products
-cheap and exact.  Canonical questions (equality, rationality) are decided
-by reducing modulo the N-th cyclotomic polynomial, i.e. in Q(zeta_N)
-itself, where 1, zeta, ..., zeta^(phi(N)-1) form a basis.
+An element is stored by its canonical coordinates: the phi(N) integer or
+Fraction coefficients on the basis 1, zeta, ..., zeta^(phi(N)-1).  The
+constructor takes any polynomial in zeta_N and reduces it once modulo the
+N-th cyclotomic polynomial, so a product is the product in Z[x] reduced
+the same way, and equality, hashing and rationality read the coordinates.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add
 
 from .exactalg import poly_divmod, poly_mul, power
 
@@ -35,33 +34,22 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class CyclotomicElement:
-    """Element of Z[zeta_N] (or Q(zeta_N)) in group-ring representation."""
+    """Element of Z[zeta_N] (or Q(zeta_N)) by its phi(N) canonical coordinates."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs=None):
-        if order < 1:
-            raise ValueError("order must be positive")
+    def __init__(self, order: int, coeffs):
+        """The element sum c_i zeta_N^i for any coefficient list c, of any length."""
         self.order = order
-        if coeffs is None:
-            coeffs = (0,) * order
-        else:
-            coeffs = tuple(coeffs)
-            if len(coeffs) != order:
-                raise ValueError("coefficient vector must have length = order")
-        self.coeffs = coeffs
+        self.coeffs = tuple(poly_divmod(coeffs, cyclotomic_polynomial(order))[1])
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> CyclotomicElement:
-        c = [0] * order
-        c[power % order] = 1
-        return cls(order, c)
+        return cls(order, [0] * (power % order) + [1])
 
     @classmethod
     def constant(cls, order: int, value) -> CyclotomicElement:
-        c = [0] * order
-        c[0] = value
-        return cls(order, c)
+        return cls(order, [value])
 
     def _coerce(self, other):
         """The operand as an element of the same order; NotImplemented for a foreign type."""
@@ -98,11 +86,7 @@ class CyclotomicElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        # the product in Z[x], folded by x^n = 1: out[i] += out[i + n]
-        out = poly_mul(self.coeffs, other.coeffs)
-        n = self.order
-        out[: n - 1] = map(add, out, out[n:])
-        return CyclotomicElement(n, out[:n])
+        return CyclotomicElement(self.order, poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -125,26 +109,21 @@ class CyclotomicElement:
     def conjugate(self) -> CyclotomicElement:
         return self.galois(self.order - 1) if self.order > 1 else self
 
-    def reduced(self) -> tuple:
-        """Canonical coordinates on the basis 1, zeta, ..., zeta^(phi(N)-1)."""
-        return tuple(poly_divmod(self.coeffs, cyclotomic_polynomial(self.order))[1])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CyclotomicElement.constant(self.order, other)
         if not isinstance(other, CyclotomicElement) or other.order != self.order:
             return NotImplemented
-        return self.reduced() == other.reduced()
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.order, self.reduced()))
+        return hash((self.order, self.coeffs))
 
     def rational_value(self):
         """The element as a rational number; raises if it is not one."""
-        red = self.reduced()
-        if any(red[1:]):
+        if any(self.coeffs[1:]):
             raise NotRationalError(f"element is not rational: {self!r}")
-        return red[0] if red else 0
+        return self.coeffs[0]
 
     def norm_squared_exact(self):
         """|self|^2 as an exact rational when self * conj(self) is rational.
@@ -156,13 +135,12 @@ class CyclotomicElement:
         return (self * self.conjugate()).rational_value()
 
     def __repr__(self) -> str:
-        return f"CyclotomicElement(order={self.order}, reduced={list(self.reduced())})"
+        return f"CyclotomicElement({self.order}, {list(self.coeffs)})"
 
     def __str__(self) -> str:
-        red = self.reduced()
         sym = f"z{self.order}"
         parts = []
-        for i, a in enumerate(red):
+        for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             if i == 0:

@@ -87,10 +87,9 @@ def _exponents(key: int) -> list[tuple[str, int]]:
 def _c_norm(c):
     """Canonical coefficient: rational values never hide in a larger ring."""
     if isinstance(c, CyclotomicElement):
-        red = c.reduced()
-        if any(red[1:]):
+        if any(c.coeffs[1:]):
             return c
-        c = red[0]
+        c = c.coeffs[0]
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
@@ -181,14 +180,6 @@ class MultiPoly:
         return _wrap({})
 
     # -- representation helpers ------------------------------------------------
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        """Names of the variables that occur in some term, in VAR_ORDER."""
-        used = 0
-        for key in self.terms:
-            used |= key
-        return tuple(name for name, _ in _exponents(used))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -10,12 +10,13 @@ and `frobenius_trace` adds up their eigenvalues, so the Lefschetz count
 The sign and normalization conventions are not assumed: the tests
 certify that count against brute-force enumeration (`pointcount`).
 
-Everything is exact: character sums live in the group ring Z[x]/(x^e-1)
-of the least order e | d that holds them.  Each Galois orbit's
-characteristic polynomial is the norm of 1 - alpha*T from Q(zeta_e),
-one product over the conjugates of alpha in Z/Phi_e(2^B), where zeta_e
--> 2^B is a ring map and B is set by the L1 norm of alpha so that every
-coefficient is read back exactly; the divisibility checks run in Z[T].
+Everything is exact: character sums live in Z[zeta_e], e | d the least
+order that holds them, by their canonical coordinates.  Each Galois
+orbit's characteristic polynomial is the norm of 1 - alpha*T from
+Q(zeta_e), one product over the conjugates of alpha in Z/Phi_e(2^B),
+where zeta_e -> 2^B is a ring map and B is set by the L1 norm of
+alpha's coordinates so that every coefficient is read back exactly; the
+divisibility checks run in Z[T].
 """
 from __future__ import annotations
 

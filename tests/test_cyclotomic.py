@@ -1,11 +1,13 @@
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsarte.cyclotomic import CyclotomicElement, NotRationalError, cyclotomic_polynomial
+from delsarte.zetafermat import _expand
 
 from oracles import embedding, is_galois_invariant
 
@@ -18,6 +20,8 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert cyclotomic_polynomial(24) == (1, 0, 0, 0, -1, 0, 0, 0, 1)
+    with pytest.raises(ValueError, match="^order must be positive$"):
+        CyclotomicElement(0, [1])
 
 
 def test_zeta_power_sum_vanishes():
@@ -25,7 +29,7 @@ def test_zeta_power_sum_vanishes():
         total = CyclotomicElement.constant(d, 0)
         for j in range(d):
             total = total + CyclotomicElement.zeta(d, j)
-        assert not any(total.reduced())
+        assert not any(total.coeffs)
 
 
 def test_ring_axioms_spot():
@@ -86,7 +90,7 @@ def test_conjugate():
     z = CyclotomicElement.zeta(8)
     elem = 2 * z + 3 * z**3
     prod = elem * elem.conjugate()
-    assert not any(prod.reduced()[1:])
+    assert not any(prod.coeffs[1:])
     assert prod.rational_value() == elem.norm_squared_exact()
 
 
@@ -98,7 +102,7 @@ def test_rational_iff_galois_invariant():
         for _ in range(20):
             coeffs = [rng.randint(-3, 3) for _ in range(d)]
             elem = CyclotomicElement(d, coeffs)
-            assert (not any(elem.reduced()[1:])) == is_galois_invariant(elem)
+            assert (not any(elem.coeffs[1:])) == is_galois_invariant(elem)
 
 
 def test_power_products(monkeypatch):
@@ -184,7 +188,7 @@ def test_equal_elements_hash_alike(triple, data):
         assert ring == 0
         twin = a + ring
     assert twin == a and hash(twin) == hash(a)
-    if not any(a.reduced()[1:]):
+    if not any(a.coeffs[1:]):
         # a rational element equals, and hashes like, its constant
         value = a.rational_value()
         assert a == value and hash(a) == hash(CyclotomicElement.constant(n, value))
@@ -196,3 +200,69 @@ def test_int_and_fraction_coefficients_agree():
     assert ints == fracs and hash(ints) == hash(fracs)
     assert ints * fracs == ints * ints
     assert (fracs * Fraction(1, 3)) * 3 == ints
+
+
+# -- canonical coordinates --------------------------------------------------------
+
+CANONICAL_ORDERS = (1, 2, 8, 12, 15, 60, 105)
+
+
+def _euler_phi(n):
+    return sum(1 for u in range(1, n + 1) if gcd(u, n) == 1)
+
+
+def _cyclic_product(n, a, b):
+    """The product of two group-ring vectors of length n in Z[x]/(x^n - 1)."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                out[(i + j) % n] += x * y
+    return out
+
+
+def _canonical(n, vector):
+    """The coordinates of a group-ring vector on 1, zeta, ..., zeta^(phi(n)-1), by long division."""
+    phi = cyclotomic_polynomial(n)
+    k = len(phi) - 1
+    rem = list(vector)
+    for top in range(len(rem) - 1, k - 1, -1):
+        c = rem[top]
+        for j, y in enumerate(phi):
+            if c and y:
+                rem[top - k + j] -= c * y
+    return tuple(rem[:k])
+
+
+@st.composite
+def _group_ring_vectors(draw, integral=False):
+    """An order from CANONICAL_ORDERS with two sparse length-n group-ring vectors."""
+    n = draw(st.sampled_from(CANONICAL_ORDERS))
+    coefficient = st.integers(-10**6, 10**6) if integral else _coefficient
+    entries = st.lists(st.tuples(st.integers(0, n - 1), coefficient), max_size=6)
+    return n, _scatter(n, draw(entries)), _scatter(n, draw(entries))
+
+
+@settings(max_examples=50)
+@given(_group_ring_vectors())
+def test_coordinates_are_canonical(vectors):
+    n, a, b = vectors
+    x, y = CyclotomicElement(n, a), CyclotomicElement(n, b)
+    assert len(x.coeffs) == len(y.coeffs) == len((x * y).coeffs) == _euler_phi(n)
+    assert x.coeffs == _canonical(n, a)
+    # a product is the cyclic convolution, folded by x^n = 1, then reduced by Phi_n
+    assert (x * y).coeffs == _canonical(n, _cyclic_product(n, a, b))
+    # a group-ring vector and its reduction are one element
+    reduced = CyclotomicElement(n, _canonical(n, a))
+    assert reduced == x and hash(reduced) == hash(x)
+
+
+@settings(max_examples=40)
+@given(_group_ring_vectors(integral=True))
+def test_expand_reads_any_representative(vectors):
+    # zeta_n -> 2^B is a ring map on every representative, and the L1 norm of
+    # any representative bounds every conjugate, so a group-ring vector that
+    # was never reduced expands to the same norm as its canonical form
+    n, a, _ = vectors
+    alpha = CyclotomicElement(n, a)
+    assert _expand(SimpleNamespace(order=n, coeffs=tuple(a)), n) == _expand(alpha, n)

@@ -53,8 +53,8 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _reference(node):
-    if isinstance(node, ast.Name):
+def _reference(node, attributes_only=False):
+    if isinstance(node, ast.Name) and not attributes_only:
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
@@ -64,25 +64,36 @@ def _reference(node):
 def unreferenced_definitions(sources: list[str]) -> list[str]:
     """Non-dunder functions, methods and classes whose name nothing else in the sources reads.
 
-    A name counts as referenced when it is read as a variable or as an
-    attribute anywhere outside its own definition, so recursion alone
-    does not keep a function.  Names are matched as strings: a method
-    that shares its name with any other identifier read in the package
-    (`add`, `mul`, `pow`, ...) counts as referenced and is not caught.
+    A function or class counts as referenced when its name is read as a
+    variable or as an attribute anywhere outside its own definition, so
+    recursion alone does not keep a function.  A method counts only
+    through attribute reads (`x.name`): a parameter or local variable of
+    the same spelling does not keep it.  Names are matched as strings, so
+    a method that shares its name with any attribute read in the package
+    (`seen.add`, ...) counts as referenced and is not caught.
     """
     trees = [ast.parse(source) for source in sources]
-    reads = Counter(name for tree in trees for node in ast.walk(tree) if (name := _reference(node)))
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    reads = Counter(name for node in nodes if (name := _reference(node)))
+    attribute_reads = Counter(name for node in nodes if (name := _reference(node, True)))
+    methods = {
+        id(item)
+        for node in nodes
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     found = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            own = sum(_reference(inner) == name for inner in ast.walk(node))
-            if reads[name] == own:
-                found.add(name)
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        method = id(node) in methods
+        own = sum(_reference(inner, method) == name for inner in ast.walk(node))
+        if (attribute_reads if method else reads)[name] == own:
+            found.add(name)
     return sorted(found)
 
 
@@ -93,16 +104,22 @@ def test_unreferenced_definitions_detector():
         "        return self.helper()\n"
         "    def add(self, x):\n"
         "        return x\n"
+        "    def size(self):\n"
+        "        return 0\n"
         "    def __repr__(self):\n"
         "        return ''\n"
         "def orphan():\n"
         "    return Used()\n"
         "def fact(n):\n"
         "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "def measure(size):\n"
+        "    return size\n"
         "seen = set()\n"
         "seen.add(orphan)\n"
+        "seen.add(measure)\n"
     )
-    assert unreferenced_definitions([source]) == ["fact", "helper"]
+    # the parameter `size` of `measure` does not keep the method `size`
+    assert unreferenced_definitions([source]) == ["fact", "helper", "size"]
 
 
 def test_every_definition_has_a_caller_in_the_package():

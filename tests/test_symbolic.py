@@ -273,12 +273,20 @@ def test_substitute_with_constant_images_matches_term_by_term_oracle(case, kind,
     assert str(image) == str(want)
 
 
+def _used_vars(poly):
+    """Names of the variables that occur in some term of poly, in VAR_ORDER."""
+    used = 0
+    for key in poly.terms:
+        used |= key
+    return tuple(name for name, _ in symbolic._exponents(used))
+
+
 @given(_poly_specs(), _poly_specs())
 def test_packed_arithmetic_matches_tuple_oracle(a, b):
     pa, ra = _both(a)
     pb, rb = _both(b)
     assert str(pa) == ra.text()
-    assert pa.vars == ra.vars()
+    assert _used_vars(pa) == ra.vars()
     assert str(pa + pb) == (ra + rb).text()
     assert str(pa - pb) == (ra + -rb).text()
     assert str(pa * pb) == (ra * rb).text()
@@ -349,7 +357,7 @@ def test_constructor_rejects_malformed_exponents():
     with pytest.raises(ValueError, match="unknown variable 'w'"):
         MultiPoly(("w",), {(1,): 1})
     top = MultiPoly(("u",), {(2**15 - 1,): 1})
-    assert top.degree_in("u") == 2**15 - 1 and top.vars == ("u",)
+    assert top.degree_in("u") == 2**15 - 1 and _used_vars(top) == ("u",)
 
 
 def test_product_reaching_the_degree_limit_raises():

@@ -21,8 +21,8 @@ from oracles import (
 from delsarte import zetafermat
 from delsarte.cyclotomic import CyclotomicElement
 from delsarte.deformation import FAMILIES, data_from_json, family
-from delsarte.monomials import g_invariant_types, gmax_invariant_types
-from delsarte.pointcount import FiniteField, count_points, fermat_hypersurface
+from delsarte.monomials import dimension_triple, g_invariant_types, gmax_invariant_types
+from delsarte.pointcount import FiniteField, count_points, family_hypersurface, fermat_hypersurface
 from delsarte.zetafermat import (
     CharacterTable,
     CharPoly,
@@ -698,6 +698,43 @@ def test_quintic_fermat_l2f3_common_factor_at_31():
     assert (report.joint_degree, report.common_degree) == (15, 52)
     assert report.divides == (True, True)
     assert [p.degree for p in report.family_polys] == [204, 180]
+
+
+def test_quintic_l2l3_and_l5_dimension_triples():
+    # (PF, dimW, c) with PF + dimW + c = 204, the middle Betti number of a quintic threefold
+    assert (_quintic("l2l3").degree, dimension_triple(_quintic("l2l3"))) == (195, (4, 176, 24))
+    assert (_quintic("l5").degree, dimension_triple(_quintic("l5"))) == (1025, (4, 200, 0))
+
+
+def test_quintic_fermat_l2f3_l2l3_common_factor_at_1171():
+    names = ("fermat", "l2f3", "l2l3")
+    report = verify_common_factor([_quintic(name) for name in names], FiniteField(1171))
+    assert (report.joint_degree, report.common_degree) == (195, 4)
+    assert [p.degree for p in report.family_polys] == [204, 180, 180]
+    assert report.all_divide
+
+
+def test_quintic_fermat_l5_common_factor_at_6151():
+    report = verify_common_factor([_quintic("fermat"), _quintic("l5")], FiniteField(6151))
+    assert (report.joint_degree, report.common_degree) == (1025, 4)
+    assert report.divides == (True, True)
+
+
+def _count_minus_lefschetz(name, field):
+    """count_points at lambda = 0 minus 1 + q + q^2 + q^3 - (the trace over the G-invariant types)."""
+    data = _quintic(name)
+    q = field.q
+    trace = frobenius_trace(g_invariant_types(data), multiplicative_character(field, data.degree))
+    return count_points(family_hypersurface(data, 0), field) - (1 + q + q**2 + q**3 - trace)
+
+
+def test_quintic_count_equals_invariant_trace_when_c_is_zero():
+    # Fermat and F1L4 have c = 0: the G-invariant types carry all of the count
+    assert _count_minus_lefschetz("fermat", FiniteField(11)) == 0
+    assert _count_minus_lefschetz("fermat", FiniteField(31)) == 0
+    assert _count_minus_lefschetz("f1l4", FiniteField(2, 8)) == 0
+    # L2F3 has c = 24, and those classes add to the count
+    assert _count_minus_lefschetz("l2f3", FiniteField(31)) == 2046
 
 
 def test_quintic_orbit_polys_match_dense_conjugate_product():
