@@ -11,12 +11,13 @@ The sign and normalization conventions are not assumed: the tests
 certify that count against brute-force enumeration (`pointcount`).
 
 Everything is exact: character sums live in Z[zeta_e], e | d the least
-order that holds them, by their canonical coordinates.  Each Galois
-orbit's characteristic polynomial is the norm of 1 - alpha*T from
-Q(zeta_e), one product over the conjugates of alpha in Z/Phi_e(2^B),
-where zeta_e -> 2^B is a ring map and B is set by the L1 norm of
-alpha's coordinates so that every coefficient is read back exactly; the
-divisibility checks run in Z[T].
+order that holds them, by their canonical coordinates, and are read off
+the one order-d character table mod e.  A call builds each Galois orbit
+once, from the units mod e.  The orbit's characteristic polynomial is
+the norm of 1 - alpha*T from Q(zeta_e), one product over the conjugates
+of alpha in Z/Phi_e(2^B), where zeta_e -> 2^B is a ring map and B is set
+by the L1 norm of alpha's coordinates so that every coefficient is read
+back exactly; the divisibility checks run in Z[T].
 """
 from __future__ import annotations
 
@@ -77,14 +78,14 @@ class CharacterTable:
     chi(g^j) = zeta_d^j for the chosen generator g.  With u = 1/log(g)
     mod q - 1, the zeta-exponent of chi at a nonzero element is u times
     its field log, mod d; `log_pairs` holds those exponents at v and 1 - v
-    with their multiplicity over v != 0, 1.  The table also memoizes the
-    per-orbit characteristic polynomials computed with it and the tables
-    of chi^(d/e) for e | d (`sub_table`), so a table shared between calls
-    shares that work; the caches live and die with the table.  Apart from
-    those caches, instances are treated as immutable.
+    with their multiplicity over v != 0, 1; taken mod e | d, they are the
+    exponents of chi^(d/e), of exact order e.  The table memoizes the pair
+    sums and per-orbit characteristic polynomials computed with it, so a
+    table shared between calls shares that work; the memos live and die
+    with the table.  Apart from them, instances are treated as immutable.
     """
 
-    __slots__ = ("field", "order", "generator", "u", "log_pairs", "orbit_polys", "sub_tables")
+    __slots__ = ("field", "order", "generator", "u", "log_pairs", "pair_sums", "orbit_polys")
 
     def __init__(
         self,
@@ -99,39 +100,22 @@ class CharacterTable:
         self.generator = generator
         self.u = u
         self.log_pairs = log_pairs
+        self.pair_sums = {}
         self.orbit_polys = {}
-        self.sub_tables = {}
-
-    def sub_table(self, e: int) -> CharacterTable:
-        """The table of chi^(d/e), a character of exact order e | d.
-
-        Its pairs are this table's merged mod e, so no pass over the
-        field is needed.
-        """
-        if e == self.order:
-            return self
-        sub = self.sub_tables.get(e)
-        if sub is None:
-            if e < 1 or self.order % e:
-                raise ValueError(f"order {e} does not divide {self.order}")
-            counts = Counter()
-            for x, y, c in self.log_pairs:
-                counts[x % e, y % e] += c
-            pairs = tuple((x, y, c) for (x, y), c in counts.items())
-            sub = self.sub_tables[e] = CharacterTable(self.field, e, self.generator, self.u, pairs)
-        return sub
 
     def chi_power_at(self, power: int, code: int) -> int:
         """zeta-exponent of chi^power at a nonzero element."""
         return power * self.u * self.field.log[code] % self.order
 
-    def pair_sum(self, a: int, b: int) -> CyclotomicElement:
-        """J(chi^a, chi^b) = sum over v != 0, 1 of chi^a(v) * chi^b(1 - v)."""
-        d = self.order
-        coeffs = [0] * d
-        for x, y, c in self.log_pairs:
-            coeffs[(a * x + b * y) % d] += c
-        return CyclotomicElement(d, coeffs)
+    def pair_sum(self, a: int, b: int, e: int) -> CyclotomicElement:
+        """J(psi^a, psi^b) = sum over v != 0, 1 of psi^a(v) * psi^b(1 - v), for psi = chi^(d/e) of order e | d."""
+        pair = self.pair_sums.get((a, b, e))
+        if pair is None:
+            coeffs = [0] * e
+            for x, y, c in self.log_pairs:
+                coeffs[(a * x + b * y) % e] += c
+            pair = self.pair_sums[a, b, e] = CyclotomicElement(e, coeffs)
+        return pair
 
 
 def multiplicative_character(field: FiniteField, d: int, generator: int | None = None) -> CharacterTable:
@@ -152,56 +136,60 @@ def multiplicative_character(field: FiniteField, d: int, generator: int | None =
     return CharacterTable(field, d, generator, u, tuple((x, y, c) for (x, y), c in counts.items()))
 
 
-def _jacobi_sum(table: CharacterTable, powers) -> CyclotomicElement:
+def _jacobi_sum(table: CharacterTable, powers, e: int) -> CyclotomicElement:
     """J(chi^p1, ..., chi^pm) = sum over v_1 + ... + v_m = 1, v_i nonzero.
 
+    chi is the table's character to the power d/e, of exact order e | d.
     Every character must be nontrivial.  The sum is built from pair sums
     (Ireland-Rosen, ch. 8; Berndt-Evans-Williams, ch. 2): with
     psi = chi^(p1 + ... + p(i-1)),
       J(.., chi^pi) = J(.., chi^p(i-1)) * J(psi, chi^pi)        if psi != 1,
       J(.., chi^pi) = chi^p(i-1)(-1) * q * J(.., chi^p(i-2))    if psi == 1,
-    starting from J(chi^p1) = 1.
+    starting from J(chi^p1) = 1, which is never multiplied by; chi^p(-1) is a sign.
     """
-    d = table.order
-    powers = [e % d for e in powers]
+    powers = [p % e for p in powers]
     if not powers:
         raise ValueError("need at least one character")
     if 0 in powers:
         raise ValueError("every character must be nontrivial")
-    field = table.field
-    minus_one = field.p - 1  # the code of -1
-    before, current = None, CyclotomicElement.constant(d, 1)
+    q, minus_one = table.field.q, table.field.p - 1  # p - 1 is the code of -1
+    before = current = None  # None stands for J(chi^p1) = 1
     psi = powers[0]
     for i in range(1, len(powers)):
         if psi:
-            nxt = current * table.pair_sum(psi, powers[i])
+            pair = table.pair_sum(psi, powers[i], e)
+            nxt = pair if current is None else current * pair
         else:
-            sign = CyclotomicElement.zeta(d, table.chi_power_at(powers[i - 1], minus_one))
-            nxt = sign * before * field.q
+            scale = -q if table.chi_power_at(powers[i - 1], minus_one) % e else q
+            nxt = CyclotomicElement.constant(e, scale) if before is None else before * scale
         before, current = current, nxt
-        psi = (psi + powers[i]) % d
-    return current
+        psi = (psi + powers[i]) % e
+    return CyclotomicElement.constant(e, 1) if current is None else current
 
 
-def jacobi_eigenvalue(k, table: CharacterTable) -> CyclotomicElement:
-    """Frobenius eigenvalue on the eigenline of the interior type k = (k_0, ..., k_n).
+def jacobi_eigenvalue(k, table: CharacterTable, order: int | None = None) -> CyclotomicElement:
+    """Frobenius eigenvalue on the eigenline of the interior type k = (k_0, ..., k_n) mod e.
 
-    (1/q) * prod_i g(chi^(k_i)), up to the sign (-1)^(n-1) that makes the
-    Lefschetz count reproduce brute force.  Folding the last Gauss sum
-    against its conjugate turns the product into chi^(k_n)(-1) *
-    J(chi^(k_0), ..., chi^(k_(n-1))), which stays in Z[zeta_d] and needs
-    no additive characters.  Its complex absolute value is q^((n-1)/2) in
-    every embedding.
+    e = order | d = table.order (d by default), and psi = chi^(d/e) has
+    exact order e.  (1/q) * prod_i g(psi^(k_i)), up to the sign (-1)^(n-1)
+    that makes the Lefschetz count reproduce brute force.  Folding the last
+    Gauss sum against its conjugate turns the product into psi^(k_n)(-1) *
+    J(psi^(k_0), ..., psi^(k_(n-1))), which stays in Z[zeta_e] and needs
+    no additive characters.  As (-1)^2 = 1, psi^(k_n)(-1) is a sign, so
+    one negation at most applies both signs.  Its complex absolute value is
+    q^((n-1)/2) in every embedding.
     """
-    d = table.order
-    k = tuple(e % d for e in k)
-    if sum(k) % d != 0:
-        raise ValueError("type entries must sum to 0 mod d")
-    if any(e == 0 for e in k):
+    e = table.order if order is None else order
+    if e < 1 or table.order % e:
+        raise ValueError(f"order {e} does not divide {table.order}")
+    k = tuple(x % e for x in k)
+    if sum(k) % e != 0:
+        raise ValueError(f"type entries must sum to 0 mod {e}")
+    if any(x == 0 for x in k):
         raise ValueError("type must be interior (no zero entries)")
-    sign_exp = table.chi_power_at(k[-1], table.field.p - 1)  # chi^(k_n)(-1); -1 is the code p - 1
-    term = CyclotomicElement.zeta(d, sign_exp) * _jacobi_sum(table, k[:-1])
-    return -term if len(k) % 2 else term
+    term = _jacobi_sum(table, k[:-1], e)
+    minus = bool(table.chi_power_at(k[-1], table.field.p - 1) % e)  # psi^(k_n)(-1) = -1; -1 is the code p - 1
+    return -term if minus != bool(len(k) % 2) else term
 
 
 def _expand(alpha: CyclotomicElement, e: int) -> CharPoly:
@@ -227,53 +215,69 @@ def _expand(alpha: CyclotomicElement, e: int) -> CharPoly:
     return CharPoly(tuple(c - modulus if c > half else c for c in coeffs))
 
 
-def _orbit_polys(types, table: CharacterTable):
+def _orbit(k, d: int) -> frozenset:
+    """The Galois orbit {u*k mod d : u a unit mod d} of a type k mod d.
+
+    With g = gcd(d, k) and e = d/g, u*k = g*(u*(k/g) mod e), and the units
+    mod d map onto the units mod e, so the orbit is built from those alone.
+    The stabilizer of k/g is {u == 1 mod e}: the orbit has phi(e) members.
+    """
+    g = gcd(d, *k)
+    e = d // g
+    k = [x // g for x in k]
+    return frozenset(tuple(g * (u * x % e) for x in k) for u in range(1, e + 1) if gcd(u, e) == 1)
+
+
+def _orbit_polys(types, table: CharacterTable, orbit_of=None):
     """Yield the polynomial prod (1 - j(k) T) over each Galois orbit of the types, in Z[T].
 
-    The types split into orbits under k -> u*k for units u mod d.  One
-    eigenvalue per orbit is a Jacobi sum; the others are its conjugates
-    j(u*k) = sigma_u(j(k)).  With g = gcd(d, k) the sum lies in the
-    smaller ring Z[zeta_e], e = d/g: chi^k = (chi^g)^(k/g), and chi^g has
-    exact order e.  The stabilizer of k is {u == 1 mod e}, so the orbit
-    has phi(e) members, one per unit mod e, and its product is the norm
-    from Q(zeta_e) of 1 - j T (`_expand`), with j the eigenvalue of k/g
-    under the sub-table of order e.  The types live mod d = table.order;
-    walks with the same table share its memoized orbit polynomials, keyed
-    by the orbits of those types.  A set that is not Galois stable raises
-    ValueError when the walk reaches an orbit it does not hold, and an
-    orbit polynomial whose norm has the wrong size raises RationalityError.
+    The types live mod d = table.order and split into orbits under
+    k -> u*k for units u mod d (`_orbit`), which fill the map `orbit_of`
+    from each type to its orbit.  Walks over sets of reduced types that
+    share the map build each orbit once; without it the types are reduced
+    first.  A set is Galois stable iff the sizes of its orbits add up to
+    its size; otherwise ValueError is raised.  One eigenvalue per orbit is
+    a Jacobi sum; the others are its conjugates j(u*k) = sigma_u(j(k)).
+    With g = gcd(d, k) the sum lies in the smaller ring Z[zeta_e], e = d/g:
+    chi^k = (chi^g)^(k/g), and chi^g has exact order e.  The orbit has
+    phi(e) members, and its product is the norm from Q(zeta_e) of 1 - j T
+    (`_expand`), with j the eigenvalue of k/g at order e.  Walks with the
+    same table share its memoized orbit polynomials, keyed by the orbits;
+    an orbit polynomial whose norm has the wrong size raises RationalityError.
     """
     d = table.order
-    types = sorted(tuple(e % d for e in k) for k in types)
-    type_set = set(types)
-    units = [1] + [u for u in range(2, d) if gcd(u, d) == 1]
-    seen = set()
+    if orbit_of is None:
+        types, orbit_of = {tuple(x % d for x in k) for k in types}, {}
+    orbits = set()
     for k in types:
-        if k in seen:
-            continue
-        orbit = {tuple((u * e) % d for e in k) for u in units}
-        if not orbit <= type_set:
-            raise ValueError("coefficients not rational: type set is not Galois stable")
-        seen.update(orbit)
-        key = tuple(sorted(orbit))
-        orbit_poly = table.orbit_polys.get(key)
+        if k not in orbit_of:
+            orbit = _orbit(k, d)
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+        orbits.add(orbit_of[k])
+    if sum(map(len, orbits)) != len(types):
+        raise ValueError("coefficients not rational: type set is not Galois stable")
+    for orbit in orbits:
+        orbit_poly = table.orbit_polys.get(orbit)
         if orbit_poly is None:
+            k = min(orbit)
             g = gcd(d, *k)
             e = d // g
             assert len(orbit) == len(cyclotomic_polynomial(e)) - 1, "orbit size is not phi(e)"
-            ev = jacobi_eigenvalue(tuple(x // g for x in k), table.sub_table(e))
-            orbit_poly = _expand(ev, e)
+            orbit_poly = _expand(jacobi_eigenvalue(tuple(x // g for x in k), table, e), e)
             # |N(j)|^2 = q^((n-1) phi(e)), as |j|^2 = q^(n-1) in every embedding
             weight, s = len(k) - 2, orbit_poly.degree
             if orbit_poly.coeffs[-1] ** 2 != (table.field.q**weight) ** s:
                 raise RationalityError(f"orbit of {k}: the squared norm is not q^({weight}*{s})")
-            table.orbit_polys[key] = orbit_poly
+            table.orbit_polys[orbit] = orbit_poly
         yield orbit_poly
 
 
-def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
-    """prod (1 - j(k) T) over a Galois-stable set of interior types, in Z[T]: the orbit polynomials multiplied."""
-    return reduce(mul, _orbit_polys(types, table), CharPoly((1,)))
+def char_poly_invariant(types, table: CharacterTable, orbit_of=None) -> CharPoly:
+    """prod (1 - j(k) T) over a Galois-stable set of interior types, in Z[T]: the orbit polynomials multiplied.
+
+    Calls over sets of reduced types may share one `orbit_of` map (`_orbit_polys`).
+    """
+    return reduce(mul, _orbit_polys(types, table, orbit_of), CharPoly((1,)))
 
 
 def frobenius_trace(types, table: CharacterTable) -> int:
@@ -350,10 +354,10 @@ def verify_common_factor(data_list, field: FiniteField) -> CommonFactorReport:
         for item in data_list
     ]
     common = set.intersection(*lifted)
-    # one table for the whole call: every orbit's polynomial is computed once
-    table = multiplicative_character(field, d_joint)
-    common_poly = char_poly_invariant(common, table)
-    family_polys = tuple(char_poly_invariant(s, table) for s in lifted)
+    # one table and one orbit map for the whole call: every orbit is built and expanded once
+    table, orbit_of = multiplicative_character(field, d_joint), {}
+    common_poly = char_poly_invariant(common, table, orbit_of)
+    family_polys = tuple(char_poly_invariant(s, table, orbit_of) for s in lifted)
     divides = tuple(common_poly.divides(fp) for fp in family_polys)
     return CommonFactorReport(
         joint_degree=d_joint,

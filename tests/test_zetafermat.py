@@ -20,7 +20,7 @@ from oracles import (
 
 from delsarte import zetafermat
 from delsarte.cyclotomic import CyclotomicElement
-from delsarte.deformation import FAMILIES, data_from_json, family
+from delsarte.deformation import FAMILIES, common_cover, data_from_json, family
 from delsarte.monomials import dimension_triple, g_invariant_types, gmax_invariant_types
 from delsarte.pointcount import FiniteField, count_points, family_hypersurface, fermat_hypersurface
 from delsarte.zetafermat import (
@@ -95,12 +95,12 @@ def test_character_table_construction():
     table = multiplicative_character(f, 4)
     brute = Counter((table.chi_power_at(1, v), table.chi_power_at(1, f.sub(1, v))) for v in range(2, f.q))
     assert sorted(table.log_pairs) == sorted((x, y, c) for (x, y), c in brute.items())
-    assert table.orbit_polys == {} and table.sub_tables == {}
+    assert table.orbit_polys == {} and table.pair_sums == {}
     # the default generator x has log 1, so u = 1/log(x) = 1
     assert table.u == 1
     given_pairs = ((0, 0, 7),)
     built = CharacterTable(f, 4, f.generator, table.u, log_pairs=given_pairs)
-    assert built.log_pairs is given_pairs and built.orbit_polys == {} and built.sub_tables == {}
+    assert built.log_pairs is given_pairs and built.orbit_polys == {}
     assert [built.chi_power_at(3, v) for v in range(1, f.q)] == [table.chi_power_at(3, v) for v in range(1, f.q)]
 
 
@@ -180,6 +180,8 @@ def test_eigenvalue_rejects_bad_types():
         jacobi_eigenvalue((1, 1, 1, 2), table)  # sum not 0 mod 4
     with pytest.raises(ValueError):
         jacobi_eigenvalue((4, 1, 1, 2), table)  # boundary entry
+    with pytest.raises(ValueError, match="does not divide"):
+        jacobi_eigenvalue((1, 1, 1), table, 3)  # no character of order 3 comes from one of order 4
 
 
 # -- fast Jacobi sums against the direct sum ----------------------------------------
@@ -234,7 +236,7 @@ def _jacobi_inputs(draw):
 def test_jacobi_sum_matches_direct_sum(inputs):
     p, k, d, powers = inputs
     table = _small_table(p, k, d)
-    assert _jacobi_sum(table, powers) == direct_jacobi_sum(table, powers)
+    assert _jacobi_sum(table, powers, d) == direct_jacobi_sum(table, powers)
 
 
 def test_jacobi_sum_trivial_partial_products():
@@ -243,16 +245,16 @@ def test_jacobi_sum_trivial_partial_products():
     for p, k in ((13, 1), (5, 2)):
         table = _small_table(p, k, 12)
         for powers in ((3, 9, 5), (3, 9, 5, 7), (1, 11, 4, 8), (2, 5, 5)):
-            assert _jacobi_sum(table, powers) == direct_jacobi_sum(table, powers), (p, k, powers)
+            assert _jacobi_sum(table, powers, 12) == direct_jacobi_sum(table, powers), (p, k, powers)
 
 
 def test_jacobi_sum_single_and_trivial_characters():
     table = _small_table(13, 1, 12)
-    assert _jacobi_sum(table, (5,)) == 1
+    assert _jacobi_sum(table, (5,), 12) == 1
     with pytest.raises(ValueError, match="nontrivial"):
-        _jacobi_sum(table, (3, 12, 5))
+        _jacobi_sum(table, (3, 12, 5), 12)
     with pytest.raises(ValueError):
-        _jacobi_sum(table, ())
+        _jacobi_sum(table, (), 12)
 
 
 @st.composite
@@ -332,23 +334,13 @@ def test_char_poly_matches_oracle_at_benchmark_fields(key, p, k):
     table = multiplicative_character(field, d)
     oracle = char_poly_by_types(types, multiplicative_character(field, d))
     assert char_poly_invariant(types, table) == oracle
-    # every order the orbits used has a sub-table equal to a fresh table
-    assert set(table.sub_tables) == orders - {d}
-    for e in (e for e in range(1, d + 1) if d % e == 0):
-        fresh = multiplicative_character(field, e)
-        sub = table.sub_table(e)
-        assert sub.field is fresh.field
-        assert (sub.order, sub.generator, sub.u) == (fresh.order, fresh.generator, fresh.u)
-        assert all(sub.chi_power_at(1, v) == fresh.chi_power_at(1, v) for v in range(1, field.q))
-        assert sorted(sub.log_pairs) == sorted(fresh.log_pairs)
-
-
-def test_sub_table_requires_a_divisor():
-    table = multiplicative_character(FiniteField(13), 12)
-    assert table.sub_table(12) is table
-    assert table.sub_table(4) is table.sub_table(4)
-    with pytest.raises(ValueError, match="divide"):
-        table.sub_table(5)
+    # at every order e the orbits use, the eigenvalue of k/g read off the order-d
+    # table is the one from a fresh table of order e on the same generator
+    fresh = {e: multiplicative_character(field, e, table.generator) for e in orders}
+    for k in types:
+        g = math.gcd(d, *k)
+        k_g = tuple(x // g for x in k)
+        assert jacobi_eigenvalue(k_g, table, d // g) == jacobi_eigenvalue(k_g, fresh[d // g]), k
 
 
 def test_char_poly_shared_table():
@@ -433,7 +425,7 @@ def test_orbit_norm_of_wrong_size_is_refused(monkeypatch):
     table = multiplicative_character(FiniteField(17), 8)
     types = [tuple(u * x % 8 for x in (1, 2, 3, 2)) for u in _units(8)]
     true_eigenvalue = zetafermat.jacobi_eigenvalue
-    monkeypatch.setattr(zetafermat, "jacobi_eigenvalue", lambda k, t: true_eigenvalue(k, t) * 2)
+    monkeypatch.setattr(zetafermat, "jacobi_eigenvalue", lambda *args: true_eigenvalue(*args) * 2)
     with pytest.raises(RationalityError, match="squared norm is not q\\^\\(2\\*4\\)"):
         char_poly_invariant(types, table)
     assert not table.orbit_polys
@@ -671,6 +663,116 @@ def test_common_degree_equals_intersection_cardinality():
     assert len(set.intersection(*lifted12)) == 7
 
 
+# every `common-factor` operation of the benchmark, as (family keys, q), read off its pinned digests
+EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "..", "bench", "expected.json")
+with open(EXPECTED_PATH, encoding="utf-8") as _handle:
+    FROBENIUS_POOL = [
+        (tuple(argv[1:-2]), int(argv[-1]))
+        for argv in (key.split() for key in json.load(_handle)["digests"])
+        if argv[0] == "common-factor"
+    ]
+POOL_IDS = [f"{'-'.join(fams)}-q{q}" for fams, q in FROBENIUS_POOL]
+
+
+def _field_of(q):
+    p = next(x for x in range(2, q + 1) if q % x == 0)
+    k = 1
+    while p**k < q:
+        k += 1
+    return FiniteField(p, k)
+
+
+def _lifted_sets(datas):
+    """The joint degree d and each family's invariant types lifted to it."""
+    d, _ = common_cover(datas)
+    return d, [set(lift_types(g_invariant_types(x), x.degree, d)) for x in datas]
+
+
+def _assert_orbits_from_units_mod_e(types, d):
+    units = _units(d)
+    for k in types:
+        orbit = zetafermat._orbit(k, d)
+        assert orbit == {tuple(u * x % d for x in k) for u in units}, (d, k)
+        assert len(orbit) == len(_units(d // math.gcd(d, *k))), (d, k)
+
+
+def test_benchmark_pool_joint_degrees():
+    degrees = {_lifted_sets([family(key) for key in fams])[0] for fams, _ in FROBENIUS_POOL}
+    assert len(FROBENIUS_POOL) == 10 and degrees == {8, 12, 24, 28, 36, 80, 108}
+
+
+@pytest.mark.parametrize("fams,q", FROBENIUS_POOL, ids=POOL_IDS)
+def test_orbit_from_units_mod_e_matches_all_units_mod_d(fams, q):
+    d, lifted = _lifted_sets([family(key) for key in fams])
+    _assert_orbits_from_units_mod_e(set().union(*lifted), d)
+
+
+@pytest.mark.parametrize("name", ["fermat", "f1l4", "l2f3", "l2l3", "l5"])
+def test_quintic_orbit_from_units_mod_e_matches_all_units_mod_d(name):
+    data = _quintic(name)
+    _assert_orbits_from_units_mod_e(g_invariant_types(data), data.degree)
+
+
+@pytest.mark.parametrize("fams,q", FROBENIUS_POOL, ids=POOL_IDS)
+def test_common_factor_matches_each_set_on_its_own(fams, q):
+    # one orbit map for the whole call gives what each set gives alone, and what the type-by-type oracle gives
+    datas = [family(key) for key in fams]
+    field = _field_of(q)
+    report = verify_common_factor(datas, field)
+    d, lifted = _lifted_sets(datas)
+    for types, poly in zip([set.intersection(*lifted), *lifted], [report.common_poly, *report.family_polys]):
+        table = multiplicative_character(field, d)
+        assert poly == char_poly_invariant(types, table) == char_poly_by_types(types, table), (fams, q)
+        # one member short, the set is not Galois stable
+        part = sorted(types)[1:]
+        for walk in (char_poly_invariant, frobenius_trace):
+            with pytest.raises(ValueError, match="not Galois stable"):
+                walk(part, multiplicative_character(field, d))
+
+
+def test_quintic_common_factor_matches_each_set_on_its_own():
+    # the direct-sum oracle costs (q - 1)^3 per type, so it takes the common set at q = 31
+    # only; every other set checked against a type-by-type expansion takes the eigenvalues
+    # at order d, one type at a time, where phi(d) is small enough for the dense product
+    for names, field in ((("fermat", "f1l4"), FiniteField(2, 8)), (("fermat", "l2f3"), FiniteField(31))):
+        datas = [_quintic(name) for name in names]
+        report = verify_common_factor(datas, field)
+        d, lifted = _lifted_sets(datas)
+        common = set.intersection(*lifted)
+        for types, poly in zip([common, *lifted], [report.common_poly, *report.family_polys]):
+            table = multiplicative_character(field, d)
+            assert poly == char_poly_invariant(types, table), names
+            if types is common or d == 15:
+                assert poly == dense_expand([jacobi_eigenvalue(k, table) for k in sorted(types)], d), names
+        if d == 15:
+            assert report.common_poly == char_poly_by_types(common, multiplicative_character(field, d))
+
+
+def test_common_factor_builds_and_expands_each_orbit_once(monkeypatch):
+    built, expanded = Counter(), Counter()
+    true_orbit, true_expand = zetafermat._orbit, zetafermat._expand
+
+    def counted_orbit(k, d):
+        orbit = true_orbit(k, d)
+        built[orbit] += 1
+        return orbit
+
+    def counted_expand(alpha, e):
+        expanded[alpha, e] += 1
+        return true_expand(alpha, e)
+
+    monkeypatch.setattr(zetafermat, "_orbit", counted_orbit)
+    monkeypatch.setattr(zetafermat, "_expand", counted_expand)
+    datas = [family(f"family{i}") for i in (1, 2, 3)]
+    verify_common_factor(datas, FiniteField(73))
+    _, lifted = _lifted_sets(datas)
+    union = set().union(*lifted)
+    # the orbits built partition the union, each built once, and each is expanded once
+    assert set(built.values()) == {1}
+    assert set().union(*built) == union and sum(map(len, built)) == len(union)
+    assert sum(expanded.values()) == len(built)
+
+
 # -- quintic threefold pencils ------------------------------------------------------
 
 QUINTICS = os.path.join(os.path.dirname(__file__), "quintics")
@@ -743,8 +845,8 @@ def test_quintic_orbit_polys_match_dense_conjugate_product():
         char_poly_invariant(lift_types(g_invariant_types(data), data.degree, 15), table)
     assert table.orbit_polys
     for orbit, poly in table.orbit_polys.items():
-        k = orbit[0]
+        k = min(orbit)
         g = math.gcd(15, *k)
         e = 15 // g
-        alpha = jacobi_eigenvalue(tuple(x // g for x in k), table.sub_table(e))
+        alpha = jacobi_eigenvalue(tuple(x // g for x in k), table, e)
         assert poly == dense_expand([alpha.galois(u) for u in _units(e)], e), orbit
