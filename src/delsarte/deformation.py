@@ -135,7 +135,7 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {
 
 
 def family_keys() -> list[str]:
-    return [f"family{i}" for i in range(1, 11)]
+    return list(FAMILIES)
 
 
 def family(key: str) -> DeformationData:

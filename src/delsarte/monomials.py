@@ -134,6 +134,19 @@ def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     return blocks
 
 
+def unit_orbit(k, d: int) -> frozenset:
+    """The Galois orbit {u*k mod d : u a unit mod d} of a type k mod d.
+
+    With g = gcd(d, k) and e = d/g, u*k = g*(u*(k/g) mod e), and the units
+    mod d map onto the units mod e, so the orbit is built from those alone.
+    The stabilizer of k/g is {u == 1 mod e}: the orbit has phi(e) members.
+    """
+    g = gcd(d, *k)
+    e = d // g
+    k = [x // g for x in k]
+    return frozenset(tuple(g * (u * x % e) for x in k) for u in range(1, e + 1) if gcd(u, e) == 1)
+
+
 def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     """Coarsening of the strong classes by unit scaling k -> u*k (mod d).
 
@@ -141,14 +154,13 @@ def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     weak equivalence; it is validated against the shipped regression data
     for the built-in families but is intentionally conservative.  The
     strong classes are joined by a search over them: unit orbits
-    partition the types, so each orbit is computed once, when its first
-    member is reached, and the strong classes of all its members in the
-    set join the block then.  Strong classes come sorted by their least
-    type, so the blocks do too.
+    (`unit_orbit`) partition the types, so each orbit is computed once,
+    when its first member is reached, and the strong classes of all its
+    members in the set join the block then.  Strong classes come sorted
+    by their least type, so the blocks do too.
     """
     strong = strong_classes(types, b, d)
     block_of = {k: i for i, block in enumerate(strong) for k in block}
-    units = [u for u in range(2, d) if gcd(u, d) == 1]  # u = 1 fixes every type
     scaled = set()
     joined = [False] * len(strong)
     blocks = []
@@ -161,8 +173,7 @@ def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
             for k in strong[i]:
                 if k in scaled:
                     continue
-                for u in units:
-                    t = tuple([(u * x) % d for x in k])
+                for t in unit_orbit(k, d):
                     scaled.add(t)
                     j = block_of.get(t)
                     if j is not None and not joined[j]:

@@ -69,16 +69,15 @@ def _find_primitive(p: int, k: int) -> list[int]:
     (Lidl-Niederreiter, *Finite Fields*, Thm 3.16), and that order alone
     makes F_p[x]/(f) a field, so one order test replaces an irreducibility
     test and a generator search.  For k = 1 the candidates are x - g with
-    g = 1, 2, ..., so x mod f is g and its powers are integer powers mod
-    p; the first to pass is the least primitive root, and x^(q-1) = 1
-    holds for each (Fermat).  For k >= 2 the constants h = c < p are
-    skipped: x^k = c gives x an order of at most k(p - 1) < q - 1.
+    g = 1, 2, ..., so x mod f is g and the first to pass is the least
+    primitive root, the least element of order p - 1 (`_element_of_order`).
+    For k >= 2 the constants h = c < p are skipped: x^k = c gives x an
+    order of at most k(p - 1) < q - 1.
     """
+    if k == 1:
+        return [-_element_of_order(p - 1, p) % p, 1]
     q = p**k
     cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-    if k == 1:
-        g = next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in cofactors))
-        return [-g % p, 1]
     x, one = [0, 1] + [0] * (k - 2), [1] + [0] * (k - 1)
     for h in range(p, q):
         if h % p == 0:
@@ -380,9 +379,9 @@ def auxiliary_prime(p: int, q: int, bound: int) -> int:
 
 
 def _element_of_order(order: int, ell: int) -> int:
-    """An element of exact order `order` in F_ell^*; order divides ell - 1."""
+    """h^((ell - 1)/order) of exact order `order` | ell - 1 in F_ell^* for the least h = 1, 2, ...: for order = ell - 1, the least primitive root."""
     primes = prime_factors(order)
-    for h in itertools.count(2):
+    for h in itertools.count(1):
         z = pow(h, (ell - 1) // order, ell)
         if all(pow(z, order // r, ell) != 1 for r in primes):
             return z

@@ -317,22 +317,16 @@ class MultiPoly:
         """Write self = content * primitive with integer primitive part.
 
         The primitive part has coprime integer coefficients and positive
-        graded-lex leading coefficient.  Rational coefficients only.
+        graded-lex leading coefficient.  Rational coefficients only; the
+        denominators are cleared by `_cleared`, as in `resultant`.
         """
         if self.is_zero():
             return Fraction(0), self
-        poly = self.rationalized()
-        denom = 1
-        for c in poly.terms.values():
-            denom = lcm(denom, Fraction(c).denominator)
-        numer = 0
-        for c in poly.terms.values():
-            numer = gcd(numer, (Fraction(c) * denom).numerator)
-        content = Fraction(numer, denom)
+        poly, denom = _cleared(self.rationalized())
+        numer = gcd(*poly.terms.values())
         if poly.terms[max(poly.terms)] < 0:
-            content = -content
-        prim = _wrap({key: _c_norm(Fraction(c) / content) for key, c in poly.terms.items()})
-        return content, prim
+            numer = -numer
+        return Fraction(numer, denom), _wrap({key: c // numer for key, c in poly.terms.items()})
 
     def primitive_part(self) -> MultiPoly:
         return self.content_and_primitive()[1]
@@ -426,10 +420,6 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if isinstance(quotient, str):
         raise InexactDivisionError(quotient)
     return quotient
-
-
-def divides(q: MultiPoly, p: MultiPoly) -> bool:
-    return not isinstance(_quotient(p, q), str)
 
 
 def discriminant_in(p: MultiPoly, name: str) -> MultiPoly:
@@ -929,7 +919,7 @@ def appendix_checks(seed: int = 0, only=None) -> list[tuple[str, bool]]:
     bitangents, the leading factors, and the eliminants with their
     factored forms, plus seeded property spot checks.  With `only`, just
     the checks whose name contains one of its tokens run, in the same
-    order; a token that matches no check is a ValueError.
+    order; an empty token, or one that matches no check, is a ValueError.
     """
     checks = [(f"quotient-identity-h{j}", partial(verify_quotient_identity, j)) for j in (1, 2)]
     for i in FAMILY_INDICES:
@@ -966,6 +956,8 @@ def appendix_checks(seed: int = 0, only=None) -> list[tuple[str, bool]]:
     checks.append(("resultant-shared-root-spot-check", partial(_resultant_spot_check, seed)))
     if only is not None:
         for token in only:
+            if not token:
+                raise ValueError("--only token '' is empty; it would match every check")
             if not any(token in name for name, _ in checks):
                 raise ValueError(f"--only token {token!r} matches no check")
         checks = [(name, run) for name, run in checks if any(token in name for token in only)]

@@ -13,7 +13,7 @@ certify that count against brute-force enumeration (`pointcount`).
 Everything is exact: character sums live in Z[zeta_e], e | d the least
 order that holds them, by their canonical coordinates, and are read off
 the one order-d character table mod e.  A call builds each Galois orbit
-once, from the units mod e.  The orbit's characteristic polynomial is
+once (`monomials.unit_orbit`).  The orbit's characteristic polynomial is
 the norm of 1 - alpha*T from Q(zeta_e), one product over the conjugates
 of alpha in Z/Phi_e(2^B), where zeta_e -> 2^B is a ring map and B is set
 by the L1 norm of alpha's coordinates so that every coefficient is read
@@ -29,7 +29,7 @@ from operator import mul
 from .cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from .deformation import common_cover
 from .exactalg import poly_divmod, poly_mul
-from .monomials import g_invariant_types
+from .monomials import g_invariant_types, unit_orbit
 from .pointcount import FiniteField
 
 
@@ -215,24 +215,11 @@ def _expand(alpha: CyclotomicElement, e: int) -> CharPoly:
     return CharPoly(tuple(c - modulus if c > half else c for c in coeffs))
 
 
-def _orbit(k, d: int) -> frozenset:
-    """The Galois orbit {u*k mod d : u a unit mod d} of a type k mod d.
-
-    With g = gcd(d, k) and e = d/g, u*k = g*(u*(k/g) mod e), and the units
-    mod d map onto the units mod e, so the orbit is built from those alone.
-    The stabilizer of k/g is {u == 1 mod e}: the orbit has phi(e) members.
-    """
-    g = gcd(d, *k)
-    e = d // g
-    k = [x // g for x in k]
-    return frozenset(tuple(g * (u * x % e) for x in k) for u in range(1, e + 1) if gcd(u, e) == 1)
-
-
 def _orbit_polys(types, table: CharacterTable, orbit_of=None):
     """Yield the polynomial prod (1 - j(k) T) over each Galois orbit of the types, in Z[T].
 
     The types live mod d = table.order and split into orbits under
-    k -> u*k for units u mod d (`_orbit`), which fill the map `orbit_of`
+    k -> u*k for units u mod d (`unit_orbit`), which fill the map `orbit_of`
     from each type to its orbit.  Walks over sets of reduced types that
     share the map build each orbit once; without it the types are reduced
     first.  A set is Galois stable iff the sizes of its orbits add up to
@@ -251,7 +238,7 @@ def _orbit_polys(types, table: CharacterTable, orbit_of=None):
     orbits = set()
     for k in types:
         if k not in orbit_of:
-            orbit = _orbit(k, d)
+            orbit = unit_orbit(k, d)
             orbit_of.update(dict.fromkeys(orbit, orbit))
         orbits.add(orbit_of[k])
     if sum(map(len, orbits)) != len(types):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import sys
 
@@ -10,9 +11,17 @@ if importlib.util.find_spec("delsarte") is None:
 
 from hypothesis import settings  # noqa: E402
 
+from delsarte.deformation import data_from_json  # noqa: E402
+
 # derandomized, so every run of the suite draws the same examples
 settings.register_profile("delsarte", derandomize=True, database=None, deadline=None)
 settings.load_profile("delsarte")
+
+
+def quintic(name):
+    """A quintic pencil of tests/quintics with deformation x0*x1*x2*x3*x4, in the labels of Doran, Greene and Judes (2008)."""
+    with open(os.path.join(os.path.dirname(__file__), "quintics", f"{name}.json"), encoding="utf-8") as handle:
+        return data_from_json(json.load(handle))
 
 
 def clear_package_caches():

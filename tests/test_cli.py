@@ -390,6 +390,24 @@ def test_verify_appendix_only_token_matching_nothing(capsys):
     assert "error: --only token 'quotinet' matches no check" in captured.err
 
 
+def test_verify_appendix_only_empty_token(capsys):
+    # "" is a substring of every name, so it would select all the checks
+    status = run_main(["verify-appendix", "--only", "quotient,"])
+    assert status == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --only token '' is empty" in captured.err
+
+
+def test_family_added_to_the_registry_is_listed_and_tabled(monkeypatch):
+    monkeypatch.setitem(deformation.FAMILIES, "family11", deformation.FAMILIES["family7"])
+    assert deformation.family_keys() == [f"family{i}" for i in range(1, 12)]
+    status, text = run_cli(["table10"])
+    rows = [line.split("\t") for line in text.splitlines()[1:]]
+    assert status == 0 and len(rows) == 11
+    assert rows[-1][0] == "family11" and rows[-1][1:] == rows[6][1:]
+
+
 def test_json_family_input(tmp_path):
     rows, a = deformation.FAMILIES["family6"]
     path = tmp_path / "fam.json"

@@ -53,47 +53,61 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _reference(node, attributes_only=False):
-    if isinstance(node, ast.Name) and not attributes_only:
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+def _reference(node, method):
+    """The name read by an attribute read (for a method) or a bare read (otherwise), else None."""
+    if method:
+        return node.attr if isinstance(node, ast.Attribute) else None
+    return node.id if isinstance(node, ast.Name) else None
 
 
-def unreferenced_definitions(sources: list[str]) -> list[str]:
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """Non-dunder functions, methods and classes whose name nothing else in the sources reads.
 
-    A function or class counts as referenced when its name is read as a
-    variable or as an attribute anywhere outside its own definition, so
-    recursion alone does not keep a function.  A method counts only
-    through attribute reads (`x.name`): a parameter or local variable of
-    the same spelling does not keep it.  Names are matched as strings, so
-    a method that shares its name with any attribute read in the package
-    (`seen.add`, ...) counts as referenced and is not caught.
+    `sources` maps each module's name to its text.  A function or class
+    outside a class body counts as referenced only through an import of
+    it from its module (`from .m import name`), an attribute read on its
+    module (`m.name`), or a bare read of its name in its own module
+    outside its own definition; so recursion alone does not keep it, and
+    neither does a method, attribute or variable of the same spelling
+    elsewhere.  A method counts only through attribute reads (`x.name`):
+    a parameter or local variable of the same spelling does not keep it.
+    Method names are matched as strings, so a method that shares its name
+    with any attribute read in the package (`seen.add`, ...) counts as
+    referenced and is not caught.
     """
-    trees = [ast.parse(source) for source in sources]
-    nodes = [node for tree in trees for node in ast.walk(tree)]
-    reads = Counter(name for node in nodes if (name := _reference(node)))
-    attribute_reads = Counter(name for node in nodes if (name := _reference(node, True)))
-    methods = {
-        id(item)
-        for node in nodes
-        if isinstance(node, ast.ClassDef)
-        for item in node.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    # (module, name) for each import, module attribute read and bare read
+    qualified, attribute_reads = Counter(), Counter()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                qualified.update((node.module.split(".")[-1], alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attribute_reads[node.attr] += 1
+                if isinstance(node.value, ast.Name):
+                    qualified[node.value.id, node.attr] += 1
+            elif isinstance(node, ast.Name):
+                qualified[module, node.id] += 1
     found = set()
-    for node in nodes:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        name = node.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        method = id(node) in methods
-        own = sum(_reference(inner, method) == name for inner in ast.walk(node))
-        if (attribute_reads if method else reads)[name] == own:
-            found.add(name)
+    for module, tree in trees.items():
+        nodes = list(ast.walk(tree))
+        methods = {
+            id(item)
+            for node in nodes
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in nodes:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            method = id(node) in methods
+            own = sum(_reference(inner, method) == name for inner in ast.walk(node))
+            if (attribute_reads[name] if method else qualified[module, name]) == own:
+                found.add(name)
     return sorted(found)
 
 
@@ -119,12 +133,44 @@ def test_unreferenced_definitions_detector():
         "seen.add(measure)\n"
     )
     # the parameter `size` of `measure` does not keep the method `size`
-    assert unreferenced_definitions([source]) == ["fact", "helper", "size"]
+    assert unreferenced_definitions({"m": source}) == ["fact", "helper", "size"]
+
+
+def test_module_level_definitions_detector():
+    sources = {
+        "alpha": (
+            "def shared():\n"
+            "    return 0\n"
+            "def by_attribute():\n"
+            "    return 1\n"
+            "def local():\n"
+            "    return 2\n"
+            "VALUE = local()\n"
+            "def divides(q, p):\n"
+            "    return True\n"
+            "def stray():\n"
+            "    return 3\n"
+        ),
+        "beta": (
+            "from .alpha import shared\n"
+            "from . import alpha\n"
+            "class Poly:\n"
+            "    def divides(self, other):\n"
+            "        return True\n"
+            "def check(p, report, stray):\n"
+            "    return p.divides(p) and report.divides and alpha.by_attribute() and shared() and stray\n"
+            "RESULT = check(Poly(), None, 0)\n"
+        ),
+    }
+    # kept: an import (shared), a module attribute (by_attribute), a bare read in
+    # the own module (local, check, Poly), attribute reads for a method (Poly.divides);
+    # alpha's `divides` is not kept by the method, nor `stray` by beta's parameter
+    assert unreferenced_definitions(sources) == ["divides", "stray"]
 
 
 def test_every_definition_has_a_caller_in_the_package():
     # an allowlisted name that gained a caller leaves the list
-    assert unreferenced_definitions([path.read_text() for path in SOURCES]) == sorted(UNREFERENCED_ALLOWED)
+    assert unreferenced_definitions({path.stem: path.read_text() for path in SOURCES}) == sorted(UNREFERENCED_ALLOWED)
 
 
 def test_exactalg_imports_nothing_from_the_package():

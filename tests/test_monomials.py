@@ -7,7 +7,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from delsarte import monomials
-from delsarte.deformation import DeformationError, build, family, family_keys
+from delsarte.deformation import DeformationError, FAMILIES, build, family, family_keys
 from delsarte.exactalg import IntMatrix
 from delsarte.monomials import (
     dimension_triple,
@@ -20,6 +20,7 @@ from delsarte.monomials import (
     weak_classes,
 )
 
+from conftest import quintic
 from golden_data import INVARIANT_TABLES, SUMMARY_TABLE
 from oracles import (
     determinant,
@@ -423,6 +424,14 @@ def test_weak_classes_match_all_units_oracle_on_open_subsets(key, draw):
     units = [u for u in range(1, d) if math.gcd(u, d) == 1]
     assume(any(tuple(u * x % d for x in k) not in types for k in types for u in units))
     assert weak_classes(types, b, d) == weak_classes_all_units(types, b, d)
+
+
+@pytest.mark.parametrize("name", ["family10", "fermat", "f1l4", "l2f3", "l2l3", "l5"])
+def test_weak_classes_match_all_units_oracle_on_invariant_types(name):
+    # family10 has d = 108; the quintic pencils reach d = 1025
+    data = family(name) if name in FAMILIES else quintic(name)
+    types, b, d = g_invariant_types(data), data.cover_exponents, data.degree
+    assert weak_classes(types, b, d) == weak_classes_all_units(types, b, d), name
 
 
 # -- reduction --------------------------------------------------------------------

@@ -164,14 +164,20 @@ def test_modulus_is_the_first_primitive_candidate():
         p = factors[0]
         k = next(j for j in range(1, 13) if p**j == q)
         if k == 1:
-            g = _least_primitive_root(p)
-            assert pointcount._find_primitive(p, k) == [-g % p, 1], q
-            continue
+            continue  # test_prime_modulus_is_the_least_primitive_root
         for h in range(1, q):
             f = [-(h // p**i) % p for i in range(k)] + [1]
             if _order_of_x(f, p, q) == q - 1:
                 break
         assert pointcount._find_primitive(p, k) == f, q
+
+
+def test_prime_modulus_is_the_least_primitive_root():
+    # the prime-field search is _element_of_order's, which starts at h = 1 so that p = 2 gives 1
+    for p in range(2, 5000):
+        if prime_factors(p) == [p]:
+            g = _least_primitive_root(p)
+            assert pointcount._find_primitive(p, 1) == [-g % p, 1], p
 
 
 def test_trace_table_matches_zech_sum_trace():

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import quintic
 from oracles import (
     OracleField,
     char_poly_by_types,
@@ -20,8 +21,8 @@ from oracles import (
 
 from delsarte import zetafermat
 from delsarte.cyclotomic import CyclotomicElement
-from delsarte.deformation import FAMILIES, common_cover, data_from_json, family
-from delsarte.monomials import dimension_triple, g_invariant_types, gmax_invariant_types
+from delsarte.deformation import FAMILIES, common_cover, family
+from delsarte.monomials import dimension_triple, g_invariant_types, gmax_invariant_types, unit_orbit
 from delsarte.pointcount import FiniteField, count_points, family_hypersurface, fermat_hypersurface
 from delsarte.zetafermat import (
     CharacterTable,
@@ -691,7 +692,7 @@ def _lifted_sets(datas):
 def _assert_orbits_from_units_mod_e(types, d):
     units = _units(d)
     for k in types:
-        orbit = zetafermat._orbit(k, d)
+        orbit = unit_orbit(k, d)
         assert orbit == {tuple(u * x % d for x in k) for u in units}, (d, k)
         assert len(orbit) == len(_units(d // math.gcd(d, *k))), (d, k)
 
@@ -709,7 +710,7 @@ def test_orbit_from_units_mod_e_matches_all_units_mod_d(fams, q):
 
 @pytest.mark.parametrize("name", ["fermat", "f1l4", "l2f3", "l2l3", "l5"])
 def test_quintic_orbit_from_units_mod_e_matches_all_units_mod_d(name):
-    data = _quintic(name)
+    data = quintic(name)
     _assert_orbits_from_units_mod_e(g_invariant_types(data), data.degree)
 
 
@@ -735,7 +736,7 @@ def test_quintic_common_factor_matches_each_set_on_its_own():
     # only; every other set checked against a type-by-type expansion takes the eigenvalues
     # at order d, one type at a time, where phi(d) is small enough for the dense product
     for names, field in ((("fermat", "f1l4"), FiniteField(2, 8)), (("fermat", "l2f3"), FiniteField(31))):
-        datas = [_quintic(name) for name in names]
+        datas = [quintic(name) for name in names]
         report = verify_common_factor(datas, field)
         d, lifted = _lifted_sets(datas)
         common = set.intersection(*lifted)
@@ -750,7 +751,7 @@ def test_quintic_common_factor_matches_each_set_on_its_own():
 
 def test_common_factor_builds_and_expands_each_orbit_once(monkeypatch):
     built, expanded = Counter(), Counter()
-    true_orbit, true_expand = zetafermat._orbit, zetafermat._expand
+    true_orbit, true_expand = zetafermat.unit_orbit, zetafermat._expand
 
     def counted_orbit(k, d):
         orbit = true_orbit(k, d)
@@ -761,7 +762,7 @@ def test_common_factor_builds_and_expands_each_orbit_once(monkeypatch):
         expanded[alpha, e] += 1
         return true_expand(alpha, e)
 
-    monkeypatch.setattr(zetafermat, "_orbit", counted_orbit)
+    monkeypatch.setattr(zetafermat, "unit_orbit", counted_orbit)
     monkeypatch.setattr(zetafermat, "_expand", counted_expand)
     datas = [family(f"family{i}") for i in (1, 2, 3)]
     verify_common_factor(datas, FiniteField(73))
@@ -775,17 +776,8 @@ def test_common_factor_builds_and_expands_each_orbit_once(monkeypatch):
 
 # -- quintic threefold pencils ------------------------------------------------------
 
-QUINTICS = os.path.join(os.path.dirname(__file__), "quintics")
-
-
-def _quintic(name):
-    """A quintic pencil with deformation x0*x1*x2*x3*x4, in the labels of Doran, Greene and Judes (2008)."""
-    with open(os.path.join(QUINTICS, f"{name}.json"), encoding="utf-8") as handle:
-        return data_from_json(json.load(handle))
-
-
 def test_quintic_fermat_f1l4_common_factor_at_256():
-    fermat, f1l4 = _quintic("fermat"), _quintic("f1l4")
+    fermat, f1l4 = quintic("fermat"), quintic("f1l4")
     assert (fermat.degree, f1l4.degree) == (5, 255)
     report = verify_common_factor([fermat, f1l4], FiniteField(2, 8))
     assert (report.joint_degree, report.common_degree) == (255, 4)
@@ -796,7 +788,7 @@ def test_quintic_fermat_f1l4_common_factor_at_256():
 
 
 def test_quintic_fermat_l2f3_common_factor_at_31():
-    report = verify_common_factor([_quintic("fermat"), _quintic("l2f3")], FiniteField(31))
+    report = verify_common_factor([quintic("fermat"), quintic("l2f3")], FiniteField(31))
     assert (report.joint_degree, report.common_degree) == (15, 52)
     assert report.divides == (True, True)
     assert [p.degree for p in report.family_polys] == [204, 180]
@@ -804,27 +796,27 @@ def test_quintic_fermat_l2f3_common_factor_at_31():
 
 def test_quintic_l2l3_and_l5_dimension_triples():
     # (PF, dimW, c) with PF + dimW + c = 204, the middle Betti number of a quintic threefold
-    assert (_quintic("l2l3").degree, dimension_triple(_quintic("l2l3"))) == (195, (4, 176, 24))
-    assert (_quintic("l5").degree, dimension_triple(_quintic("l5"))) == (1025, (4, 200, 0))
+    assert (quintic("l2l3").degree, dimension_triple(quintic("l2l3"))) == (195, (4, 176, 24))
+    assert (quintic("l5").degree, dimension_triple(quintic("l5"))) == (1025, (4, 200, 0))
 
 
 def test_quintic_fermat_l2f3_l2l3_common_factor_at_1171():
     names = ("fermat", "l2f3", "l2l3")
-    report = verify_common_factor([_quintic(name) for name in names], FiniteField(1171))
+    report = verify_common_factor([quintic(name) for name in names], FiniteField(1171))
     assert (report.joint_degree, report.common_degree) == (195, 4)
     assert [p.degree for p in report.family_polys] == [204, 180, 180]
     assert report.all_divide
 
 
 def test_quintic_fermat_l5_common_factor_at_6151():
-    report = verify_common_factor([_quintic("fermat"), _quintic("l5")], FiniteField(6151))
+    report = verify_common_factor([quintic("fermat"), quintic("l5")], FiniteField(6151))
     assert (report.joint_degree, report.common_degree) == (1025, 4)
     assert report.divides == (True, True)
 
 
 def _count_minus_lefschetz(name, field):
     """count_points at lambda = 0 minus 1 + q + q^2 + q^3 - (the trace over the G-invariant types)."""
-    data = _quintic(name)
+    data = quintic(name)
     q = field.q
     trace = frobenius_trace(g_invariant_types(data), multiplicative_character(field, data.degree))
     return count_points(family_hypersurface(data, 0), field) - (1 + q + q**2 + q**3 - trace)
@@ -841,7 +833,7 @@ def test_quintic_count_equals_invariant_trace_when_c_is_zero():
 
 def test_quintic_orbit_polys_match_dense_conjugate_product():
     table = multiplicative_character(FiniteField(31), 15)
-    for data in (_quintic("fermat"), _quintic("l2f3")):
+    for data in (quintic("fermat"), quintic("l2f3")):
         char_poly_invariant(lift_types(g_invariant_types(data), data.degree, 15), table)
     assert table.orbit_polys
     for orbit, poly in table.orbit_polys.items():
