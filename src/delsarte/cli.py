@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import deformation, monomials, pointcount, symbolic, zetafermat
-from .deformation import DeformationData, DeformationError
+from .deformation import DeformationData
 
 USAGE_ERROR = 2
 
@@ -37,7 +37,7 @@ def resolve_family(ref: str) -> DeformationData:
             raise CliError(f"cannot read family file {ref}: {exc}") from exc
         try:
             return deformation.data_from_json(obj)
-        except (DeformationError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"invalid family data in {ref}: {exc}") from exc
     raise CliError(f"unknown family {ref!r}: not a registry key and not a file")
 
@@ -128,10 +128,7 @@ def cmd_common_factor(args, out) -> int:
     data_list = [resolve_family(ref) for ref in args.families]
     p, k = parse_prime_power(args.q)
     field = pointcount.FiniteField(p, k)
-    try:
-        report = zetafermat.verify_common_factor(data_list, field)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = zetafermat.verify_common_factor(data_list, field)
     print(f"joint_degree\t{report.joint_degree}", file=out)
     print(f"common_degree\t{report.common_degree}", file=out)
     print(f"common_poly\t{report.common_poly}", file=out)

@@ -18,9 +18,9 @@ from math import gcd, prod
 from .deformation import DeformationData
 from .exactalg import kernel_elements, kernel_mod
 
-# Hard cap on the number of points of the kernel walked for the
-# invariant types below; the built-in families stay below 300, the cap
-# only guards pathological user input.
+# Hard cap on the number of points walked for the invariant types below
+# (the kernel, or the multiples of b); the built-in families stay below
+# 300, the cap only guards pathological user input.
 _SUBGROUP_LIMIT = 4_000_000
 
 
@@ -29,8 +29,15 @@ def format_type(k) -> str:
 
 
 def gmax_invariant_types(data: DeformationData) -> list[tuple[int, ...]]:
-    """Distinct interior multiples of b modulo d (a set, not a multiplier count)."""
-    return list(_gmax_types(data.degree, data.cover_exponents))
+    """Distinct interior multiples of b modulo d (a set, not a multiplier count).
+
+    Their cyclic group, of order d / gcd(d, b), is refused above the limit.
+    """
+    d, b = data.degree, data.cover_exponents
+    order = d // gcd(d, *b)
+    if order > _SUBGROUP_LIMIT:
+        raise ValueError(f"PF group of order {order} exceeds the enumeration limit {_SUBGROUP_LIMIT}")
+    return list(_gmax_types(d, b))
 
 
 @cache

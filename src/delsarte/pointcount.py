@@ -155,43 +155,30 @@ class FiniteField:
 class HypersurfaceSpec:
     """A hypersurface in weighted projective space, given term by term.
 
-    Coefficients are prime-field integer representatives.  `lambda_term`
-    is the deformation monomial with its coefficient, kept separate so a
-    single spec can be re-specialized at several parameter values.
-    Instances are treated as immutable.
+    Each term is (exponents, coefficient), the coefficient a prime-field
+    integer representative; a deformed family lists its deformation
+    monomial last.  Instances are treated as immutable.
     """
 
-    __slots__ = ("weights", "terms", "lambda_term")
+    __slots__ = ("weights", "terms")
 
-    def __init__(
-        self,
-        weights: tuple[int, ...],
-        terms: tuple[tuple[tuple[int, ...], int], ...],
-        lambda_term: tuple[tuple[int, ...], int] | None = None,
-    ):
+    def __init__(self, weights: tuple[int, ...], terms: tuple[tuple[tuple[int, ...], int], ...]):
         self.weights = weights
         self.terms = terms
-        self.lambda_term = lambda_term
         degrees = set()
-        for exps, _ in self.all_terms():
-            if len(exps) != len(self.weights):
+        for exps, _ in terms:
+            if len(exps) != len(weights):
                 raise ValueError("term length does not match the weight vector")
-            degrees.add(sum(w * e for w, e in zip(self.weights, exps)))
+            degrees.add(sum(w * e for w, e in zip(weights, exps)))
         if len(degrees) > 1:
             raise ValueError(f"terms have different weighted degrees: {sorted(degrees)}")
-
-    def all_terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        if self.lambda_term is None:
-            return self.terms
-        return self.terms + (self.lambda_term,)
 
 
 def family_hypersurface(data: DeformationData, lam: int) -> HypersurfaceSpec:
     """The deformed family member X_lambda in P(w)."""
     return HypersurfaceSpec(
         weights=data.weights,
-        terms=tuple((tuple(row), 1) for row in data.matrix.rows),
-        lambda_term=(data.deformation, lam),
+        terms=tuple((tuple(row), 1) for row in data.matrix.rows) + ((data.deformation, lam),),
     )
 
 
@@ -201,13 +188,12 @@ def fermat_hypersurface(d: int, n: int, lam: int = 0, b=None) -> HypersurfaceSpe
     terms = tuple(
         (tuple(d if j == i else 0 for j in range(n + 1)), 1) for i in range(n + 1)
     )
-    lambda_term = None
     if b is not None:
         b = tuple(b)
         if sum(b) != d:
             raise ValueError("cover exponents must sum to d")
-        lambda_term = (b, lam)
-    return HypersurfaceSpec(weights=weights, terms=terms, lambda_term=lambda_term)
+        terms += ((b, lam),)
+    return HypersurfaceSpec(weights=weights, terms=terms)
 
 
 def count_points(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
@@ -327,7 +313,7 @@ def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> tuple:
         raise ValueError(
             f"q^(n+1) = {q}^{n1} reaches the deterministic Miller-Rabin limit {MILLER_RABIN_LIMIT}"
         )
-    terms = [(exps, c % p) for exps, c in spec.all_terms() if c % p]
+    terms = [(exps, c % p) for exps, c in spec.terms if c % p]
     kernel, work = None, n * n
     if terms:
         kernel = kernel_mod([list(e) + [1] for e, _ in terms], n)

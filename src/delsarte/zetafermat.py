@@ -12,8 +12,8 @@ certify that count against brute-force enumeration (`pointcount`).
 
 Everything is exact: character sums live in Z[zeta_e], e | d the least
 order that holds them, by their canonical coordinates, and are read off
-the one order-d character table mod e.  A call builds each Galois orbit
-once (`monomials.unit_orbit`).  The orbit's characteristic polynomial is
+the one order-d character table mod e; it maps each type to its orbit,
+built once (`monomials.unit_orbit`).  The orbit's characteristic polynomial is
 the norm of 1 - alpha*T from Q(zeta_e), one product over the conjugates
 of alpha in Z/Phi_e(2^B), where zeta_e -> 2^B is a ring map and B is set
 by the L1 norm of alpha's coordinates so that every coefficient is read
@@ -79,13 +79,13 @@ class CharacterTable:
     mod q - 1, the zeta-exponent of chi at a nonzero element is u times
     its field log, mod d; `log_pairs` holds those exponents at v and 1 - v
     with their multiplicity over v != 0, 1; taken mod e | d, they are the
-    exponents of chi^(d/e), of exact order e.  The table memoizes the pair
-    sums and per-orbit characteristic polynomials computed with it, so a
-    table shared between calls shares that work; the memos live and die
-    with the table.  Apart from them, instances are treated as immutable.
+    exponents of chi^(d/e), of exact order e.  Three memos live and die
+    with the table: the pair sums, `orbits` from each type mod d to its
+    Galois orbit, and the orbit polynomials, so calls that share a table
+    share that work.  Apart from them, instances are treated as immutable.
     """
 
-    __slots__ = ("field", "order", "generator", "u", "log_pairs", "pair_sums", "orbit_polys")
+    __slots__ = ("field", "order", "generator", "u", "log_pairs", "pair_sums", "orbits", "orbit_polys")
 
     def __init__(
         self,
@@ -101,6 +101,7 @@ class CharacterTable:
         self.u = u
         self.log_pairs = log_pairs
         self.pair_sums = {}
+        self.orbits = {}
         self.orbit_polys = {}
 
     def chi_power_at(self, power: int, code: int) -> int:
@@ -215,32 +216,33 @@ def _expand(alpha: CyclotomicElement, e: int) -> CharPoly:
     return CharPoly(tuple(c - modulus if c > half else c for c in coeffs))
 
 
-def _orbit_polys(types, table: CharacterTable, orbit_of=None):
+def _orbit_polys(types, table: CharacterTable):
     """Yield the polynomial prod (1 - j(k) T) over each Galois orbit of the types, in Z[T].
 
-    The types live mod d = table.order and split into orbits under
-    k -> u*k for units u mod d (`unit_orbit`), which fill the map `orbit_of`
-    from each type to its orbit.  Walks over sets of reduced types that
-    share the map build each orbit once; without it the types are reduced
-    first.  A set is Galois stable iff the sizes of its orbits add up to
-    its size; otherwise ValueError is raised.  One eigenvalue per orbit is
-    a Jacobi sum; the others are its conjugates j(u*k) = sigma_u(j(k)).
-    With g = gcd(d, k) the sum lies in the smaller ring Z[zeta_e], e = d/g:
-    chi^k = (chi^g)^(k/g), and chi^g has exact order e.  The orbit has
-    phi(e) members, and its product is the norm from Q(zeta_e) of 1 - j T
-    (`_expand`), with j the eigenvalue of k/g at order e.  Walks with the
-    same table share its memoized orbit polynomials, keyed by the orbits;
-    an orbit polynomial whose norm has the wrong size raises RationalityError.
+    The types are tuples reduced mod d = table.order, else ValueError is
+    raised, and split into orbits under k -> u*k for units u mod d
+    (`unit_orbit`), kept in the table's map `orbits`, so walks with one
+    table build each orbit once.  A set is Galois stable iff the sizes of
+    its orbits add up to its size; otherwise ValueError is raised.  One
+    eigenvalue per orbit is a Jacobi sum; the others are its conjugates
+    j(u*k) = sigma_u(j(k)).  With g = gcd(d, k) the sum lies in the
+    smaller ring Z[zeta_e], e = d/g: chi^k = (chi^g)^(k/g), and chi^g has
+    exact order e.  The orbit has phi(e) members, and its product is the
+    norm from Q(zeta_e) of 1 - j T (`_expand`), with j the eigenvalue of
+    k/g at order e.  Walks with the same table share its memoized orbit
+    polynomials, keyed by the orbits; an orbit polynomial whose norm has
+    the wrong size raises RationalityError.
     """
     d = table.order
-    if orbit_of is None:
-        types, orbit_of = {tuple(x % d for x in k) for k in types}, {}
-    orbits = set()
+    types, orbits = set(types), set()
     for k in types:
-        if k not in orbit_of:
+        orbit = table.orbits.get(k)
+        if orbit is None:
             orbit = unit_orbit(k, d)
-            orbit_of.update(dict.fromkeys(orbit, orbit))
-        orbits.add(orbit_of[k])
+            if k not in orbit:
+                raise ValueError(f"type {k} is not reduced mod {d}")
+            table.orbits.update(dict.fromkeys(orbit, orbit))
+        orbits.add(orbit)
     if sum(map(len, orbits)) != len(types):
         raise ValueError("coefficients not rational: type set is not Galois stable")
     for orbit in orbits:
@@ -259,12 +261,12 @@ def _orbit_polys(types, table: CharacterTable, orbit_of=None):
         yield orbit_poly
 
 
-def char_poly_invariant(types, table: CharacterTable, orbit_of=None) -> CharPoly:
+def char_poly_invariant(types, table: CharacterTable) -> CharPoly:
     """prod (1 - j(k) T) over a Galois-stable set of interior types, in Z[T]: the orbit polynomials multiplied.
 
-    Calls over sets of reduced types may share one `orbit_of` map (`_orbit_polys`).
+    Calls with one table share its orbit map and orbit polynomials (`_orbit_polys`).
     """
-    return reduce(mul, _orbit_polys(types, table, orbit_of), CharPoly((1,)))
+    return reduce(mul, _orbit_polys(types, table), CharPoly((1,)))
 
 
 def frobenius_trace(types, table: CharacterTable) -> int:
@@ -341,10 +343,10 @@ def verify_common_factor(data_list, field: FiniteField) -> CommonFactorReport:
         for item in data_list
     ]
     common = set.intersection(*lifted)
-    # one table and one orbit map for the whole call: every orbit is built and expanded once
-    table, orbit_of = multiplicative_character(field, d_joint), {}
-    common_poly = char_poly_invariant(common, table, orbit_of)
-    family_polys = tuple(char_poly_invariant(s, table, orbit_of) for s in lifted)
+    # one table for the whole call: every orbit is built and expanded once
+    table = multiplicative_character(field, d_joint)
+    common_poly = char_poly_invariant(common, table)
+    family_polys = tuple(char_poly_invariant(s, table) for s in lifted)
     divides = tuple(common_poly.divides(fp) for fp in family_polys)
     return CommonFactorReport(
         joint_degree=d_joint,

@@ -447,7 +447,7 @@ def brute_count_cone(spec, field):
     field = OracleField.of(field)
     q = field.q
     n1 = len(spec.weights)
-    terms = [(exps, field.from_int(c)) for exps, c in spec.all_terms()]
+    terms = [(exps, field.from_int(c)) for exps, c in spec.terms]
     terms = [(exps, c) for exps, c in terms if c != 0]
     if not terms:
         return q**n1
@@ -493,7 +493,7 @@ def count_cone_by_strata(spec, field):
     field = OracleField.of(field)
     q, p, n = field.q, field.p, field.q - 1
     n1 = len(spec.weights)
-    terms = [(exps, c % p) for exps, c in spec.all_terms() if c % p]
+    terms = [(exps, c % p) for exps, c in spec.terms if c % p]
     ell = auxiliary_prime(p, q, q**n1)
     omega, eta = _element_of_order(n, ell), _element_of_order(p, ell)
     pw = [pow(omega, i, ell) for i in range(n)]
@@ -535,7 +535,7 @@ def brute_general_position(spec, field, max_ext=1):
     Multiplies out every monomial at every projective point, then asks
     whether all x_i * df/dx_i and f vanish there.
     """
-    base_terms = [t for t in spec.all_terms() if t[1] % field.p != 0]
+    base_terms = [t for t in spec.terms if t[1] % field.p != 0]
     n1 = len(spec.weights)
     for j in range(1, max_ext + 1):
         ext = OracleField.of(field) if j == 1 else OracleField(field.p, field.k * j)

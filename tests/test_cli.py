@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -222,7 +223,14 @@ def test_common_factor_12():
 def test_common_factor_no_cover_is_usage_error(capsys):
     status = run_main(["common-factor", "family1", "family9", "--q", "17"])
     assert status == cli.USAGE_ERROR
-    assert "no common cover" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no common cover\n")
+
+
+def test_common_factor_joint_degree_not_dividing_q_minus_1_is_usage_error(capsys):
+    assert run_main(["common-factor", "family1", "family2", "--q", "13"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: joint degree 8 does not divide q - 1 = 12\n")
 
 
 def test_count_family1():
@@ -467,6 +475,28 @@ def test_huge_quotient_group_is_refused(tmp_path, capsys):
     assert captured.out == ""
     assert "kernel of 4019679 points" in captured.err and "limit 4000000" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [["invariants", "--group", "Gmax"], ["invariants"], ["analyze"]])
+def test_huge_pf_group_is_refused(tmp_path, command, capsys):
+    # b generates a cyclic group of order 6,000,000 mod d = 6,000,000, over the limit
+    path = tmp_path / "huge_pf.json"
+    n = 6_000_000
+    path.write_text(json.dumps({"matrix": [[n, 0, 0], [0, n, 0], [0, 0, n]], "deformation": [1, 1, n - 2]}))
+    assert run_main([command[0], str(path), *command[1:]]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PF group of order 6000000 exceeds the enumeration limit 4000000\n"
+
+
+def test_pf_group_limit_is_its_order(monkeypatch):
+    data = deformation.family("family9")
+    order = data.degree // math.gcd(data.degree, *data.cover_exponents)
+    monkeypatch.setattr(monomials, "_SUBGROUP_LIMIT", order - 1)
+    with pytest.raises(ValueError, match=f"PF group of order {order} exceeds the enumeration limit {order - 1}"):
+        monomials.gmax_invariant_types(data)
+    monkeypatch.setattr(monomials, "_SUBGROUP_LIMIT", order)
+    assert monomials.gmax_invariant_types(data)
 
 
 def test_invariant_walk_limit_is_its_own_size(monkeypatch, capsys):

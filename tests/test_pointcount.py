@@ -31,7 +31,7 @@ def naive_projective_count(spec, field):
     field = OracleField.of(field)
     q = field.q
     n1 = len(spec.weights)
-    terms = [(exps, field.from_int(c)) for exps, c in spec.all_terms()]
+    terms = [(exps, field.from_int(c)) for exps, c in spec.terms]
     count = 0
     for lead in range(n1):
         for tail in itertools.product(range(q), repeat=n1 - lead - 1):
@@ -231,13 +231,13 @@ def test_prime_factors_vs_naive():
 
 def test_spec_checks_and_keyword_construction():
     spec = HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1),))
-    assert spec.lambda_term is None and spec.all_terms() == (((2, 0), 1),)
-    spec = HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1),), lambda_term=((0, 1), 3))
-    assert spec.all_terms() == (((2, 0), 1), ((0, 1), 3))
+    assert spec.terms == (((2, 0), 1),)
+    spec = HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1), ((0, 1), 3)))
+    assert spec.terms == (((2, 0), 1), ((0, 1), 3))
     with pytest.raises(ValueError, match="^term length does not match the weight vector$"):
         HypersurfaceSpec(weights=(1, 2), terms=(((2, 0, 0), 1),))
     with pytest.raises(ValueError, match=r"^terms have different weighted degrees: \[2, 4\]$"):
-        HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1),), lambda_term=((0, 2), 1))
+        HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1), ((0, 2), 1)))
 
 
 def test_empty_polynomial_is_projective_space():
@@ -283,13 +283,11 @@ def test_count_invariant_under_permutation_and_weight_scaling():
     permuted = HypersurfaceSpec(
         weights=tuple(spec.weights[i] for i in perm),
         terms=tuple((tuple(e[i] for i in perm), c) for e, c in spec.terms),
-        lambda_term=(tuple(spec.lambda_term[0][i] for i in perm), spec.lambda_term[1]),
     )
     assert count_points(permuted, f) == base
     doubled = HypersurfaceSpec(
         weights=tuple(2 * w for w in spec.weights),
         terms=spec.terms,
-        lambda_term=spec.lambda_term,
     )
     assert count_points(doubled, f) == base
 
@@ -339,7 +337,9 @@ def _weighted_specs(draw):
     if diagonal:
         powers = [tuple(degree if j == i else 0 for j in range(n1)) for i in range(n1)]
         terms = tuple((e, draw(st.integers(1, q))) for e in powers) + terms
-    spec = HypersurfaceSpec(weights=weights, terms=terms, lambda_term=lambda_term)
+    if lambda_term is not None:
+        terms += (lambda_term,)
+    spec = HypersurfaceSpec(weights=weights, terms=terms)
     return spec, ORACLE_FIELDS[q]
 
 
@@ -406,7 +406,9 @@ def _strata_cases(draw):
     terms = tuple(draw(st.lists(term, min_size=1, max_size=4)))
     lam = draw(st.sampled_from([0, 1, p - 1]))
     lambda_term = draw(st.none() | st.tuples(st.sampled_from(monomials), st.just(lam)))
-    return HypersurfaceSpec(weights=weights, terms=terms, lambda_term=lambda_term), p, q
+    if lambda_term is not None:
+        terms += (lambda_term,)
+    return HypersurfaceSpec(weights=weights, terms=terms), p, q
 
 
 @settings(max_examples=150)

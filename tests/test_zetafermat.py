@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -96,7 +97,7 @@ def test_character_table_construction():
     table = multiplicative_character(f, 4)
     brute = Counter((table.chi_power_at(1, v), table.chi_power_at(1, f.sub(1, v))) for v in range(2, f.q))
     assert sorted(table.log_pairs) == sorted((x, y, c) for (x, y), c in brute.items())
-    assert table.orbit_polys == {} and table.pair_sums == {}
+    assert table.orbit_polys == {} and table.pair_sums == {} and table.orbits == {}
     # the default generator x has log 1, so u = 1/log(x) = 1
     assert table.u == 1
     given_pairs = ((0, 0, 7),)
@@ -416,6 +417,11 @@ def test_expand_rejects_a_set_that_is_not_galois_stable():
             char_poly_invariant(part, table)
         with pytest.raises(ValueError, match="not Galois stable"):
             frobenius_trace(part, table)
+    # a type must be reduced mod d: its orbit holds only reduced types
+    for unreduced in ((9, 2, 3, 2), (-7, 2, 3, 2)):
+        for walk in (char_poly_invariant, frobenius_trace):
+            with pytest.raises(ValueError, match=re.escape(f"type {unreduced} is not reduced mod 8")):
+                walk(orbit[1:] + [unreduced], multiplicative_character(FiniteField(17), 8))
     # the norm of zeta_8: prod (1 - zeta T) over the primitive 8th roots
     assert _expand(CyclotomicElement.zeta(8), 8) == CharPoly((1, 0, 0, 0, 1))
 
@@ -716,7 +722,7 @@ def test_quintic_orbit_from_units_mod_e_matches_all_units_mod_d(name):
 
 @pytest.mark.parametrize("fams,q", FROBENIUS_POOL, ids=POOL_IDS)
 def test_common_factor_matches_each_set_on_its_own(fams, q):
-    # one orbit map for the whole call gives what each set gives alone, and what the type-by-type oracle gives
+    # one table for the whole call gives what each set gives alone, and what the type-by-type oracle gives
     datas = [family(key) for key in fams]
     field = _field_of(q)
     report = verify_common_factor(datas, field)
@@ -766,12 +772,19 @@ def test_common_factor_builds_and_expands_each_orbit_once(monkeypatch):
     monkeypatch.setattr(zetafermat, "_expand", counted_expand)
     datas = [family(f"family{i}") for i in (1, 2, 3)]
     verify_common_factor(datas, FiniteField(73))
-    _, lifted = _lifted_sets(datas)
+    d, lifted = _lifted_sets(datas)
     union = set().union(*lifted)
     # the orbits built partition the union, each built once, and each is expanded once
     assert set(built.values()) == {1}
     assert set().union(*built) == union and sum(map(len, built)) == len(union)
     assert sum(expanded.values()) == len(built)
+    # the table owns the orbit map: a trace after the polynomial on one table builds and expands nothing
+    table = multiplicative_character(FiniteField(73), d)
+    poly = char_poly_invariant(union, table)
+    built.clear()
+    expanded.clear()
+    assert frobenius_trace(union, table) == -poly.coeffs[1]
+    assert not built and not expanded
 
 
 # -- quintic threefold pencils ------------------------------------------------------
