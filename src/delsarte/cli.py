@@ -93,7 +93,7 @@ def cmd_table10(args, out) -> int:
         try:
             data = deformation.family(key)
             row = _analyze_row(key, data)
-            row.insert(1, deformation.equation_string(data).split("+lam*")[0])  # F0 after the key
+            row.insert(1, deformation.equation_string(data))  # F0 after the key
         except Exception as exc:  # diagnostic row, keep emitting the rest
             row = [key, f"ERROR: {exc}", "-", "-", "-", "-", "-"]
             status = 1

@@ -67,7 +67,7 @@ def _build(a_matrix: IntMatrix, deformation: tuple) -> DeformationData:
         problems.append("matrix has a negative entry")
     try:
         d, b_matrix = minimal_map_matrix(a_matrix)
-        weights = b_matrix.times_col((1,) * n)
+        weights = tuple(map(sum, b_matrix.rows))
     except SingularMatrixError:
         weights = None
         problems.append("matrix is singular")
@@ -163,16 +163,9 @@ def data_from_json(obj: dict) -> DeformationData:
 
 
 def equation_string(data: DeformationData) -> str:
-    """Human-readable defining polynomial, e.g. x0^4+x1^4+x2^3*x3+x2*x3^3."""
+    """The Delsarte polynomial F0 (the pencil at lambda = 0), e.g. x0^4+x1^4+x2^3*x3+x2*x3^3."""
 
-    def monomial(exps) -> str:
-        parts = []
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            parts.append(f"x{i}" if e == 1 else f"x{i}^{e}")
-        return "*".join(parts) if parts else "1"
+    def monomial(exps) -> str:  # a row of the nonsingular A is never all zero
+        return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e)
 
-    terms = [monomial(row) for row in data.matrix.rows]
-    lam_term = monomial(data.deformation)
-    return "+".join(terms) + f"+lam*{lam_term}"
+    return "+".join(monomial(row) for row in data.matrix.rows)

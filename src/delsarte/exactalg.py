@@ -53,14 +53,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(sum(v[i] * self.rows[i][j] for i in range(n)) for j in range(n))
 
-    def times_col(self, v) -> tuple[int, ...]:
-        """Matrix times column vector: (M v)_i = sum_j M[i][j] v_j."""
-        n = self.n
-        v = tuple(v)
-        if len(v) != n:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(self.rows[i][j] * v[j] for j in range(n)) for i in range(n))
-
 
 def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """U, e_1..e_r > 0 and V with U*M*V = diag(e_1..e_r, 0, ...).

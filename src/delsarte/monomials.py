@@ -106,7 +106,7 @@ def dimension_triple(data: DeformationData) -> tuple[int, int, int]:
         raise ValueError("c undefined for this family: unequal weights")
     n = data.n
     if n < 2:
-        raise ValueError("need d >= 1 and n >= 2")
+        raise ValueError(f"the dimension triple needs n >= 2, got n = {n}")
     reduced_degree = data.degree // gcd(*w)
     full = ((reduced_degree - 1) ** (n + 1) + (-1) ** (n + 1) * (reduced_degree - 1)) // reduced_degree
     pf = len(gmax_invariant_types(data))

@@ -380,12 +380,13 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly | str:
-    """Exact polynomial quotient p / q, or the reason (a str) there is none.
+def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Exact polynomial quotient p / q; raises InexactDivisionError otherwise.
 
     The leading monomial of the remainder is its largest key; it is
     divisible by q's leading monomial iff no guard bit is borrowed when
-    subtracting that monomial from it with every guard bit set.
+    subtracting that monomial from it with every guard bit set.  The
+    division raises at the first remainder lead that is not divisible.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -397,7 +398,7 @@ def _quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly | str:
     while rem:
         lead = max(rem)
         if ((lead | _GUARDS) - q_lead) & _GUARDS != _GUARDS:
-            return "leading term not divisible"
+            raise InexactDivisionError("leading term not divisible")
         c = _c_div(rem.pop(lead), q_lead_c)
         diff = lead - q_lead
         # leading monomials strictly decrease, so each quotient term is new
@@ -412,14 +413,6 @@ def _quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly | str:
             else:
                 rem.pop(key, None)
     return _wrap(out)
-
-
-def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact polynomial quotient p / q; raises InexactDivisionError otherwise."""
-    quotient = _quotient(p, q)
-    if isinstance(quotient, str):
-        raise InexactDivisionError(quotient)
-    return quotient
 
 
 def discriminant_in(p: MultiPoly, name: str) -> MultiPoly:
@@ -685,16 +678,19 @@ def _strip_spurious(poly: MultiPoly) -> MultiPoly:
     """Remove every factor a2 and a2^4 - 1 of poly.
 
     The power of a2 is its least exponent over the terms, taken off in
-    one pass; a2^4 - 1 is divided out by trial while it divides.
+    one pass; a2^4 - 1 is divided out by `exact_div` until the division
+    raises InexactDivisionError, so each strip ends in one such raise.
     """
     low = min(((key >> _SHIFT["a2"]) & _MASK for key in poly.terms), default=0)
     if low:
         drop = low * _var_key("a2")
         poly = _wrap({key - drop: c for key, c in poly.terms.items()})
     quartic = _v("a2") ** 4 - 1
-    while not isinstance(reduced := _quotient(poly, quartic), str):
-        poly = reduced
-    return poly
+    try:
+        while True:
+            poly = exact_div(poly, quartic)
+    except InexactDivisionError:
+        return poly
 
 
 @cache

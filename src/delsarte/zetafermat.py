@@ -75,38 +75,36 @@ class CharPoly:
 class CharacterTable:
     """A multiplicative character of exact order d on F_q*.
 
-    chi(g^j) = zeta_d^j for the chosen generator g.  With u = 1/log(g)
-    mod q - 1, the zeta-exponent of chi at a nonzero element is u times
-    its field log, mod d; `log_pairs` holds those exponents at v and 1 - v
-    with their multiplicity over v != 0, 1; taken mod e | d, they are the
-    exponents of chi^(d/e), of exact order e.  Three memos live and die
-    with the table: the pair sums, `orbits` from each type mod d to its
-    Galois orbit, and the orbit polynomials, so calls that share a table
-    share that work.  Apart from them, instances are treated as immutable.
+    chi(g^j) = zeta_d^j for the chosen generator g, so the zeta-exponent
+    of chi at a nonzero element is its log to base g, mod d.  `minus_one`
+    is that exponent at -1, 0 or d/2, and the same for every g, as -1 is
+    g^((q-1)/2) for odd q; `log_pairs` holds the exponents at v and 1 - v
+    with their multiplicity over v != 0, 1.  Taken mod e | d, they are
+    the exponents of psi = chi^(d/e), of exact order e, so psi^a(-1) = -1
+    iff a * minus_one is nonzero mod e.  Three memos live and die with the
+    table: the pair sums, `orbits` from each type mod d to its Galois
+    orbit, and the orbit polynomials, so calls that share a table share
+    that work.  Apart from them, instances are treated as immutable.
     """
 
-    __slots__ = ("field", "order", "generator", "u", "log_pairs", "pair_sums", "orbits", "orbit_polys")
+    __slots__ = ("field", "order", "generator", "minus_one", "log_pairs", "pair_sums", "orbits", "orbit_polys")
 
     def __init__(
         self,
         field: FiniteField,
         order: int,
         generator: int,
-        u: int,
+        minus_one: int,
         log_pairs: tuple[tuple[int, int, int], ...],
     ):
         self.field = field
         self.order = order
         self.generator = generator
-        self.u = u
+        self.minus_one = minus_one
         self.log_pairs = log_pairs
         self.pair_sums = {}
         self.orbits = {}
         self.orbit_polys = {}
-
-    def chi_power_at(self, power: int, code: int) -> int:
-        """zeta-exponent of chi^power at a nonzero element."""
-        return power * self.u * self.field.log[code] % self.order
 
     def pair_sum(self, a: int, b: int, e: int) -> CyclotomicElement:
         """J(psi^a, psi^b) = sum over v != 0, 1 of psi^a(v) * psi^b(1 - v), for psi = chi^(d/e) of order e | d."""
@@ -134,7 +132,7 @@ def multiplicative_character(field: FiniteField, d: int, generator: int | None =
     # v = x^m, m != 0, and 1 - v = 1 + x^(m + log(-1)) = x^zech[m + log(-1)]
     zech, shift = field.zech, field.log[field.p - 1]
     counts = Counter((u * m % d, u * zech[(m + shift) % (q - 1)] % d) for m in range(1, q - 1))
-    return CharacterTable(field, d, generator, u, tuple((x, y, c) for (x, y), c in counts.items()))
+    return CharacterTable(field, d, generator, shift % d, tuple((x, y, c) for (x, y), c in counts.items()))
 
 
 def _jacobi_sum(table: CharacterTable, powers, e: int) -> CyclotomicElement:
@@ -146,14 +144,15 @@ def _jacobi_sum(table: CharacterTable, powers, e: int) -> CyclotomicElement:
     psi = chi^(p1 + ... + p(i-1)),
       J(.., chi^pi) = J(.., chi^p(i-1)) * J(psi, chi^pi)        if psi != 1,
       J(.., chi^pi) = chi^p(i-1)(-1) * q * J(.., chi^p(i-2))    if psi == 1,
-    starting from J(chi^p1) = 1, which is never multiplied by; chi^p(-1) is a sign.
+    starting from J(chi^p1) = 1, which is never multiplied by; chi^p(-1) is
+    a sign, -1 iff p * table.minus_one is nonzero mod e.
     """
     powers = [p % e for p in powers]
     if not powers:
         raise ValueError("need at least one character")
     if 0 in powers:
         raise ValueError("every character must be nontrivial")
-    q, minus_one = table.field.q, table.field.p - 1  # p - 1 is the code of -1
+    q = table.field.q
     before = current = None  # None stands for J(chi^p1) = 1
     psi = powers[0]
     for i in range(1, len(powers)):
@@ -161,7 +160,7 @@ def _jacobi_sum(table: CharacterTable, powers, e: int) -> CyclotomicElement:
             pair = table.pair_sum(psi, powers[i], e)
             nxt = pair if current is None else current * pair
         else:
-            scale = -q if table.chi_power_at(powers[i - 1], minus_one) % e else q
+            scale = -q if powers[i - 1] * table.minus_one % e else q
             nxt = CyclotomicElement.constant(e, scale) if before is None else before * scale
         before, current = current, nxt
         psi = (psi + powers[i]) % e
@@ -189,7 +188,7 @@ def jacobi_eigenvalue(k, table: CharacterTable, order: int | None = None) -> Cyc
     if any(x == 0 for x in k):
         raise ValueError("type must be interior (no zero entries)")
     term = _jacobi_sum(table, k[:-1], e)
-    minus = bool(table.chi_power_at(k[-1], table.field.p - 1) % e)  # psi^(k_n)(-1) = -1; -1 is the code p - 1
+    minus = bool(k[-1] * table.minus_one % e)  # psi^(k_n)(-1) = -1
     return -term if minus != bool(len(k) % 2) else term
 
 
@@ -295,18 +294,16 @@ class CommonFactorReport:
     Instances are treated as immutable.
     """
 
-    __slots__ = ("joint_degree", "common_types", "common_poly", "family_polys", "divides")
+    __slots__ = ("joint_degree", "common_poly", "family_polys", "divides")
 
     def __init__(
         self,
         joint_degree: int,
-        common_types: tuple[tuple[int, ...], ...],
         common_poly: CharPoly,
         family_polys: tuple[CharPoly, ...],
         divides: tuple[bool, ...],
     ):
         self.joint_degree = joint_degree
-        self.common_types = common_types
         self.common_poly = common_poly
         self.family_polys = family_polys
         self.divides = divides
@@ -350,7 +347,6 @@ def verify_common_factor(data_list, field: FiniteField) -> CommonFactorReport:
     divides = tuple(common_poly.divides(fp) for fp in family_polys)
     return CommonFactorReport(
         joint_degree=d_joint,
-        common_types=tuple(sorted(common)),
         common_poly=common_poly,
         family_polys=family_polys,
         divides=divides,

@@ -361,6 +361,17 @@ def oracle_reduce(exponents, d):
         t -= 1
 
 
+def chi_exponent(table, power, code):
+    """zeta_d-exponent of chi^power at the nonzero element `code`, d = table.order.
+
+    chi(g) = zeta_d for g = table.generator, and the log to base g is
+    u = 1/log(g) mod q - 1 times the log in the field's table.
+    """
+    field = table.field
+    u = pow(field.log[table.generator], -1, field.q - 1)
+    return power * u * field.log[code] % table.order
+
+
 def direct_jacobi_sum(table, powers):
     """J(chi^p1, ..., chi^pm) by enumerating v_1 + ... + v_m = 1, v_i nonzero.
 
@@ -369,7 +380,7 @@ def direct_jacobi_sum(table, powers):
     field = OracleField.of(table.field)
     d = table.order
     m = len(powers)
-    chi_log = [0] + [table.chi_power_at(1, v) for v in range(1, field.q)]
+    chi_log = [0] + [chi_exponent(table, 1, v) for v in range(1, field.q)]
     coeffs = [0] * d
     if m == 1:
         # single character: J = chi(1) = 1
@@ -414,7 +425,7 @@ def direct_eigenvalue(k, table):
     k = tuple(e % d for e in k)
     field = OracleField.of(table.field)
     minus_one = field.sub(0, field.from_int(1))
-    term = CyclotomicElement.zeta(d, table.chi_power_at(k[-1], minus_one)) * direct_jacobi_sum(table, k[:-1])
+    term = CyclotomicElement.zeta(d, chi_exponent(table, k[-1], minus_one)) * direct_jacobi_sum(table, k[:-1])
     return term if (len(k) - 2) % 2 == 0 else -term
 
 

@@ -465,6 +465,14 @@ def test_analyze_unequal_weights_prints_nothing(tmp_path, capsys):
     assert "unequal weights" in captured.err
 
 
+def test_analyze_curve_names_the_dimension_it_needs(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"matrix": [[2, 0], [0, 2]], "deformation": [1, 1]}))
+    assert run_main(["analyze", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the dimension triple needs n >= 2, got n = 1\n")
+
+
 def test_huge_quotient_group_is_refused(tmp_path, capsys):
     # the walk over k*[A | 1] == 0 (mod 159) has 159^3 points, just over the limit
     path = tmp_path / "huge.json"

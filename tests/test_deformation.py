@@ -144,5 +144,5 @@ def test_invalid_input_raises_on_every_call():
 def test_equation_string():
     assert (
         equation_string(family("family2"))
-        == "x0^4+x1^4+x2^3*x3+x2*x3^3+lam*x0*x1*x2*x3"
+        == "x0^4+x1^4+x2^3*x3+x2*x3^3"
     )

@@ -282,7 +282,7 @@ def test_dimension_triple_needs_equal_weights():
 def test_dimension_triple_needs_two_dimensions():
     # x0^2 + x1^2: equal weights, but a curve has no c
     data = build(IntMatrix([(2, 0), (0, 2)]), (1, 1))
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ValueError, match="^the dimension triple needs n >= 2, got n = 1$"):
         dimension_triple(data)
 
 

@@ -150,17 +150,13 @@ def test_exact_div():
 
 
 def test_quotient_reports_what_exact_div_raises():
-    u, v = V("u"), V("v")
+    u = V("u")
     i_u = MultiPoly.constant(root_i()) * u
-    assert symbolic._quotient(u**2 - v**2, u + v) == u - v
-    assert symbolic._quotient(u**2 + 1, u + 1) == "leading term not divisible"
-    assert symbolic._quotient(u, i_u) == MultiPoly.constant(-root_i())
     with pytest.raises(InexactDivisionError, match="^leading term not divisible$"):
         exact_div(u**2 + 1, u + 1)
     assert exact_div(u, i_u) == MultiPoly.constant(-root_i())
-    for quotient in (symbolic._quotient, exact_div):
-        with pytest.raises(ZeroDivisionError):
-            quotient(u, MultiPoly.zero())
+    with pytest.raises(ZeroDivisionError):
+        exact_div(u, MultiPoly.zero())
 
 
 def test_quotient_divides_cyclotomic_coefficients():
@@ -870,8 +866,9 @@ def test_clearing_the_package_caches_empties_the_appendix_caches():
     assert not any(f.cache_info().currsize for f in derivations)
 
 
-def test_appendix_raises_no_inexact_division(monkeypatch):
-    # a2^4 - 1 is stripped by trial division that reports, not raises
+def test_appendix_inexact_division_only_ends_each_strip(monkeypatch):
+    # a2^4 - 1 is divided out of each eliminant until exact_div raises, once;
+    # every other division of the appendix is exact
     raised = []
     real_exact_div = symbolic.exact_div
 
@@ -885,7 +882,10 @@ def test_appendix_raises_no_inexact_division(monkeypatch):
     monkeypatch.setattr(symbolic, "exact_div", watching)
     results = appendix_checks()
     assert results and all(ok for _, ok in results)
-    assert raised == []
+    quartic = V("a2") ** 4 - 1
+    assert [q for _, q in raised] == [quartic] * len(FAMILY_INDICES)
+    for i in FAMILY_INDICES:  # the raise comes at the stripped eliminant itself
+        assert sum(p.equal_up_to_scalar(bitangent_eliminant(i)) for p, _ in raised) == 1, i
 
 
 def test_appendix_only_token_must_match():

@@ -12,6 +12,7 @@ from conftest import quintic
 from oracles import (
     OracleField,
     char_poly_by_types,
+    chi_exponent,
     dense_expand,
     direct_eigenvalue,
     direct_jacobi_sum,
@@ -50,15 +51,15 @@ def test_character_table_q5_d4():
     f = FiniteField(5)
     table = multiplicative_character(f, 4)
     assert table.generator == 2
-    assert table.chi_power_at(1, 2) == 1  # chi(2) is a primitive fourth root
-    values = {table.chi_power_at(1, x) for x in range(1, 5)}
+    assert chi_exponent(table, 1, 2) == 1  # chi(2) is a primitive fourth root
+    values = {chi_exponent(table, 1, x) for x in range(1, 5)}
     assert values == {0, 1, 2, 3}  # surjective onto the fourth roots
 
 
 def test_character_table_trivial():
     f = FiniteField(5)
     table = multiplicative_character(f, 1)
-    assert all(table.chi_power_at(1, x) == 0 for x in range(1, 5))
+    assert all(chi_exponent(table, 1, x) == 0 for x in range(1, 5))
 
 
 def test_character_table_requires_divisibility():
@@ -72,7 +73,7 @@ def test_character_table_custom_generator():
     gens = [g for g in range(2, 13) if math.gcd(f.log[g], 12) == 1]
     assert len(gens) == 4
     table = multiplicative_character(f, 12, generator=gens[1])
-    assert table.chi_power_at(1, gens[1]) == 1
+    assert chi_exponent(table, 1, gens[1]) == 1
     with pytest.raises(ValueError):
         multiplicative_character(f, 12, generator=4)  # 4 = 2^2 is not a generator
 
@@ -86,7 +87,7 @@ def test_log_pairs_match_brute_force(p, k):
     f = OracleField(p, k)
     for d in (d for d in range(1, f.q) if (f.q - 1) % d == 0):
         table = multiplicative_character(f, d)
-        brute = Counter((table.chi_power_at(1, v), table.chi_power_at(1, f.sub(1, v))) for v in range(2, f.q))
+        brute = Counter((chi_exponent(table, 1, v), chi_exponent(table, 1, f.sub(1, v))) for v in range(2, f.q))
         assert Counter({(x, y): c for x, y, c in table.log_pairs}) == brute, (f.q, d)
         assert len(table.log_pairs) == len(brute)
 
@@ -95,15 +96,14 @@ def test_character_table_construction():
     # log_pairs read off the Zech table match the brute-force pairs; given ones are kept
     f = OracleField(3, 2)
     table = multiplicative_character(f, 4)
-    brute = Counter((table.chi_power_at(1, v), table.chi_power_at(1, f.sub(1, v))) for v in range(2, f.q))
+    brute = Counter((chi_exponent(table, 1, v), chi_exponent(table, 1, f.sub(1, v))) for v in range(2, f.q))
     assert sorted(table.log_pairs) == sorted((x, y, c) for (x, y), c in brute.items())
     assert table.orbit_polys == {} and table.pair_sums == {} and table.orbits == {}
-    # the default generator x has log 1, so u = 1/log(x) = 1
-    assert table.u == 1
+    # -1 = x^4 in F_9, so chi(-1) = zeta_4^4 = 1 at order 4 and zeta_8^4 = -1 at order 8
+    assert (table.minus_one, multiplicative_character(f, 8).minus_one) == (0, 4)
     given_pairs = ((0, 0, 7),)
-    built = CharacterTable(f, 4, f.generator, table.u, log_pairs=given_pairs)
-    assert built.log_pairs is given_pairs and built.orbit_polys == {}
-    assert [built.chi_power_at(3, v) for v in range(1, f.q)] == [table.chi_power_at(3, v) for v in range(1, f.q)]
+    built = CharacterTable(f, 4, f.generator, table.minus_one, log_pairs=given_pairs)
+    assert built.log_pairs is given_pairs and built.minus_one == 0 and built.orbit_polys == {}
 
 
 @pytest.mark.parametrize("p,k", [(13, 1), (2, 4), (7, 2), (3, 4)])
@@ -123,8 +123,32 @@ def test_custom_generator_chi_log_matches_brute_force(p, k):
             table = multiplicative_character(f, d, generator=g)
             assert table.generator == g
             # chi(g^m) = zeta_d^m, and chi^3(g^m) = zeta_d^(3m)
-            assert all(table.chi_power_at(1, v) == m % d for m, v in enumerate(powers)), (q, g, d)
-            assert all(table.chi_power_at(3, v) == 3 * m % d for m, v in enumerate(powers)), (q, g, d)
+            assert all(chi_exponent(table, 1, v) == m % d for m, v in enumerate(powers)), (q, g, d)
+            assert all(chi_exponent(table, 3, v) == 3 * m % d for m, v in enumerate(powers)), (q, g, d)
+            # the table's pair exponents are logs to base g as well
+            log_g = {v: m for m, v in enumerate(powers)}
+            brute = Counter((log_g[v] % d, log_g[f.sub(1, v)] % d) for v in range(2, q))
+            assert Counter({(x, y): c for x, y, c in table.log_pairs}) == brute, (q, g, d)
+
+
+# every field with q <= 64, as (p, k)
+SMALL_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)] + [
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)
+]
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_minus_one_is_the_exponent_of_chi_at_minus_one(p, k):
+    f = OracleField(p, k)
+    q, minus = f.q, f.sub(0, 1)
+    gens = [g for g in range(1, q) if len({f.pow(g, m) for m in range(q - 1)}) == q - 1]
+    for g in {f.generator, gens[-1]}:
+        # -1 = g^m by walking the powers of g
+        m = next(m for m in range(q - 1) if f.pow(g, m) == minus)
+        for d in (d for d in range(1, q) if (q - 1) % d == 0):
+            table = multiplicative_character(f, d, generator=g)
+            assert table.minus_one == m % d, (q, g, d)
+            assert 2 * table.minus_one in (0, d), (q, g, d)  # chi(-1) = +-1
 
 
 # -- point counts as certification ----------------------------------------------
@@ -596,10 +620,10 @@ def test_common_factor_single_family():
 def test_common_factor_report_keywords():
     common, other = CharPoly((1, -1)), CharPoly((1, -3, 2))
     report = CommonFactorReport(
-        joint_degree=4, common_types=((1, 1, 1, 1),), common_poly=common, family_polys=(other,), divides=(True,)
+        joint_degree=4, common_poly=common, family_polys=(other,), divides=(True,)
     )
     assert (report.joint_degree, report.common_degree, report.all_divide) == (4, 1, True)
-    assert report.family_polys == (other,) and report.common_types == ((1, 1, 1, 1),)
+    assert report.family_polys == (other,)
 
 
 def test_common_factor_requires_common_cover():
