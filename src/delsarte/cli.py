@@ -83,12 +83,15 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_table10(args, out) -> int:
-    print(TABLE10_HEADER, file=out)
-    status = 0
     keys = deformation.family_keys()
     if args.only:
-        wanted = set(args.only.split(","))
+        wanted = args.only.split(",")
+        for key in wanted:
+            if key not in keys:
+                raise CliError(f"--only key {key!r} is not a built-in family")
         keys = [k for k in keys if k in wanted]
+    print(TABLE10_HEADER, file=out)
+    status = 0
     for key in keys:
         try:
             data = deformation.family(key)
@@ -103,12 +106,10 @@ def cmd_table10(args, out) -> int:
 
 def cmd_invariants(args, out) -> int:
     data = resolve_family(args.family)
+    # the G types before the PF walk: the PF group lies in their kernel, whose limit comes first
+    types = monomials.g_invariant_types(data) if args.group == "G" else None
     gmax = set(monomials.gmax_invariant_types(data))
-    if args.group == "Gmax":
-        types = sorted(gmax)
-    else:
-        types = monomials.g_invariant_types(data)
-    for k in types:
+    for k in sorted(gmax) if types is None else types:
         mark = "\tPF" if k in gmax else ""
         print(monomials.format_type(k) + mark, file=out)
     return 0
@@ -126,9 +127,7 @@ def cmd_classes(args, out) -> int:
 
 def cmd_common_factor(args, out) -> int:
     data_list = [resolve_family(ref) for ref in args.families]
-    p, k = parse_prime_power(args.q)
-    field = pointcount.FiniteField(p, k)
-    report = zetafermat.verify_common_factor(data_list, field)
+    report = zetafermat.verify_common_factor(data_list, *parse_prime_power(args.q))
     print(f"joint_degree\t{report.joint_degree}", file=out)
     print(f"common_degree\t{report.common_degree}", file=out)
     print(f"common_poly\t{report.common_poly}", file=out)
@@ -149,9 +148,7 @@ def cmd_count(args, out) -> int:
         return _scan(args, out)
     p, k = parse_prime_power(args.q, args.ext)
     spec = pointcount.family_hypersurface(resolve_family(args.family), args.lam or 0)
-    strata = pointcount.torus_strata(spec, p, p ** (k * args.ext))  # the work bound, before any table
-    field = pointcount.FiniteField(p, k * args.ext)
-    print(pointcount.count_points(spec, field, strata), file=out)
+    print(pointcount.count_points(spec, p, k * args.ext), file=out)
     return 0
 
 

@@ -99,7 +99,8 @@ def dimension_triple(data: DeformationData) -> tuple[int, int, int]:
     PF counts the interior multiples of b; dim W is the number of further
     invariant types; c is the defect against the full interior count of
     the reduced-degree hypersurface, ((D-1)^(n+1) + (-1)^(n+1) (D-1)) / D
-    by inclusion-exclusion.  Requires all weights equal.
+    by inclusion-exclusion.  Requires all weights equal.  The G types come
+    first: their kernel holds the PF group, and its limit refuses first.
     """
     w = data.weights
     if any(x != w[0] for x in w):
@@ -109,8 +110,8 @@ def dimension_triple(data: DeformationData) -> tuple[int, int, int]:
         raise ValueError(f"the dimension triple needs n >= 2, got n = {n}")
     reduced_degree = data.degree // gcd(*w)
     full = ((reduced_degree - 1) ** (n + 1) + (-1) ** (n + 1) * (reduced_degree - 1)) // reduced_degree
-    pf = len(gmax_invariant_types(data))
     gi = len(g_invariant_types(data))
+    pf = len(gmax_invariant_types(data))
     return pf, gi - pf, full - gi
 
 

@@ -196,15 +196,17 @@ def fermat_hypersurface(d: int, n: int, lam: int = 0, b=None) -> HypersurfaceSpe
     return HypersurfaceSpec(weights=weights, terms=terms)
 
 
-def count_points(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
-    """Point count of the coarse space: (#affine cone - 1) / (q - 1).
+def count_points(spec: HypersurfaceSpec, p: int, k: int) -> int:
+    """Point count of the coarse space over F_q, q = p^k: (#affine cone - 1) / (q - 1).
 
-    The division is asserted exact so that any discrepancy between the
-    cone count and a genuine projective count fails loudly instead of
-    returning a silently wrong value.
+    `torus_strata` makes every refusal before F_q is built.  The division
+    is asserted exact so that any discrepancy between the cone count and a
+    genuine projective count fails loudly instead of returning a silently
+    wrong value.
     """
-    n_cone = count_cone(spec, field, strata)
-    q = field.q
+    q = p**k
+    strata = torus_strata(spec, p, q)
+    n_cone = count_cone(spec, FiniteField(p, k), strata)
     if (n_cone - 1) % (q - 1) != 0:
         raise AssertionError(
             f"cone count {n_cone} is not 1 mod q-1; this hypersurface has no "
@@ -213,7 +215,7 @@ def count_points(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int
     return (n_cone - 1) // (q - 1)
 
 
-def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
+def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata: tuple) -> int:
     """Number of solutions in the full affine cone (including the origin).
 
     The sum over coordinate subsets S of the torus counts N*_S, each a sum
@@ -231,12 +233,9 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata=None) -> int:
     buckets inside the live terms of S times G(1)^(r - m) = (-1)^(r - m).
     The count lies in [0, q^(n+1)], so it is computed exactly in F_l for
     the prime l of `auxiliary_prime`, with chi(g) and eta sent to elements
-    of order N and p there.  A caller that checked the work bound before
-    building the field passes the `torus_strata(spec, p, q)` it got.
+    of order N and p there.  `strata` is `torus_strata(spec, p, q)`.
     """
     q, p, n = field.q, field.p, field.q - 1
-    if strata is None:
-        strata = torus_strata(spec, p, q)
     terms, kernel, subsets = strata
     ell = auxiliary_prime(p, q, q ** len(spec.weights))
     omega, eta = _element_of_order(n, ell), _element_of_order(p, ell)

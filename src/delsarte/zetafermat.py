@@ -317,14 +317,15 @@ class CommonFactorReport:
         return all(self.divides)
 
 
-def verify_common_factor(data_list, field: FiniteField) -> CommonFactorReport:
-    """Check that the joint-invariant factor divides each family's factor.
+def verify_common_factor(data_list, p: int, k: int) -> CommonFactorReport:
+    """Check over F_q, q = p^k, that the joint-invariant factor divides each family's factor.
 
     Lifts every family's invariant type set to the least common cover
     degree d, intersects them (invariance under the group generated by
     all the quotient groups), builds the characteristic polynomial of the
     intersection, and tests exact divisibility into each family's
-    invariant characteristic polynomial, all at lambda = 0.
+    invariant characteristic polynomial, all at lambda = 0.  Every
+    refusal, d not dividing q - 1 among them, comes before F_q is built.
     """
     data_list = list(data_list)
     if not data_list:
@@ -333,15 +334,15 @@ def verify_common_factor(data_list, field: FiniteField) -> CommonFactorReport:
     if cover is None:
         raise ValueError("no common cover")
     d_joint, _ = cover
-    if (field.q - 1) % d_joint != 0:
-        raise ValueError(f"joint degree {d_joint} does not divide q - 1 = {field.q - 1}")
+    if (p**k - 1) % d_joint != 0:
+        raise ValueError(f"joint degree {d_joint} does not divide q - 1 = {p**k - 1}")
     lifted = [
         set(lift_types(g_invariant_types(item), item.degree, d_joint))
         for item in data_list
     ]
     common = set.intersection(*lifted)
     # one table for the whole call: every orbit is built and expanded once
-    table = multiplicative_character(field, d_joint)
+    table = multiplicative_character(FiniteField(p, k), d_joint)
     common_poly = char_poly_invariant(common, table)
     family_polys = tuple(char_poly_invariant(s, table) for s in lifted)
     divides = tuple(common_poly.divides(fp) for fp in family_polys)

@@ -100,10 +100,10 @@ def test_criterion_03_common_factor_degrees():
 def test_criterion_04_divisibility():
     start = time.time()
     f17 = FiniteField(17)
-    r123 = verify_common_factor([family(f"family{i}") for i in (1, 2, 3)], f17)
-    r12 = verify_common_factor([family(f"family{i}") for i in (1, 2)], f17)
+    r123 = verify_common_factor([family(f"family{i}") for i in (1, 2, 3)], f17.p, f17.k)
+    r12 = verify_common_factor([family(f"family{i}") for i in (1, 2)], f17.p, f17.k)
     f73 = FiniteField(73)
-    r67 = verify_common_factor([family(f"family{i}") for i in (6, 7)], f73)
+    r67 = verify_common_factor([family(f"family{i}") for i in (6, 7)], f73.p, f73.k)
     elapsed = time.time() - start
     ok = (
         r123.common_degree == 5
@@ -129,7 +129,7 @@ def test_criterion_05_point_count_certification():
         f = FiniteField(q)
         spec = fermat_hypersurface(d, n)
         brute = (brute_count_cone(spec, f) - 1) // (q - 1)
-        gauss = count_points(spec, f)
+        gauss = count_points(spec, f.p, f.k)
         sums = fermat_count_by_trace(d, n, f)
         ok = ok and brute == gauss == sums
     elapsed = time.time() - start
@@ -286,7 +286,7 @@ def test_criterion_12_invariant_eigenvalues_against_point_counts():
             assert (q - 1) % d == 0
             table = multiplicative_character(field, d)
             # surfaces in P^3: the trace enters with the sign (-1)^(3-1) = +1
-            rest = count_points(family_hypersurface(data, 0), field) - (1 + q + q * q) - frobenius_trace(types, table)
+            rest = count_points(family_hypersurface(data, 0), field.p, field.k) - (1 + q + q * q) - frobenius_trace(types, table)
             want = (3 if (q - 1) // d % 2 == 0 else -1) if key in ("family6", "family9") else c
             ok = ok and isinstance(rest, int) and rest % q == 0 and abs(rest // q) <= c and rest // q == want
             cases += 1

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from delsarte import cli, deformation, exactalg, monomials, pointcount
+from delsarte import cli, deformation, exactalg, monomials, pointcount, zetafermat
 from delsarte.pointcount import FiniteField, family_hypersurface
 
 from golden_data import SUMMARY_TABLE
@@ -133,14 +133,22 @@ def test_commands_deterministic():
         assert run_cli(argv) == run_cli(argv)
 
 
-def test_table10_filter_and_empty():
+def test_table10_filter_and_empty(capsys):
     status, text = run_cli(["table10", "--only", "family7"])
     assert status == 0
     lines = text.splitlines()
     assert len(lines) == 2 and lines[1].startswith("family7\t")
-    status, text = run_cli(["table10", "--only", "nomatch"])
-    assert status == 0
-    assert text.splitlines() == ["family\tF0\td\tb\tPF\tdimW\tc"]
+    # a key that names no family is refused before the header: no empty table
+    assert run_main(["table10", "--only", "nomatch"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --only key 'nomatch' is not a built-in family\n")
+
+
+@pytest.mark.parametrize("only, key", [("famly6", "famly6"), ("family6,", ""), (",family6", "")])
+def test_table10_only_refuses_each_unknown_or_empty_key(only, key, capsys):
+    assert run_main(["table10", "--only", only]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --only key {key!r} is not a built-in family\n")
 
 
 def test_table10_only_matches_whole_keys():
@@ -231,6 +239,24 @@ def test_common_factor_joint_degree_not_dividing_q_minus_1_is_usage_error(capsys
     assert run_main(["common-factor", "family1", "family2", "--q", "13"]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: joint degree 8 does not divide q - 1 = 12\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family1", "family9", "--q", "1048573"], "no common cover"),
+        (["family1", "--q", "1048571"], "joint degree 4 does not divide q - 1 = 1048570"),
+    ],
+)
+def test_common_factor_refused_before_any_table(argv, message, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(pointcount, "FiniteField", refuse)
+    monkeypatch.setattr(zetafermat, "FiniteField", refuse)
+    assert run_main(["common-factor", *argv]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_count_family1():
@@ -487,14 +513,32 @@ def test_huge_quotient_group_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["invariants", "--group", "Gmax"], ["invariants"], ["analyze"]])
 def test_huge_pf_group_is_refused(tmp_path, command, capsys):
-    # b generates a cyclic group of order 6,000,000 mod d = 6,000,000, over the limit
+    # b generates a cyclic group of order 6,000,000 mod d = 6,000,000, over the limit;
+    # where the G types are read, the kernel of [A | 1] that holds it is checked first, and it is larger
+    message = "PF group of order 6000000" if "Gmax" in command else "invariant-type kernel of 36000000000000 points"
     path = tmp_path / "huge_pf.json"
     n = 6_000_000
     path.write_text(json.dumps({"matrix": [[n, 0, 0], [0, n, 0], [0, 0, n]], "deformation": [1, 1, n - 2]}))
     assert run_main([command[0], str(path), *command[1:]]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: PF group of order 6000000 exceeds the enumeration limit 4000000\n"
+    assert captured.err == f"error: {message} exceeds the enumeration limit 4000000\n"
+
+
+@pytest.mark.parametrize("command", [["invariants"], ["analyze"]])
+def test_g_kernel_refused_before_the_pf_walk(tmp_path, command, monkeypatch, capsys):
+    # the PF group, of order 3,000,000, is within the limit; the kernel of 9*10^12 points is not
+    def refuse(*args):
+        raise AssertionError("the PF group was walked")
+
+    monkeypatch.setattr(monomials, "_gmax_types", refuse)
+    path = tmp_path / "huge_kernel.json"
+    n = 3_000_000
+    path.write_text(json.dumps({"matrix": [[n, 0, 0], [0, n, 0], [0, 0, n]], "deformation": [1, 1, n - 2]}))
+    assert run_main([command[0], str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invariant-type kernel of 9000000000000 points exceeds the enumeration limit 4000000\n"
 
 
 def test_pf_group_limit_is_its_order(monkeypatch):

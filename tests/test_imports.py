@@ -41,6 +41,50 @@ def test_every_package_import_is_used():
     assert unused == {}
 
 
+def unused_parameters(source: str) -> list[str]:
+    """`function.parameter` for each parameter that its function's body never reads, sorted.
+
+    Functions, methods and lambdas all count; `self` and `cls` are exempt.
+    A read in a nested function counts; an assignment to the parameter does
+    not, nor does a read in a default value or a decorator.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+        body = node.body if isinstance(node, ast.Lambda) else ast.Module(body=node.body, type_ignores=[])
+        read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}.{p}" for p in params if p not in read and p not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_unused_parameters_detector():
+    source = (
+        "class C:\n"
+        "    def method(self, used, unused=len):\n"
+        "        return used\n"
+        "    @classmethod\n"
+        "    def make(cls, *args, **kwargs):\n"
+        "        return cls(*args)\n"
+        "def outer(x, y, /, *, z):\n"
+        "    def inner(w):\n"
+        "        return x\n"
+        "    y = 1\n"
+        "    return inner\n"
+        "key = lambda a, b: a\n"
+    )
+    # x is read by the nested inner; y is only assigned
+    assert unused_parameters(source) == ["<lambda>.b", "inner.w", "make.kwargs", "method.unused", "outer.y", "outer.z"]
+
+
+def test_every_parameter_is_read():
+    unused = {path.name: names for path in SOURCES if (names := unused_parameters(path.read_text()))}
+    assert unused == {}
+
+
 # Names that no module of the package reads, kept on purpose, each with its reason.
 UNREFERENCED_ALLOWED = {
     "norm_squared_exact": "acceptance criterion 6 checks |alpha|^2 = q^(n-1) exactly with it",

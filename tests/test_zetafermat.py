@@ -157,7 +157,7 @@ def test_minus_one_is_the_exponent_of_chi_at_minus_one(p, k):
 def test_fermat_count_matches_brute_force_grid():
     for d, n, q in GRID:
         f = FiniteField(q)
-        assert fermat_count_by_trace(d, n, f) == count_points(fermat_hypersurface(d, n), f), (d, n, q)
+        assert fermat_count_by_trace(d, n, f) == count_points(fermat_hypersurface(d, n), f.p, f.k), (d, n, q)
 
 
 def test_fermat_count_trivial_degree():
@@ -171,7 +171,7 @@ def test_fermat_count_extension_field():
     # octic Fermat curve over F_9 (8 | 9 - 1): the certification also
     # holds over a non-prime field
     f = FiniteField(3, 2)
-    assert fermat_count_by_trace(8, 2, f) == count_points(fermat_hypersurface(8, 2), f)
+    assert fermat_count_by_trace(8, 2, f) == count_points(fermat_hypersurface(8, 2), f.p, f.k)
 
 
 # -- eigenvalues -----------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_fermat_count_matches_brute_force_random(field_and_order, data):
     p, k, d = field_and_order
     n = data.draw(st.integers(1, 3 if p**k <= 32 else 2))
     f = FiniteField(p, k)
-    assert fermat_count_by_trace(d, n, f) == count_points(fermat_hypersurface(d, n), f)
+    assert fermat_count_by_trace(d, n, f) == count_points(fermat_hypersurface(d, n), f.p, f.k)
 
 
 @st.composite
@@ -595,7 +595,7 @@ def test_lifted_char_poly_matches_native():
 
 def test_common_factor_families_123():
     f = FiniteField(17)
-    report = verify_common_factor([family(f"family{i}") for i in (1, 2, 3)], f)
+    report = verify_common_factor([family(f"family{i}") for i in (1, 2, 3)], f.p, f.k)
     assert report.joint_degree == 8
     assert report.common_degree == 5
     assert report.all_divide
@@ -604,14 +604,14 @@ def test_common_factor_families_123():
 
 def test_common_factor_families_12():
     f = FiniteField(17)
-    report = verify_common_factor([family("family1"), family("family2")], f)
+    report = verify_common_factor([family("family1"), family("family2")], f.p, f.k)
     assert report.common_degree == 7
     assert report.all_divide
 
 
 def test_common_factor_single_family():
     f = FiniteField(17)
-    report = verify_common_factor([family("family2")], f)
+    report = verify_common_factor([family("family2")], f.p, f.k)
     assert report.common_degree == report.family_polys[0].degree == 15
     assert report.common_poly == report.family_polys[0]
     assert report.all_divide
@@ -629,13 +629,13 @@ def test_common_factor_report_keywords():
 def test_common_factor_requires_common_cover():
     f = FiniteField(17)
     with pytest.raises(ValueError, match="no common cover"):
-        verify_common_factor([family("family1"), family("family9")], f)
+        verify_common_factor([family("family1"), family("family9")], f.p, f.k)
 
 
 def test_common_factor_requires_compatible_field():
     f = FiniteField(7)
     with pytest.raises(ValueError, match="divide"):
-        verify_common_factor([family("family1"), family("family2")], f)
+        verify_common_factor([family("family1"), family("family2")], f.p, f.k)
 
 
 def _functional_equation_ok(poly, q):
@@ -658,7 +658,7 @@ def test_functional_equation_weight_two():
         data = family(f"family{i}")
         types = lift_types(g_invariant_types(data), data.degree, 8)
         assert _functional_equation_ok(char_poly_invariant(types, multiplicative_character(f17, 8)), 17)
-    report = verify_common_factor([family("family6"), family("family7")], f73)
+    report = verify_common_factor([family("family6"), family("family7")], f73.p, f73.k)
     assert _functional_equation_ok(report.common_poly, 73)
 
 
@@ -666,8 +666,8 @@ def test_nested_common_factors_divide():
     # the three-family factor divides the two-family factor (larger joint
     # group, smaller invariant space)
     f17 = FiniteField(17)
-    p5 = verify_common_factor([family(f"family{i}") for i in (1, 2, 3)], f17).common_poly
-    p7 = verify_common_factor([family(f"family{i}") for i in (1, 2)], f17).common_poly
+    p5 = verify_common_factor([family(f"family{i}") for i in (1, 2, 3)], f17.p, f17.k).common_poly
+    p7 = verify_common_factor([family(f"family{i}") for i in (1, 2)], f17.p, f17.k).common_poly
     assert p5.degree == 5 and p7.degree == 7
     assert p5.divides(p7)
 
@@ -688,7 +688,7 @@ def test_common_degree_equals_intersection_cardinality():
     fams = [family(f"family{i}") for i in (1, 2, 3)]
     lifted = [set(lift_types(g_invariant_types(x), x.degree, 8)) for x in fams]
     assert len(set.intersection(*lifted)) == 5
-    report = verify_common_factor(fams, f)
+    report = verify_common_factor(fams, f.p, f.k)
     assert report.common_degree == 5
     lifted12 = [set(lift_types(g_invariant_types(x), x.degree, 8)) for x in fams[:2]]
     assert len(set.intersection(*lifted12)) == 7
@@ -749,7 +749,7 @@ def test_common_factor_matches_each_set_on_its_own(fams, q):
     # one table for the whole call gives what each set gives alone, and what the type-by-type oracle gives
     datas = [family(key) for key in fams]
     field = _field_of(q)
-    report = verify_common_factor(datas, field)
+    report = verify_common_factor(datas, field.p, field.k)
     d, lifted = _lifted_sets(datas)
     for types, poly in zip([set.intersection(*lifted), *lifted], [report.common_poly, *report.family_polys]):
         table = multiplicative_character(field, d)
@@ -767,7 +767,7 @@ def test_quintic_common_factor_matches_each_set_on_its_own():
     # at order d, one type at a time, where phi(d) is small enough for the dense product
     for names, field in ((("fermat", "f1l4"), FiniteField(2, 8)), (("fermat", "l2f3"), FiniteField(31))):
         datas = [quintic(name) for name in names]
-        report = verify_common_factor(datas, field)
+        report = verify_common_factor(datas, field.p, field.k)
         d, lifted = _lifted_sets(datas)
         common = set.intersection(*lifted)
         for types, poly in zip([common, *lifted], [report.common_poly, *report.family_polys]):
@@ -795,7 +795,7 @@ def test_common_factor_builds_and_expands_each_orbit_once(monkeypatch):
     monkeypatch.setattr(zetafermat, "unit_orbit", counted_orbit)
     monkeypatch.setattr(zetafermat, "_expand", counted_expand)
     datas = [family(f"family{i}") for i in (1, 2, 3)]
-    verify_common_factor(datas, FiniteField(73))
+    verify_common_factor(datas, 73, 1)
     d, lifted = _lifted_sets(datas)
     union = set().union(*lifted)
     # the orbits built partition the union, each built once, and each is expanded once
@@ -816,7 +816,7 @@ def test_common_factor_builds_and_expands_each_orbit_once(monkeypatch):
 def test_quintic_fermat_f1l4_common_factor_at_256():
     fermat, f1l4 = quintic("fermat"), quintic("f1l4")
     assert (fermat.degree, f1l4.degree) == (5, 255)
-    report = verify_common_factor([fermat, f1l4], FiniteField(2, 8))
+    report = verify_common_factor([fermat, f1l4], 2, 8)
     assert (report.joint_degree, report.common_degree) == (255, 4)
     assert report.divides == (True, True)
     assert [p.degree for p in report.family_polys] == [204, 204]
@@ -825,7 +825,7 @@ def test_quintic_fermat_f1l4_common_factor_at_256():
 
 
 def test_quintic_fermat_l2f3_common_factor_at_31():
-    report = verify_common_factor([quintic("fermat"), quintic("l2f3")], FiniteField(31))
+    report = verify_common_factor([quintic("fermat"), quintic("l2f3")], 31, 1)
     assert (report.joint_degree, report.common_degree) == (15, 52)
     assert report.divides == (True, True)
     assert [p.degree for p in report.family_polys] == [204, 180]
@@ -839,14 +839,14 @@ def test_quintic_l2l3_and_l5_dimension_triples():
 
 def test_quintic_fermat_l2f3_l2l3_common_factor_at_1171():
     names = ("fermat", "l2f3", "l2l3")
-    report = verify_common_factor([quintic(name) for name in names], FiniteField(1171))
+    report = verify_common_factor([quintic(name) for name in names], 1171, 1)
     assert (report.joint_degree, report.common_degree) == (195, 4)
     assert [p.degree for p in report.family_polys] == [204, 180, 180]
     assert report.all_divide
 
 
 def test_quintic_fermat_l5_common_factor_at_6151():
-    report = verify_common_factor([quintic("fermat"), quintic("l5")], FiniteField(6151))
+    report = verify_common_factor([quintic("fermat"), quintic("l5")], 6151, 1)
     assert (report.joint_degree, report.common_degree) == (1025, 4)
     assert report.divides == (True, True)
 
@@ -856,7 +856,7 @@ def _count_minus_lefschetz(name, field):
     data = quintic(name)
     q = field.q
     trace = frobenius_trace(g_invariant_types(data), multiplicative_character(field, data.degree))
-    return count_points(family_hypersurface(data, 0), field) - (1 + q + q**2 + q**3 - trace)
+    return count_points(family_hypersurface(data, 0), field.p, field.k) - (1 + q + q**2 + q**3 - trace)
 
 
 def test_quintic_count_equals_invariant_trace_when_c_is_zero():
