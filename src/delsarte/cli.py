@@ -106,12 +106,15 @@ def cmd_table10(args, out) -> int:
 
 def cmd_invariants(args, out) -> int:
     data = resolve_family(args.family)
+    if args.group == "Gmax":  # the PF types come sorted, and each is PF
+        for k in monomials.gmax_invariant_types(data):
+            print(monomials.format_type(k) + "\tPF", file=out)
+        return 0
     # the G types before the PF walk: the PF group lies in their kernel, whose limit comes first
-    types = monomials.g_invariant_types(data) if args.group == "G" else None
+    types = monomials.g_invariant_types(data)
     gmax = set(monomials.gmax_invariant_types(data))
-    for k in sorted(gmax) if types is None else types:
-        mark = "\tPF" if k in gmax else ""
-        print(monomials.format_type(k) + mark, file=out)
+    for k in types:
+        print(monomials.format_type(k) + ("\tPF" if k in gmax else ""), file=out)
     return 0
 
 

@@ -9,6 +9,7 @@ monomial prod y_i^(b_i).
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from math import lcm
 
@@ -19,29 +20,10 @@ class DeformationError(ValueError):
     """Input does not satisfy the deformation-data conditions."""
 
 
-class DeformationData:
-    """The tuple (A, a, d, B, w, b) describing one family and its cover.
+class DeformationData(namedtuple("DeformationData", "matrix deformation degree map_matrix weights cover_exponents")):
+    """The tuple (A, a, d, B, w, b) describing one family and its cover."""
 
-    Instances are treated as immutable.
-    """
-
-    __slots__ = ("matrix", "deformation", "degree", "map_matrix", "weights", "cover_exponents")
-
-    def __init__(
-        self,
-        matrix: IntMatrix,
-        deformation: tuple[int, ...],
-        degree: int,
-        map_matrix: IntMatrix,
-        weights: tuple[int, ...],
-        cover_exponents: tuple[int, ...],
-    ):
-        self.matrix = matrix
-        self.deformation = deformation
-        self.degree = degree
-        self.map_matrix = map_matrix
-        self.weights = weights
-        self.cover_exponents = cover_exponents
+    __slots__ = ()
 
     @property
     def n(self) -> int:

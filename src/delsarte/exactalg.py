@@ -8,6 +8,7 @@ monic polynomial, and `power` is square-and-multiply for any product.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 
@@ -16,34 +17,22 @@ class SingularMatrixError(ValueError):
     """Raised when an operation needs an invertible matrix and det = 0."""
 
 
-class IntMatrix:
-    """Square matrix with arbitrary-precision integer entries.
+class IntMatrix(namedtuple("IntMatrix", "rows n")):
+    """Square n x n matrix, n >= 2, of arbitrary-precision integers; all arithmetic is exact."""
 
-    All arithmetic is exact.  Instances are treated as immutable; none of
-    the methods mutate `rows`.
-    """
+    __slots__ = ()
 
-    __slots__ = ("rows", "n")
-
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(map(int, row)) for row in rows)
         n = len(rows)
         if n < 2:
             raise ValueError("matrix dimension must be at least 2")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        self.rows = rows
-        self.n = n
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        return super().__new__(cls, rows, n)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({list(map(list, self.rows))})"
+    def __getnewargs__(self):  # copy and pickle rebuild from the rows alone
+        return (self.rows,)
 
     def row_times(self, v) -> tuple[int, ...]:
         """Row vector times matrix: (v M)_j = sum_i v_i M[i][j]."""

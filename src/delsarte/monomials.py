@@ -11,6 +11,7 @@ lambda = 0.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, prod
@@ -191,19 +192,15 @@ def weak_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     return blocks
 
 
-class ReducedForm:
+class ReducedForm(namedtuple("ReducedForm", "coefficient basis")):
     """Result of reducing an exponent vector into the interior basis.
 
     Either `basis` is an interior type and `coefficient` is a nonzero
     rational, or the class is zero in cohomology (`basis` is None and the
-    coefficient is 0).  Instances are treated as immutable.
+    coefficient is 0).
     """
 
-    __slots__ = ("coefficient", "basis")
-
-    def __init__(self, coefficient: Fraction, basis: tuple[int, ...] | None):
-        self.coefficient = coefficient
-        self.basis = basis
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import namedtuple
 from math import gcd, lcm, prod
 from operator import getitem, mul
 
@@ -152,19 +153,17 @@ class FiniteField:
         self.zech = [log[x - x % p + (x + 1) % p] for x in exp]
 
 
-class HypersurfaceSpec:
+class HypersurfaceSpec(namedtuple("HypersurfaceSpec", "weights terms")):
     """A hypersurface in weighted projective space, given term by term.
 
     Each term is (exponents, coefficient), the coefficient a prime-field
     integer representative; a deformed family lists its deformation
-    monomial last.  Instances are treated as immutable.
+    monomial last.
     """
 
-    __slots__ = ("weights", "terms")
+    __slots__ = ()
 
-    def __init__(self, weights: tuple[int, ...], terms: tuple[tuple[tuple[int, ...], int], ...]):
-        self.weights = weights
-        self.terms = terms
+    def __new__(cls, weights: tuple[int, ...], terms: tuple[tuple[tuple[int, ...], int], ...]):
         degrees = set()
         for exps, _ in terms:
             if len(exps) != len(weights):
@@ -172,6 +171,7 @@ class HypersurfaceSpec:
             degrees.add(sum(w * e for w, e in zip(weights, exps)))
         if len(degrees) > 1:
             raise ValueError(f"terms have different weighted degrees: {sorted(degrees)}")
+        return super().__new__(cls, weights, terms)
 
 
 def family_hypersurface(data: DeformationData, lam: int) -> HypersurfaceSpec:

@@ -21,7 +21,7 @@ back exactly; the divisibility checks run in Z[T].
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import reduce
 from math import gcd
 from operator import mul
@@ -129,8 +129,9 @@ def multiplicative_character(field: FiniteField, d: int, generator: int | None =
     if j < 0 or gcd(j, q - 1) != 1:
         raise ValueError("supplied element does not generate the unit group")
     u = pow(j, -1, q - 1)
-    # v = x^m, m != 0, and 1 - v = 1 + x^(m + log(-1)) = x^zech[m + log(-1)]
-    zech, shift = field.zech, field.log[field.p - 1]
+    # v = x^m, m != 0, and 1 - v = 1 + x^(m + log(-1)) = x^zech[m + log(-1)];
+    # log(-1) is (q - 1)/2 for odd q, and 0 for even q, where -1 = 1
+    zech, shift = field.zech, (q - 1) // 2 if q % 2 else 0
     counts = Counter((u * m % d, u * zech[(m + shift) % (q - 1)] % d) for m in range(1, q - 1))
     return CharacterTable(field, d, generator, shift % d, tuple((x, y, c) for (x, y), c in counts.items()))
 
@@ -288,25 +289,10 @@ def lift_types(types, d_from: int, d_to: int) -> list[tuple[int, ...]]:
     return sorted(tuple(scale * e for e in k) for k in types)
 
 
-class CommonFactorReport:
-    """Outcome of the common-factor divisibility check at lambda = 0.
+class CommonFactorReport(namedtuple("CommonFactorReport", "joint_degree common_poly family_polys divides")):
+    """Outcome of the common-factor divisibility check at lambda = 0."""
 
-    Instances are treated as immutable.
-    """
-
-    __slots__ = ("joint_degree", "common_poly", "family_polys", "divides")
-
-    def __init__(
-        self,
-        joint_degree: int,
-        common_poly: CharPoly,
-        family_polys: tuple[CharPoly, ...],
-        divides: tuple[bool, ...],
-    ):
-        self.joint_degree = joint_degree
-        self.common_poly = common_poly
-        self.family_polys = family_polys
-        self.divides = divides
+    __slots__ = ()
 
     @property
     def common_degree(self) -> int:

@@ -541,6 +541,18 @@ def test_g_kernel_refused_before_the_pf_walk(tmp_path, command, monkeypatch, cap
     assert captured.err == "error: invariant-type kernel of 9000000000000 points exceeds the enumeration limit 4000000\n"
 
 
+def test_gmax_prints_the_sorted_interior_multiples_of_b(tmp_path):
+    # d = n and b = (1, 1, n - 2), so t*b = (t, t, -2t) mod n is interior unless t = 0 or 2t = n
+    n = 2_000
+    path = tmp_path / "wide_pf.json"
+    path.write_text(json.dumps({"matrix": [[n, 0, 0], [0, n, 0], [0, 0, n]], "deformation": [1, 1, n - 2]}))
+    multiples = {tuple(t * x % n for x in (1, 1, n - 2)) for t in range(n)}
+    want = [",".join(map(str, k)) + "\tPF" for k in sorted(k for k in multiples if all(k))]
+    status, text = run_cli(["invariants", str(path), "--group", "Gmax"])
+    assert status == 0 and len(want) == n - 2
+    assert text.splitlines() == want
+
+
 def test_pf_group_limit_is_its_order(monkeypatch):
     data = deformation.family("family9")
     order = data.degree // math.gcd(data.degree, *data.cover_exponents)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -13,6 +15,9 @@ from delsarte.deformation import (
     family_keys,
 )
 from delsarte.exactalg import IntMatrix
+from delsarte.monomials import reduce_form
+from delsarte.pointcount import family_hypersurface
+from delsarte.zetafermat import CharPoly, CommonFactorReport
 
 from golden_data import SUMMARY_TABLE
 from oracles import diagonal_matrix
@@ -146,3 +151,37 @@ def test_equation_string():
         equation_string(family("family2"))
         == "x0^4+x1^4+x2^3*x3+x2*x3^3"
     )
+
+
+VALUE_RECORDS = {
+    "DeformationData": lambda: family("family2"),
+    "IntMatrix": lambda: IntMatrix(FAMILIES["family2"][0]),
+    "HypersurfaceSpec": lambda: family_hypersurface(family("family2"), 3),
+    "ReducedForm": lambda: reduce_form((5, 1, 1, 1), 4),
+    "CommonFactorReport": lambda: CommonFactorReport(4, CharPoly((1, -1)), (CharPoly((1, -1)),), (True,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_RECORDS))
+def test_value_records_are_immutable_named_tuples(name):
+    record = VALUE_RECORDS[name]()
+    cls = type(record)
+    assert cls.__name__ == name and cls.__slots__ == () and hasattr(cls, "_fields")
+    assert not {"__init__", "__eq__", "__hash__", "__repr__"} & set(vars(cls))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    # value equality and hashing, as tuples; copies and pickles rebuild an equal record
+    twin = VALUE_RECORDS[name]()
+    assert record == twin and hash(record) == hash(twin)
+    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+
+
+def test_int_matrix_normalises_and_checks_its_rows():
+    m = IntMatrix([[1, 2.0], [3, True]])
+    assert m == (((1, 2), (3, 1)), 2) and type(m.rows[1][1]) is int
+    for rows, message in (([[1]], "at least 2"), ([[1, 2], [3]], "square")):
+        with pytest.raises(ValueError, match=message):
+            IntMatrix(rows)

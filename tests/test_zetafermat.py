@@ -151,6 +151,20 @@ def test_minus_one_is_the_exponent_of_chi_at_minus_one(p, k):
             assert 2 * table.minus_one in (0, d), (q, g, d)  # chi(-1) = +-1
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (73, 1), (3, 4), (97, 1)])
+def test_log_of_minus_one_is_read_off_q(p, k):
+    # x has order q - 1, so -1 = x^((q-1)/2) for odd q; for even q, -1 = 1 = x^0
+    f = FiniteField(p, k)
+    q = f.q
+    shift = (q - 1) // 2 if q % 2 else 0
+    assert f.exp[shift] == f.p - 1 and f.log[f.p - 1] == shift
+    other = next(f.exp[j] for j in range(2, q - 1) if math.gcd(j, q - 1) == 1) if q > 3 else f.generator
+    for d in (d for d in range(1, q) if (q - 1) % d == 0):
+        default = multiplicative_character(f, d)
+        assert default.minus_one == shift % d, (q, d)
+        assert multiplicative_character(f, d, generator=other).minus_one == default.minus_one, (q, d)
+
+
 # -- point counts as certification ----------------------------------------------
 
 
