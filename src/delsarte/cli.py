@@ -21,10 +21,6 @@ from .deformation import DeformationData
 USAGE_ERROR = 2
 
 
-class CliError(Exception):
-    pass
-
-
 def resolve_family(ref: str) -> DeformationData:
     """Registry key or JSON path -> deformation data, with diagnostics."""
     if ref in deformation.FAMILIES:
@@ -34,27 +30,27 @@ def resolve_family(ref: str) -> DeformationData:
             with open(ref, "r", encoding="utf-8") as handle:
                 obj = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read family file {ref}: {exc}") from exc
+            raise ValueError(f"cannot read family file {ref}: {exc}") from exc
         try:
             return deformation.data_from_json(obj)
         except ValueError as exc:
-            raise CliError(f"invalid family data in {ref}: {exc}") from exc
-    raise CliError(f"unknown family {ref!r}: not a registry key and not a file")
+            raise ValueError(f"invalid family data in {ref}: {exc}") from exc
+    raise ValueError(f"unknown family {ref!r}: not a registry key and not a file")
 
 
 def parse_prime_power(q: int, ext: int = 1) -> tuple[int, int]:
     """p, k with q = p^k; F_(q^ext) above the DELSARTE_MAX_Q bound is refused before q is factored."""
     if q < 2:
-        raise CliError(f"{q} is not a prime power")
+        raise ValueError(f"{q} is not a prime power")
     bound = pointcount._max_q()
     # q^ext >= 2^ext, so a huge ext exceeds the bound without being computed
     if ext > max(bound, 1).bit_length():
-        raise CliError(f"field size {q}^{ext} exceeds the configured bound")
+        raise ValueError(f"field size {q}^{ext} exceeds the configured bound")
     if q**ext > bound:
-        raise CliError(f"field size {q**ext} exceeds the configured bound")
+        raise ValueError(f"field size {q**ext} exceeds the configured bound")
     factors = pointcount.prime_factors(q)
     if len(factors) != 1:
-        raise CliError(f"{q} is not a prime power")
+        raise ValueError(f"{q} is not a prime power")
     p = factors[0]
     k = 1
     while p**k < q:
@@ -62,13 +58,9 @@ def parse_prime_power(q: int, ext: int = 1) -> tuple[int, int]:
     return p, k
 
 
-def format_vector(v) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
-
-
 def _analyze_row(ref: str, data: DeformationData) -> list[str]:
     pf, dim_w, c = monomials.dimension_triple(data)
-    return [ref, str(data.degree), format_vector(data.cover_exponents), str(pf), str(dim_w), str(c)]
+    return [ref, str(data.degree), f"({monomials.format_type(data.cover_exponents)})", str(pf), str(dim_w), str(c)]
 
 
 ANALYZE_HEADER = "family\td\tb\tPF\tdimW\tc"
@@ -83,12 +75,12 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_table10(args, out) -> int:
-    keys = deformation.family_keys()
+    keys = list(deformation.FAMILIES)
     if args.only:
         wanted = args.only.split(",")
         for key in wanted:
             if key not in keys:
-                raise CliError(f"--only key {key!r} is not a built-in family")
+                raise ValueError(f"--only key {key!r} is not a built-in family")
         keys = [k for k in keys if k in wanted]
     print(TABLE10_HEADER, file=out)
     status = 0
@@ -132,7 +124,7 @@ def cmd_common_factor(args, out) -> int:
     data_list = [resolve_family(ref) for ref in args.families]
     report = zetafermat.verify_common_factor(data_list, *parse_prime_power(args.q))
     print(f"joint_degree\t{report.joint_degree}", file=out)
-    print(f"common_degree\t{report.common_degree}", file=out)
+    print(f"common_degree\t{report.common_poly.degree}", file=out)
     print(f"common_poly\t{report.common_poly}", file=out)
     status = 0
     for ref, poly, ok in zip(args.families, report.family_polys, report.divides):
@@ -146,7 +138,7 @@ def cmd_common_factor(args, out) -> int:
 
 def cmd_count(args, out) -> int:
     if args.ext < 1:
-        raise CliError(f"--ext must be at least 1, got {args.ext}")
+        raise ValueError(f"--ext must be at least 1, got {args.ext}")
     if args.scan:
         return _scan(args, out)
     p, k = parse_prime_power(args.q, args.ext)
@@ -159,10 +151,10 @@ def _scan(args, out) -> int:
     """General position of every member of the cover over the closure of F_p."""
     for option, given in (("--ext", args.ext != 1), ("--lambda", args.lam is not None)):
         if given:
-            raise CliError(f"--scan covers every lambda over the closure of F_p and takes no {option}")
+            raise ValueError(f"--scan covers every lambda over the closure of F_p and takes no {option}")
     p, k = parse_prime_power(args.q)
     if k > 1:
-        raise CliError(f"--scan takes a prime --q, got {args.q} = {p}^{k}")
+        raise ValueError(f"--scan takes a prime --q, got {args.q} = {p}^{k}")
     data = resolve_family(args.family)
     for lam in range(p):
         ok = pointcount.cover_in_general_position(data.degree, data.cover_exponents, lam, p)
@@ -234,7 +226,7 @@ def main(argv=None) -> int:
         status = args.func(args, sys.stdout)
         sys.stdout.flush()  # a closed stdout fails here, inside the handler
         return status
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:

@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import cache
 from math import lcm
 
-from .exactalg import IntMatrix, SingularMatrixError, minimal_map_matrix
+from .exactalg import IntMatrix, SingularMatrixError, int_entries, minimal_map_matrix
 
 
 class DeformationError(ValueError):
@@ -38,11 +38,12 @@ def build(a_matrix: IntMatrix, deformation) -> DeformationData:
     them once per distinct input and hands every caller the same immutable
     instance; invalid input raises on every call.
     """
-    return _build(a_matrix, tuple(deformation))
+    # before the memo, where (A, (1.0, ...)) and (A, (True, ...)) would hit the key (A, (1, ...))
+    return _build(a_matrix, int_entries(deformation, "deformation vector"))
 
 
 @cache
-def _build(a_matrix: IntMatrix, deformation: tuple) -> DeformationData:
+def _build(a_matrix: IntMatrix, a_vec: tuple) -> DeformationData:
     # every violated condition on A is reported at once
     problems, n = [], a_matrix.n
     if any(x < 0 for row in a_matrix.rows for x in row):
@@ -60,14 +61,13 @@ def _build(a_matrix: IntMatrix, deformation: tuple) -> DeformationData:
         problems.append("inverse weight vector has a nonpositive entry")
     if problems:
         raise DeformationError("; ".join(problems))
-    a_vec = tuple(int(x) for x in deformation)
     if len(a_vec) != n:
         raise DeformationError("deformation vector has wrong length")
     if any(x < 0 for x in a_vec):
         raise DeformationError("deformation vector has a negative entry")
     if sum(ai * wi for ai, wi in zip(a_vec, weights)) != d:
         raise DeformationError("not a deformation vector: weighted degree differs from d")
-    b_vec = b_matrix.row_times(a_vec)
+    b_vec = tuple(sum(x * y for x, y in zip(a_vec, col)) for col in zip(*b_matrix.rows))
     if any(x < 0 for x in b_vec):
         raise DeformationError("negative cover exponent")
     assert sum(b_vec) == d
@@ -114,10 +114,6 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {
     # x0^3 x1 + x1^3 x2 + x2^3 x3 + x3^4
     "family10": (((3, 1, 0, 0), (0, 3, 1, 0), (0, 0, 3, 1), (0, 0, 0, 4)), (1, 1, 1, 1)),
 }
-
-
-def family_keys() -> list[str]:
-    return list(FAMILIES)
 
 
 def family(key: str) -> DeformationData:

@@ -17,13 +17,22 @@ class SingularMatrixError(ValueError):
     """Raised when an operation needs an invertible matrix and det = 0."""
 
 
+def int_entries(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints; an entry of another type (True, 4.7, "3") raises a ValueError naming it."""
+    values = tuple(values)
+    for i, x in enumerate(values):
+        if type(x) is not int:
+            raise ValueError(f"{what} entry {i} is {x!r}, not an integer")
+    return values
+
+
 class IntMatrix(namedtuple("IntMatrix", "rows n")):
     """Square n x n matrix, n >= 2, of arbitrary-precision integers; all arithmetic is exact."""
 
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(int_entries(row, f"matrix row {i}") for i, row in enumerate(rows))
         n = len(rows)
         if n < 2:
             raise ValueError("matrix dimension must be at least 2")
@@ -33,14 +42,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows n")):
 
     def __getnewargs__(self):  # copy and pickle rebuild from the rows alone
         return (self.rows,)
-
-    def row_times(self, v) -> tuple[int, ...]:
-        """Row vector times matrix: (v M)_j = sum_i v_i M[i][j]."""
-        n = self.n
-        v = tuple(v)
-        if len(v) != n:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(v[i] * self.rows[i][j] for i in range(n)) for j in range(n))
 
 
 def diagonalize(rows) -> tuple[list[list[int]], list[int], list[list[int]]]:

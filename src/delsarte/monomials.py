@@ -17,7 +17,7 @@ from functools import cache
 from math import gcd, prod
 
 from .deformation import DeformationData
-from .exactalg import kernel_elements, kernel_mod
+from .exactalg import int_entries, kernel_elements, kernel_mod
 
 # Hard cap on the number of points walked for the invariant types below
 # (the kernel, or the multiples of b); the built-in families stay below
@@ -216,7 +216,7 @@ def reduce_form(exponents, d: int) -> ReducedForm:
     an entry equal to d (numerator exponent d - 1) kills the class.
     The accumulated coefficient is independent of the reduction order.
     """
-    entries = [int(x) for x in exponents]
+    entries = list(int_entries(exponents, "exponent vector"))
     if any(e < 1 for e in entries):
         raise ValueError("all entries must be >= 1")
     total = sum(entries)

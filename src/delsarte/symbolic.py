@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from . import deformation
 from .cyclotomic import CyclotomicElement
-from .exactalg import power
+from .exactalg import int_entries, power
 
 # Canonical variable order.  A monomial is packed into one int with a
 # 16-bit field per variable, VAR_ORDER[0] highest, and the total degree in
@@ -148,7 +148,7 @@ class MultiPoly:
             raise ValueError(f"repeated variable in {tuple(vars)!r}")
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(exps)
+            exps = int_entries(exps, "exponent tuple")
             if len(exps) != len(shifts):
                 raise ValueError(f"exponent tuple {exps!r} does not match the variables {tuple(vars)!r}")
             key = total = 0
@@ -704,11 +704,6 @@ def bitangent_restriction(i: int) -> list[MultiPoly]:
     return list(_restriction(i))
 
 
-def bitangent_leading_factor(i: int) -> MultiPoly:
-    """The x2^4 coefficient of the restricted quartic (a polynomial in a2)."""
-    return _restriction(i)[0]
-
-
 @cache
 def bitangent_eliminant(i: int) -> MultiPoly:
     """Eliminant in (lam, a2) whose roots give the slant bitangents.
@@ -926,7 +921,7 @@ def appendix_checks(seed: int = 0, only=None) -> list[tuple[str, bool]]:
         checks.append(
             (
                 f"leading-factor-{i}",
-                lambda i=i: (bitangent_leading_factor(i) - expected_leading_factor(i)).is_zero(),
+                lambda i=i: (bitangent_restriction(i)[0] - expected_leading_factor(i)).is_zero(),
             )
         )
         checks.append(

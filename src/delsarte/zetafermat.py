@@ -294,14 +294,6 @@ class CommonFactorReport(namedtuple("CommonFactorReport", "joint_degree common_p
 
     __slots__ = ()
 
-    @property
-    def common_degree(self) -> int:
-        return self.common_poly.degree
-
-    @property
-    def all_divide(self) -> bool:
-        return all(self.divides)
-
 
 def verify_common_factor(data_list, p: int, k: int) -> CommonFactorReport:
     """Check over F_q, q = p^k, that the joint-invariant factor divides each family's factor.

@@ -250,6 +250,13 @@ def matrix_product(a, b):
     return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a.rows))
 
 
+def vector_times(v, m):
+    """The row vector v*M."""
+    if len(v) != m.n:
+        raise ValueError("dimension mismatch")
+    return tuple(sum(map(mul, v, col)) for col in zip(*m.rows))
+
+
 def embedding(elem):
     """Numerical image of a cyclotomic element under zeta -> exp(2*pi*i/N)."""
     z = cmath.exp(2j * cmath.pi / elem.order)

@@ -435,7 +435,7 @@ def test_verify_appendix_only_empty_token(capsys):
 
 def test_family_added_to_the_registry_is_listed_and_tabled(monkeypatch):
     monkeypatch.setitem(deformation.FAMILIES, "family11", deformation.FAMILIES["family7"])
-    assert deformation.family_keys() == [f"family{i}" for i in range(1, 12)]
+    assert list(deformation.FAMILIES) == [f"family{i}" for i in range(1, 12)]
     status, text = run_cli(["table10"])
     rows = [line.split("\t") for line in text.splitlines()[1:]]
     assert status == 0 and len(rows) == 11
@@ -471,6 +471,8 @@ _SQUARE = [[4, 0], [0, 4]]
         ({"matrix": _SQUARE, "deformation": 3}, "deformation"),
         ({"matrix": _SQUARE, "deformation": [1.5, 1]}, "deformation"),
         ({"matrix": _SQUARE, "deformation": [True, 1]}, "deformation"),
+        ({"matrix": _SQUARE, "deformation": [1.0, 1]}, "deformation"),
+        ({"matrix": [[4.0, 0], [0, 4]], "deformation": [1, 1]}, "matrix"),
     ],
 )
 def test_json_family_malformed_field(tmp_path, capsys, obj, field):
@@ -631,5 +633,5 @@ def test_parse_prime_power():
     assert cli.parse_prime_power(2) == (2, 1)
     assert cli.parse_prime_power(1024) == (2, 10)
     for q in (12, 1, 0, -4):
-        with pytest.raises(cli.CliError, match=f"{q} is not a prime power"):
+        with pytest.raises(ValueError, match=f"{q} is not a prime power"):
             cli.parse_prime_power(q)

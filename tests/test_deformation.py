@@ -12,7 +12,6 @@ from delsarte.deformation import (
     data_from_json,
     equation_string,
     family,
-    family_keys,
 )
 from delsarte.exactalg import IntMatrix
 from delsarte.monomials import reduce_form
@@ -20,7 +19,7 @@ from delsarte.pointcount import family_hypersurface
 from delsarte.zetafermat import CharPoly, CommonFactorReport
 
 from golden_data import SUMMARY_TABLE
-from oracles import diagonal_matrix
+from oracles import diagonal_matrix, vector_times
 
 
 def test_validate_family1_clean():
@@ -69,13 +68,13 @@ def test_build_rejects_negative_cover_exponent():
 
 
 def test_all_families_match_summary():
-    for key in family_keys():
+    for key in FAMILIES:
         data = family(key)
         d, b, _, _, _ = SUMMARY_TABLE[key]
         assert data.degree == d
         assert data.cover_exponents == b
         assert sum(data.cover_exponents) == data.degree
-        assert data.map_matrix.row_times(data.deformation) == data.cover_exponents
+        assert vector_times(data.deformation, data.map_matrix) == data.cover_exponents
         assert sum(a * w for a, w in zip(data.deformation, data.weights)) == data.degree
 
 
@@ -180,8 +179,34 @@ def test_value_records_are_immutable_named_tuples(name):
 
 
 def test_int_matrix_normalises_and_checks_its_rows():
-    m = IntMatrix([[1, 2.0], [3, True]])
-    assert m == (((1, 2), (3, 1)), 2) and type(m.rows[1][1]) is int
+    m = IntMatrix([[1, 2], [3, 4]])
+    assert m == (((1, 2), (3, 4)), 2) and type(m.rows[1]) is tuple
     for rows, message in (([[1]], "at least 2"), ([[1, 2], [3]], "square")):
         with pytest.raises(ValueError, match=message):
             IntMatrix(rows)
+
+
+def test_int_matrix_refuses_a_float_entry():
+    # int() would truncate 4.7 to 4
+    with pytest.raises(ValueError, match="matrix row 0 entry 0 is 4.7, not an integer"):
+        IntMatrix([[4.7, 0], [0, 4]])
+
+
+def test_int_matrix_refuses_a_string_or_bool_entry():
+    # int() would parse "3" as 3 and read True as 1
+    with pytest.raises(ValueError, match="matrix row 0 entry 0 is '3', not an integer"):
+        IntMatrix([["3", 0], [0, True]])
+    with pytest.raises(ValueError, match="matrix row 1 entry 1 is True, not an integer"):
+        IntMatrix([[3, 0], [0, True]])
+
+
+def test_build_refuses_a_non_integer_deformation_entry():
+    fermat = diagonal_matrix((4, 4, 4, 4))
+    # int() would read (1.9, 1, 1, 1.2) as (1, 1, 1, 1)
+    with pytest.raises(ValueError, match="deformation vector entry 0 is 1.9, not an integer"):
+        build(fermat, (1.9, 1, 1, 1.2))
+    # 1.0 and True hash as 1, so the check must come before the memo of (A, a)
+    assert build(fermat, (1, 1, 1, 1)).cover_exponents == (1, 1, 1, 1)
+    for a_vec, entry in (((1, 1, 1.0, 1), "2 is 1.0"), ((1, True, 1, 1), "1 is True")):
+        with pytest.raises(ValueError, match=f"deformation vector entry {entry}, not an integer"):
+            build(fermat, a_vec)

@@ -92,8 +92,6 @@ UNREFERENCED_ALLOWED = {
     "reduce_form": "acceptance criterion 11 reduces every form with it",
     "fermat_hypersurface": "acceptance criterion 5 counts the Fermat hypersurfaces with it",
     "frobenius_trace": "acceptance criterion 12 subtracts the invariant trace from the count with it",
-    "all_divide": "acceptance criterion 4 reads each grouping's divisibility verdict off it",
-    "bitangent_restriction": "its digests are pinned in tests/test_symbolic_pins.py",
 }
 
 
@@ -225,3 +223,41 @@ def test_exactalg_imports_nothing_from_the_package():
         "." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
     ]
     assert modules and not [m for m in modules if m.startswith(".") or m.split(".")[0] == "delsarte"]
+
+
+def int_conversions(source: str) -> list[str]:
+    """The innermost function around each `int(...)` call and each `map(int, ...)`, sorted.
+
+    A call outside every function counts as `<module>`.
+    """
+    tree = ast.parse(source)
+    owner = {}
+    for node in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(inner), node.name) for inner in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        first = node.args[0] if node.args else None
+        if node.func.id == "int" or (node.func.id == "map" and isinstance(first, ast.Name) and first.id == "int"):
+            found.append(owner.get(id(node), "<module>"))
+    return sorted(found)
+
+
+def test_int_conversions_detector():
+    source = (
+        "LIMIT = int('7')\n"
+        "def outer(rows):\n"
+        "    def inner(x):\n"
+        "        return int(x)\n"
+        "    return [tuple(map(int, row)) for row in rows], map(str, rows), rng.randint(0, 1)\n"
+    )
+    assert int_conversions(source) == ["<module>", "inner", "outer"]
+
+
+def test_library_input_is_not_truncated_to_int():
+    # int(4.7) is 4 and int(True) is 1; entries are refused unless type(x) is int,
+    # and only the environment string of the field-size bound is parsed
+    found = {path.stem: names for path in SOURCES if (names := int_conversions(path.read_text()))}
+    assert found == {"pointcount": ["_max_q"]}

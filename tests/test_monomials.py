@@ -7,7 +7,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from delsarte import monomials
-from delsarte.deformation import DeformationError, FAMILIES, build, family, family_keys
+from delsarte.deformation import DeformationError, FAMILIES, build, family
 from delsarte.exactalg import IntMatrix
 from delsarte.monomials import (
     dimension_triple,
@@ -31,6 +31,7 @@ from oracles import (
     is_gmax_invariant,
     oracle_reduce,
     strong_classes_by_closure,
+    vector_times,
     weak_classes_all_units,
 )
 
@@ -73,7 +74,7 @@ def test_gmax_sets():
 
 def test_gmax_sets_match_multiple_oracle():
     # the G-invariant types contain every interior multiple of b
-    for key in family_keys():
+    for key in FAMILIES:
         data = family(key)
         b, d = data.cover_exponents, data.degree
         want = [k for k in g_invariant_types(data) if is_gmax_invariant(k, b, d)]
@@ -111,7 +112,7 @@ def test_invariant_tables_golden():
         expected_pf = sorted(k for _, k, pf in table if pf)
         assert gmax_invariant_types(data) == expected_pf
         for m, k, _ in table:
-            assert tuple(x % d for x in data.map_matrix.row_times(m)) == k
+            assert tuple(x % d for x in vector_times(m, data.map_matrix)) == k
 
 
 def _build_or_reject(rows):
@@ -184,7 +185,7 @@ def _fermat_deformations(draw):
 
 
 def test_gmax_types_match_every_multiplier_oracle_on_families():
-    for key in family_keys():
+    for key in FAMILIES:
         data = family(key)
         assert gmax_invariant_types(data) == gmax_types_by_every_multiplier(data), key
 
@@ -218,7 +219,7 @@ def test_warm_invariant_walk_still_checks_the_limit(monkeypatch):
 
 
 def test_invariant_image_order_on_families():
-    for key in family_keys():
+    for key in FAMILIES:
         data = family(key)
         assert len(invariant_image(data)) == abs(determinant(data.matrix))
 
@@ -226,7 +227,7 @@ def test_invariant_image_order_on_families():
 def test_invariant_witness_roundtrip():
     # for an invariant type, m := k*A/d is an exact integer witness with
     # m*B == k (not just mod d)
-    for key in family_keys():
+    for key in FAMILIES:
         data = family(key)
         d = data.degree
         for k in g_invariant_types(data):
@@ -234,11 +235,11 @@ def test_invariant_witness_roundtrip():
             m = [sum(k[i] * image[i][j] for i in range(4)) for j in range(4)]
             assert all(x % d == 0 for x in m)
             m = tuple(x // d for x in m)
-            assert data.map_matrix.row_times(m) == k
+            assert vector_times(m, data.map_matrix) == k
 
 
 def test_invariant_chain():
-    for key in family_keys():
+    for key in FAMILIES:
         data = family(key)
         gmax = set(gmax_invariant_types(data))
         ginv = set(g_invariant_types(data))
@@ -335,7 +336,7 @@ def test_strong_classes_family1_regression():
 
 
 def test_strong_classes_match_closure_oracle_on_families():
-    for key in family_keys():
+    for key in FAMILIES:
         data = family(key)
         b, d = data.cover_exponents, data.degree
         for types in (g_invariant_types(data), gmax_invariant_types(data)):
@@ -455,6 +456,14 @@ def test_reduce_form_validation():
         reduce_form((0, 1, 1, 2), 4)
     with pytest.raises(ValueError):
         reduce_form((1, 1, 1, 2), 4)
+
+
+def test_reduce_form_refuses_a_non_integer_entry():
+    # int() would truncate 1.5, and (1.5, 2, 3, 2) would reduce to the basis (1, 2, 3, 2)
+    with pytest.raises(ValueError, match="exponent vector entry 0 is 1.5, not an integer"):
+        reduce_form((1.5, 2, 3, 2), 4)
+    with pytest.raises(ValueError, match="exponent vector entry 3 is True, not an integer"):
+        reduce_form((1, 2, 4, True), 4)
 
 
 def test_reduce_form_vs_oracle_random():

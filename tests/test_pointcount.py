@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import OracleField, brute_count_cone, brute_general_position, count_cone_by_strata, verify_cover_map
 
 from delsarte import cli, pointcount
-from delsarte.deformation import family, family_keys
+from delsarte.deformation import FAMILIES, family
 from delsarte.exactalg import kernel_elements, kernel_mod
 from delsarte.pointcount import (
     FiniteField,
@@ -351,7 +351,7 @@ def test_count_cone_matches_oracle(case):
 
 
 def test_count_cone_matches_oracle_on_families():
-    for key in family_keys():
+    for key in FAMILIES:
         for lam in range(3):
             spec = family_hypersurface(family(key), lam=lam)
             for f in (ORACLE_FIELDS[5], ORACLE_FIELDS[4]):
@@ -446,7 +446,7 @@ STRATA_FIELDS = [FiniteField(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
 
 def test_count_cone_matches_per_stratum_count_on_families():
     for f in STRATA_FIELDS:
-        for key in family_keys():
+        for key in FAMILIES:
             for lam in range(f.p):
                 spec = family_hypersurface(family(key), lam)
                 assert count_cone(spec, f, torus_strata(spec, f.p, f.q)) == count_cone_by_strata(spec, f), (key, f.q, lam)
@@ -461,7 +461,7 @@ def test_one_kernel_per_count(monkeypatch):
 
     monkeypatch.setattr(pointcount, "kernel_mod", counting)
     f = FiniteField(13)
-    for key in family_keys():
+    for key in FAMILIES:
         calls.clear()
         count_points(family_hypersurface(family(key), 3), f.p, f.k)
         assert calls == [5], key
@@ -624,7 +624,7 @@ def test_cover_map_fibers_uniform():
 
 def test_cover_map_all_families_small_scan():
     f = FiniteField(13)
-    for key in family_keys():
+    for key in FAMILIES:
         data = family(key)
         for lam in (0, 1, 2):
             report = verify_cover_map(data, lam, f)

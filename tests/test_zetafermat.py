@@ -611,24 +611,24 @@ def test_common_factor_families_123():
     f = FiniteField(17)
     report = verify_common_factor([family(f"family{i}") for i in (1, 2, 3)], f.p, f.k)
     assert report.joint_degree == 8
-    assert report.common_degree == 5
-    assert report.all_divide
+    assert report.common_poly.degree == 5
+    assert all(report.divides)
     assert [p.degree for p in report.family_polys] == [21, 15, 13]
 
 
 def test_common_factor_families_12():
     f = FiniteField(17)
     report = verify_common_factor([family("family1"), family("family2")], f.p, f.k)
-    assert report.common_degree == 7
-    assert report.all_divide
+    assert report.common_poly.degree == 7
+    assert all(report.divides)
 
 
 def test_common_factor_single_family():
     f = FiniteField(17)
     report = verify_common_factor([family("family2")], f.p, f.k)
-    assert report.common_degree == report.family_polys[0].degree == 15
+    assert report.common_poly.degree == report.family_polys[0].degree == 15
     assert report.common_poly == report.family_polys[0]
-    assert report.all_divide
+    assert all(report.divides)
 
 
 def test_common_factor_report_keywords():
@@ -636,7 +636,7 @@ def test_common_factor_report_keywords():
     report = CommonFactorReport(
         joint_degree=4, common_poly=common, family_polys=(other,), divides=(True,)
     )
-    assert (report.joint_degree, report.common_degree, report.all_divide) == (4, 1, True)
+    assert (report.joint_degree, report.common_poly.degree, all(report.divides)) == (4, 1, True)
     assert report.family_polys == (other,)
 
 
@@ -703,7 +703,7 @@ def test_common_degree_equals_intersection_cardinality():
     lifted = [set(lift_types(g_invariant_types(x), x.degree, 8)) for x in fams]
     assert len(set.intersection(*lifted)) == 5
     report = verify_common_factor(fams, f.p, f.k)
-    assert report.common_degree == 5
+    assert report.common_poly.degree == 5
     lifted12 = [set(lift_types(g_invariant_types(x), x.degree, 8)) for x in fams[:2]]
     assert len(set.intersection(*lifted12)) == 7
 
@@ -831,7 +831,7 @@ def test_quintic_fermat_f1l4_common_factor_at_256():
     fermat, f1l4 = quintic("fermat"), quintic("f1l4")
     assert (fermat.degree, f1l4.degree) == (5, 255)
     report = verify_common_factor([fermat, f1l4], 2, 8)
-    assert (report.joint_degree, report.common_degree) == (255, 4)
+    assert (report.joint_degree, report.common_poly.degree) == (255, 4)
     assert report.divides == (True, True)
     assert [p.degree for p in report.family_polys] == [204, 204]
     # F1L4 has orbits at e = 255, whose norms from Q(zeta_255) have degree phi(255) = 128
@@ -840,7 +840,7 @@ def test_quintic_fermat_f1l4_common_factor_at_256():
 
 def test_quintic_fermat_l2f3_common_factor_at_31():
     report = verify_common_factor([quintic("fermat"), quintic("l2f3")], 31, 1)
-    assert (report.joint_degree, report.common_degree) == (15, 52)
+    assert (report.joint_degree, report.common_poly.degree) == (15, 52)
     assert report.divides == (True, True)
     assert [p.degree for p in report.family_polys] == [204, 180]
 
@@ -854,14 +854,14 @@ def test_quintic_l2l3_and_l5_dimension_triples():
 def test_quintic_fermat_l2f3_l2l3_common_factor_at_1171():
     names = ("fermat", "l2f3", "l2l3")
     report = verify_common_factor([quintic(name) for name in names], 1171, 1)
-    assert (report.joint_degree, report.common_degree) == (195, 4)
+    assert (report.joint_degree, report.common_poly.degree) == (195, 4)
     assert [p.degree for p in report.family_polys] == [204, 180, 180]
-    assert report.all_divide
+    assert all(report.divides)
 
 
 def test_quintic_fermat_l5_common_factor_at_6151():
     report = verify_common_factor([quintic("fermat"), quintic("l5")], 6151, 1)
-    assert (report.joint_degree, report.common_degree) == (1025, 4)
+    assert (report.joint_degree, report.common_poly.degree) == (1025, 4)
     assert report.divides == (True, True)
 
 
