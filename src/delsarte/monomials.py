@@ -216,6 +216,8 @@ def reduce_form(exponents, d: int) -> ReducedForm:
     an entry equal to d (numerator exponent d - 1) kills the class.
     The accumulated coefficient is independent of the reduction order.
     """
+    if type(d) is not int or d < 1:
+        raise ValueError(f"d is {d!r}, not an integer >= 1")
     entries = list(int_entries(exponents, "exponent vector"))
     if any(e < 1 for e in entries):
         raise ValueError("all entries must be >= 1")

@@ -722,8 +722,7 @@ def bitangent_eliminant(i: int) -> MultiPoly:
     c_lead = r0
     e1 = 8 * c_lead**2 * r3 - 4 * c_lead * r1 * r2 + r1**3
     e2 = 64 * c_lead**3 * r4 - (4 * c_lead * r2 - r1**2) ** 2
-    res = resultant(e1, e2, "a3")
-    return _strip_spurious(res.primitive_part()).primitive_part()
+    return _strip_spurious(resultant(e1, e2, "a3")).primitive_part()
 
 
 @cache

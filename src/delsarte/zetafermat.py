@@ -2,7 +2,8 @@
 
 For d | q - 1 the middle cohomology of the degree-d Fermat hypersurface
 splits into eigenlines indexed by interior monomial types, and the
-Frobenius eigenvalue on the line of k is a Jacobi-type character sum.
+Frobenius eigenvalue on the line of k is a Jacobi-type character sum,
+which `jacobi_eigenvalue` alone checks and builds by the pair-sum recursion.
 Every integer that comes from types goes through one walk over their
 Galois orbits: `char_poly_invariant` multiplies the orbit polynomials,
 and `frobenius_trace` adds up their eigenvalues, so the Lefschetz count
@@ -136,38 +137,6 @@ def multiplicative_character(field: FiniteField, d: int, generator: int | None =
     return CharacterTable(field, d, generator, shift % d, tuple((x, y, c) for (x, y), c in counts.items()))
 
 
-def _jacobi_sum(table: CharacterTable, powers, e: int) -> CyclotomicElement:
-    """J(chi^p1, ..., chi^pm) = sum over v_1 + ... + v_m = 1, v_i nonzero.
-
-    chi is the table's character to the power d/e, of exact order e | d.
-    Every character must be nontrivial.  The sum is built from pair sums
-    (Ireland-Rosen, ch. 8; Berndt-Evans-Williams, ch. 2): with
-    psi = chi^(p1 + ... + p(i-1)),
-      J(.., chi^pi) = J(.., chi^p(i-1)) * J(psi, chi^pi)        if psi != 1,
-      J(.., chi^pi) = chi^p(i-1)(-1) * q * J(.., chi^p(i-2))    if psi == 1,
-    starting from J(chi^p1) = 1, which is never multiplied by; chi^p(-1) is
-    a sign, -1 iff p * table.minus_one is nonzero mod e.
-    """
-    powers = [p % e for p in powers]
-    if not powers:
-        raise ValueError("need at least one character")
-    if 0 in powers:
-        raise ValueError("every character must be nontrivial")
-    q = table.field.q
-    before = current = None  # None stands for J(chi^p1) = 1
-    psi = powers[0]
-    for i in range(1, len(powers)):
-        if psi:
-            pair = table.pair_sum(psi, powers[i], e)
-            nxt = pair if current is None else current * pair
-        else:
-            scale = -q if powers[i - 1] * table.minus_one % e else q
-            nxt = CyclotomicElement.constant(e, scale) if before is None else before * scale
-        before, current = current, nxt
-        psi = (psi + powers[i]) % e
-    return CyclotomicElement.constant(e, 1) if current is None else current
-
-
 def jacobi_eigenvalue(k, table: CharacterTable, order: int | None = None) -> CyclotomicElement:
     """Frobenius eigenvalue on the eigenline of the interior type k = (k_0, ..., k_n) mod e.
 
@@ -178,17 +147,37 @@ def jacobi_eigenvalue(k, table: CharacterTable, order: int | None = None) -> Cyc
     J(psi^(k_0), ..., psi^(k_(n-1))), which stays in Z[zeta_e] and needs
     no additive characters.  As (-1)^2 = 1, psi^(k_n)(-1) is a sign, so
     one negation at most applies both signs.  Its complex absolute value is
-    q^((n-1)/2) in every embedding.
+    q^((n-1)/2) in every embedding.  J, the sum over v_0 + ... + v_(n-1) = 1
+    with every v_i nonzero, is built from pair sums (Ireland-Rosen, ch. 8;
+    Berndt-Evans-Williams, ch. 2): with s = k_0 + ... + k_(i-1) mod e,
+      J(.., psi^k_i) = J(.., psi^k_(i-1)) * J(psi^s, psi^k_i)    if s != 0,
+      J(.., psi^k_i) = psi^k_(i-1)(-1) * q * J(.., psi^k_(i-2))  if s == 0,
+    starting from J(psi^k_0) = 1, which is never multiplied by; psi^a(-1)
+    is a sign, -1 iff a * table.minus_one is nonzero mod e.
     """
     e = table.order if order is None else order
     if e < 1 or table.order % e:
         raise ValueError(f"order {e} does not divide {table.order}")
     k = tuple(x % e for x in k)
+    if len(k) < 2:
+        raise ValueError(f"type {k} needs at least two entries")
     if sum(k) % e != 0:
         raise ValueError(f"type entries must sum to 0 mod {e}")
     if any(x == 0 for x in k):
         raise ValueError("type must be interior (no zero entries)")
-    term = _jacobi_sum(table, k[:-1], e)
+    q = table.field.q
+    before = current = None  # None stands for J(psi^k_0) = 1
+    s = k[0]
+    for i in range(1, len(k) - 1):
+        if s:
+            pair = table.pair_sum(s, k[i], e)
+            nxt = pair if current is None else current * pair
+        else:
+            scale = -q if k[i - 1] * table.minus_one % e else q
+            nxt = CyclotomicElement.constant(e, scale) if before is None else before * scale
+        before, current = current, nxt
+        s = (s + k[i]) % e
+    term = CyclotomicElement.constant(e, 1) if current is None else current
     minus = bool(k[-1] * table.minus_one % e)  # psi^(k_n)(-1) = -1
     return -term if minus != bool(len(k) % 2) else term
 

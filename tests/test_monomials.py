@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -464,6 +465,19 @@ def test_reduce_form_refuses_a_non_integer_entry():
         reduce_form((1.5, 2, 3, 2), 4)
     with pytest.raises(ValueError, match="exponent vector entry 3 is True, not an integer"):
         reduce_form((1, 2, 4, True), 4)
+
+
+# no case can hang without the check: unchecked, d = -4 adds 4 to an entry at
+# every step, so its vector's sum 9 is no multiple of -4 and the loop never starts
+@pytest.mark.parametrize("d, exponents", [(-4, (5, 1, 1, 2)), (0, (5, 1, 1, 1)), (True, (5, 1, 1, 1)), (4.0, (5, 1, 1, 1))])
+def test_reduce_form_refuses_a_bad_degree(d, exponents):
+    with pytest.raises(ValueError, match=re.escape(f"d is {d!r}, not an integer >= 1")):
+        reduce_form(exponents, d)
+
+
+def test_reduce_form_at_degree_one_is_the_zero_class():
+    for vec in ((1, 1), (5, 1, 1, 1), (2, 3)):
+        assert reduce_form(vec, 1) == (Fraction(0), None) == oracle_reduce(vec, 1)
 
 
 def test_reduce_form_vs_oracle_random():

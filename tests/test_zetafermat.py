@@ -15,7 +15,6 @@ from oracles import (
     chi_exponent,
     dense_expand,
     direct_eigenvalue,
-    direct_jacobi_sum,
     embedding,
     enumerate_basis,
     fermat_count_by_trace,
@@ -32,7 +31,6 @@ from delsarte.zetafermat import (
     CommonFactorReport,
     RationalityError,
     _expand,
-    _jacobi_sum,
     char_poly_invariant,
     frobenius_trace,
     jacobi_eigenvalue,
@@ -258,46 +256,6 @@ def test_fermat_count_matches_brute_force_random(field_and_order, data):
 
 
 @st.composite
-def _jacobi_inputs(draw):
-    p, k, d = draw(_field_and_order())
-    m = draw(st.integers(2, 4))
-    powers = draw(st.lists(st.integers(1, d - 1), min_size=m, max_size=m))
-    # optionally make the prefix of length j multiply to the trivial
-    # character (j = m: the full product), the case the pair step skips
-    j = draw(st.integers(1, m))
-    fix = -sum(powers[: j - 1]) % d
-    if j >= 2 and fix:
-        powers[j - 1] = fix
-    return p, k, d, powers
-
-
-@settings(max_examples=80)
-@given(_jacobi_inputs())
-def test_jacobi_sum_matches_direct_sum(inputs):
-    p, k, d, powers = inputs
-    table = _small_table(p, k, d)
-    assert _jacobi_sum(table, powers, d) == direct_jacobi_sum(table, powers)
-
-
-def test_jacobi_sum_trivial_partial_products():
-    # F_13 and F_25 with d = 12: chi^3 * chi^9 is trivial, and so is the
-    # full product in the second tuple
-    for p, k in ((13, 1), (5, 2)):
-        table = _small_table(p, k, 12)
-        for powers in ((3, 9, 5), (3, 9, 5, 7), (1, 11, 4, 8), (2, 5, 5)):
-            assert _jacobi_sum(table, powers, 12) == direct_jacobi_sum(table, powers), (p, k, powers)
-
-
-def test_jacobi_sum_single_and_trivial_characters():
-    table = _small_table(13, 1, 12)
-    assert _jacobi_sum(table, (5,), 12) == 1
-    with pytest.raises(ValueError, match="nontrivial"):
-        _jacobi_sum(table, (3, 12, 5), 12)
-    with pytest.raises(ValueError):
-        _jacobi_sum(table, (), 12)
-
-
-@st.composite
 def _galois_stable_types(draw):
     p, k, d = draw(_field_and_order(max_order=16))
     n = draw(st.integers(2, 3))
@@ -322,16 +280,65 @@ def test_char_poly_matches_type_by_type_oracle(inputs):
     assert char_poly_invariant(types, table) == char_poly_by_types(types, table)
 
 
-@settings(max_examples=40)
-@given(_field_and_order(), st.integers(2, 3), st.data())
-def test_eigenvalue_matches_direct_sum(field_order, n, data):
-    p, k, d = field_order
-    head = data.draw(st.lists(st.integers(1, d - 1), min_size=n, max_size=n))
-    last = -sum(head) % d
-    if last:
+@st.composite
+def _interior_types(draw):
+    """(p, k, d, type): a type of 3 to 5 entries mod d | q - 1, its last entry -sum of the others.
+
+    Optionally the first j entries, 2 <= j < n, are made to sum to 0 mod d:
+    a vanishing proper prefix sum, the case the pair-sum recursion scales by q.
+    """
+    p, k, d = draw(_field_and_order())
+    n = draw(st.integers(2, 4))
+    head = draw(st.lists(st.integers(1, d - 1), min_size=n, max_size=n))
+    j = draw(st.integers(1, n - 1))
+    fix = -sum(head[: j - 1]) % d
+    if j >= 2 and fix:
+        head[j - 1] = fix
+    return p, k, d, tuple(head) + (-sum(head) % d,)
+
+
+@settings(max_examples=80)
+@given(_interior_types())
+def test_eigenvalue_matches_direct_sum(inputs):
+    p, k, d, k0 = inputs
+    if k0[-1]:
         table = _small_table(p, k, d)
-        k0 = tuple(head) + (last,)
         assert jacobi_eigenvalue(k0, table) == direct_eigenvalue(k0, table)
+
+
+@settings(max_examples=80)
+@given(_interior_types())
+def test_jacobi_sum_matches_direct_sum(inputs):
+    # the same draws at order e | q - 1 on the table of order q - 1, so psi = chi^((q-1)/e):
+    # the pair-sum J built over Z[zeta_e], lifted by zeta_e -> zeta_(q-1)^((q-1)/e),
+    # is the direct sum of the lifted type
+    p, k, e, k0 = inputs
+    if k0[-1]:
+        table = _small_table(p, k, p**k - 1)
+        step = table.order // e
+        ev = jacobi_eigenvalue(k0, table, e)
+        lifted = CyclotomicElement(table.order, [c for x in ev.coeffs for c in (x,) + (0,) * (step - 1)])
+        assert lifted == direct_eigenvalue(tuple(x * step for x in k0), table)
+
+
+def test_eigenvalue_vanishing_prefix_sums():
+    # F_13 and F_25 with d = 12: 3 + 9, 1 + 11 and 2 + 5 + 5 vanish mod 12,
+    # so the recursion scales by q, from J = 1 and from a pair sum
+    for p, k in ((13, 1), (5, 2)):
+        table = _small_table(p, k, 12)
+        for k0 in ((3, 9, 5, 7), (1, 11, 4, 3, 5), (2, 5, 5, 7, 5)):
+            assert jacobi_eigenvalue(k0, table) == direct_eigenvalue(k0, table), (p, k, k0)
+
+
+def test_eigenvalue_two_entry_and_short_types():
+    table = _small_table(13, 1, 12)
+    # J of one character is 1, so the eigenvalue of (5, 7) is chi^7(-1) = -1
+    assert jacobi_eigenvalue((5, 7), table) == direct_eigenvalue((5, 7), table) == -1
+    with pytest.raises(ValueError, match="interior"):
+        jacobi_eigenvalue((3, 12, 5, 4), table)
+    for short in ((5,), (12,), ()):
+        with pytest.raises(ValueError, match="at least two entries"):
+            jacobi_eigenvalue(short, table)
 
 
 def _smallest_field(d):
