@@ -15,10 +15,6 @@ from math import gcd
 from .exactalg import poly_divmod, poly_mul, power
 
 
-class NotRationalError(ValueError):
-    """An element expected to be a rational integer is not."""
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial."""
@@ -122,7 +118,7 @@ class CyclotomicElement:
     def rational_value(self):
         """The element as a rational number; raises if it is not one."""
         if any(self.coeffs[1:]):
-            raise NotRationalError(f"element is not rational: {self!r}")
+            raise ValueError(f"element is not rational: {self!r}")
         return self.coeffs[0]
 
     def norm_squared_exact(self):

@@ -13,11 +13,7 @@ from collections import namedtuple
 from functools import cache
 from math import lcm
 
-from .exactalg import IntMatrix, SingularMatrixError, int_entries, minimal_map_matrix
-
-
-class DeformationError(ValueError):
-    """Input does not satisfy the deformation-data conditions."""
+from .exactalg import IntMatrix, int_entries, minimal_map_matrix
 
 
 class DeformationData(namedtuple("DeformationData", "matrix deformation degree map_matrix weights cover_exponents")):
@@ -51,7 +47,7 @@ def _build(a_matrix: IntMatrix, a_vec: tuple) -> DeformationData:
     try:
         d, b_matrix = minimal_map_matrix(a_matrix)
         weights = tuple(map(sum, b_matrix.rows))
-    except SingularMatrixError:
+    except ValueError:  # the only refusal of minimal_map_matrix: A is singular
         weights = None
         problems.append("matrix is singular")
     for j in range(n):
@@ -60,16 +56,16 @@ def _build(a_matrix: IntMatrix, a_vec: tuple) -> DeformationData:
     if weights is not None and any(w <= 0 for w in weights):
         problems.append("inverse weight vector has a nonpositive entry")
     if problems:
-        raise DeformationError("; ".join(problems))
+        raise ValueError("; ".join(problems))
     if len(a_vec) != n:
-        raise DeformationError("deformation vector has wrong length")
+        raise ValueError("deformation vector has wrong length")
     if any(x < 0 for x in a_vec):
-        raise DeformationError("deformation vector has a negative entry")
+        raise ValueError("deformation vector has a negative entry")
     if sum(ai * wi for ai, wi in zip(a_vec, weights)) != d:
-        raise DeformationError("not a deformation vector: weighted degree differs from d")
+        raise ValueError("not a deformation vector: weighted degree differs from d")
     b_vec = tuple(sum(x * y for x, y in zip(a_vec, col)) for col in zip(*b_matrix.rows))
     if any(x < 0 for x in b_vec):
-        raise DeformationError("negative cover exponent")
+        raise ValueError("negative cover exponent")
     assert sum(b_vec) == d
     return DeformationData(a_matrix, a_vec, d, b_matrix, weights, b_vec)
 
@@ -127,16 +123,16 @@ def family(key: str) -> DeformationData:
 def data_from_json(obj: dict) -> DeformationData:
     """Build deformation data from {"matrix": [[int,...],...], "deformation": [int,...]}."""
     if not isinstance(obj, dict) or "matrix" not in obj or "deformation" not in obj:
-        raise DeformationError('expected an object with "matrix" and "deformation" keys')
+        raise ValueError('expected an object with "matrix" and "deformation" keys')
 
     def ints(value) -> bool:  # JSON true and 4.5 are not integers
         return isinstance(value, list) and all(type(x) is int for x in value)
 
     matrix, a_vec = obj["matrix"], obj["deformation"]
     if not isinstance(matrix, list) or not all(map(ints, matrix)):
-        raise DeformationError('"matrix" must be a list of lists of integers')
+        raise ValueError('"matrix" must be a list of lists of integers')
     if not ints(a_vec):
-        raise DeformationError('"deformation" must be a list of integers')
+        raise ValueError('"deformation" must be a list of integers')
     return build(IntMatrix(matrix), a_vec)
 
 

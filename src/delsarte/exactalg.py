@@ -13,10 +13,6 @@ from math import gcd, lcm
 from operator import mul
 
 
-class SingularMatrixError(ValueError):
-    """Raised when an operation needs an invertible matrix and det = 0."""
-
-
 def int_entries(values, what: str) -> tuple[int, ...]:
     """`values` as a tuple of ints; an entry of another type (True, 4.7, "3") raises a ValueError naming it."""
     values = tuple(values)
@@ -139,7 +135,7 @@ def minimal_map_matrix(m: IntMatrix) -> tuple[int, IntMatrix]:
     """
     u, diag, v = diagonalize(m.rows)
     if len(diag) < m.n:
-        raise SingularMatrixError("matrix is singular")
+        raise ValueError("matrix is singular")
     d = lcm(*diag)
     # the columns of diag(d/e_i)*U; B is built as plain rows and wrapped once
     right = tuple(zip(*[[d // e * x for x in row] for e, row in zip(diag, u)]))

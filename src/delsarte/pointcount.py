@@ -29,7 +29,7 @@ from math import gcd, lcm, prod
 from operator import getitem, mul
 
 from .deformation import DeformationData
-from .exactalg import kernel_elements, kernel_mod, poly_divmod, poly_mul, power
+from .exactalg import int_entries, kernel_elements, kernel_mod, poly_divmod, poly_mul, power
 
 DEFAULT_MAX_Q = 2**20
 # (q-1)^2 for the Gauss-sum table plus |K| for the character sums
@@ -112,8 +112,7 @@ class FiniteField:
     __slots__ = ("p", "k", "q", "generator", "exp", "log", "zech", "modulus")
 
     def __init__(self, p: int, k: int = 1):
-        self.p = p
-        self.k = k
+        self.p, self.k = int_entries((p, k), "(p, k)")
         self.__post_init__()
 
     # a separate method under this name: bench/tracer.py times field construction by wrapping it

@@ -29,7 +29,7 @@ from operator import mul
 
 from .cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from .deformation import common_cover
-from .exactalg import poly_divmod, poly_mul
+from .exactalg import int_entries, poly_divmod, poly_mul
 from .monomials import g_invariant_types, unit_orbit
 from .pointcount import FiniteField
 
@@ -155,10 +155,10 @@ def jacobi_eigenvalue(k, table: CharacterTable, order: int | None = None) -> Cyc
     starting from J(psi^k_0) = 1, which is never multiplied by; psi^a(-1)
     is a sign, -1 iff a * table.minus_one is nonzero mod e.
     """
-    e = table.order if order is None else order
+    e = table.order if order is None else int_entries((order,), "order")[0]
     if e < 1 or table.order % e:
         raise ValueError(f"order {e} does not divide {table.order}")
-    k = tuple(x % e for x in k)
+    k = tuple(x % e for x in int_entries(k, "type"))
     if len(k) < 2:
         raise ValueError(f"type {k} needs at least two entries")
     if sum(k) % e != 0:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from delsarte.exactalg import (
     IntMatrix,
-    SingularMatrixError,
     diagonalize,
     kernel_elements,
     kernel_mod,
@@ -80,7 +79,7 @@ def test_determinant_and_map_match_cofactor_oracle(m):
         d, b = minimal_map_matrix(m)
         assert scaled(b, det) == scaled(adjugate(m), d)
     else:
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
             minimal_map_matrix(m)
 
 
@@ -122,7 +121,7 @@ def test_minimal_map_family7_vs_block_oracle():
 
 
 def test_minimal_map_singular():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(ValueError, match="^matrix is singular$"):
         minimal_map_matrix(IntMatrix([[1, 1], [1, 1]]))
 
 

@@ -261,3 +261,39 @@ def test_library_input_is_not_truncated_to_int():
     # and only the environment string of the field-size bound is parsed
     found = {path.stem: names for path in SOURCES if (names := int_conversions(path.read_text()))}
     assert found == {"pointcount": ["_max_q"]}
+
+
+def value_error_classes(source: str) -> list[str]:
+    """Classes that derive from ValueError, directly or through another class of the source, sorted."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    found = {"ValueError"}
+    for _ in classes:  # each pass adds one more level of derivation
+        found |= {
+            node.name
+            for node in classes
+            if any(getattr(base, "id", getattr(base, "attr", None)) in found for base in node.bases)
+        }
+    return sorted(found - {"ValueError"})
+
+
+def test_value_error_classes_detector():
+    source = (
+        "import builtins\n"
+        "class Refused(ValueError):\n"
+        "    pass\n"
+        "class Singular(Refused):\n"
+        "    pass\n"
+        "class Builtin(builtins.ValueError):\n"
+        "    pass\n"
+        "class Inexact(ArithmeticError):\n"
+        "    pass\n"
+        "class Record(tuple):\n"
+        "    pass\n"
+    )
+    assert value_error_classes(source) == ["Builtin", "Refused", "Singular"]
+
+
+def test_refused_input_is_a_plain_value_error():
+    # callers catch ValueError and never a subclass; ArithmeticError subclasses report internal failures
+    found = {path.stem: names for path in SOURCES if (names := value_error_classes(path.read_text()))}
+    assert found == {}

@@ -8,7 +8,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from delsarte import monomials
-from delsarte.deformation import DeformationError, FAMILIES, build, family
+from delsarte.deformation import FAMILIES, build, family
 from delsarte.exactalg import IntMatrix
 from delsarte.monomials import (
     dimension_triple,
@@ -120,7 +120,7 @@ def _build_or_reject(rows):
     """build(A, first row of A), or a rejected example when A breaks a condition."""
     try:
         return build(IntMatrix(rows), rows[0])
-    except DeformationError:
+    except ValueError:
         reject()
 
 

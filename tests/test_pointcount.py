@@ -507,6 +507,10 @@ def test_miller_rabin_limit():
     # the limit is the least strong pseudoprime to all thirteen bases
     limit = pointcount.MILLER_RABIN_LIMIT
     assert limit == 1287836182261 * 2575672364521 and pointcount._is_prime(limit)
+    # with step lcm(3, 2) = 6 the first candidate above limit - 1 is the limit itself,
+    # which _is_prime accepts, so auxiliary_prime must exclude the bound
+    with pytest.raises(ValueError, match=f"^auxiliary prime {limit} reaches the Miller-Rabin limit {limit}$"):
+        auxiliary_prime(3, 3, limit - 1)
 
 
 def test_work_estimate_bounds():

@@ -341,6 +341,32 @@ def test_eigenvalue_two_entry_and_short_types():
             jacobi_eigenvalue(short, table)
 
 
+def _eigenvalue_f13(k, order=None, warm=False):
+    """jacobi_eigenvalue on a fresh order-12 table over F_13; `warm` first memoizes (1, 3, 4, 4)'s pair sums."""
+    table = _small_table(13, 1, 12)
+    if warm:
+        jacobi_eigenvalue((1, 3, 4, 4), table)
+    return jacobi_eigenvalue(k, table, order)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (_eigenvalue_f13, ((True, 3, 4, 4),), "type entry 0 is True"),
+        (_eigenvalue_f13, ((1.0, 3, 4, 4),), "type entry 0 is 1.0"),
+        (_eigenvalue_f13, ((1.0, 3, 4, 4), None, True), "type entry 0 is 1.0"),
+        (_eigenvalue_f13, ((1, 3, 4, 4), 4.0), "order entry 0 is 4.0"),
+        (_eigenvalue_f13, ((1, 3, 4, 4), True), "order entry 0 is True"),
+        (FiniteField, (5, True), r"\(p, k\) entry 1 is True"),
+        (FiniteField, (5, 2.0), r"\(p, k\) entry 1 is 2.0"),
+        (FiniteField, (5.0, 1), r"\(p, k\) entry 0 is 5.0"),
+    ],
+)
+def test_eigenvalue_and_field_refuse_non_integers(call, args, message):
+    with pytest.raises(ValueError, match=f"^{message}, not an integer$"):
+        call(*args)
+
+
 def _smallest_field(d):
     """F_q for the least prime power q with d | q - 1."""
     q = d + 1
