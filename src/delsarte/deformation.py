@@ -115,7 +115,7 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {
 def family(key: str) -> DeformationData:
     """Deformation data for one of the built-in families."""
     if key not in FAMILIES:
-        raise KeyError(f"unknown family {key!r}; expected family1..family10")
+        raise ValueError(f"unknown family {key!r}; expected family1..family10")
     rows, a_vec = FAMILIES[key]
     return build(IntMatrix(rows), a_vec)
 

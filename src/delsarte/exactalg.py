@@ -22,6 +22,13 @@ def int_entries(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def positive_int(value, what: str) -> int:
+    """`value` if it is an int of at least 1; anything else raises a ValueError naming it."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} is {value!r}, not an integer >= 1")
+    return value
+
+
 class IntMatrix(namedtuple("IntMatrix", "rows n")):
     """Square n x n matrix, n >= 2, of arbitrary-precision integers; all arithmetic is exact."""
 

@@ -17,7 +17,7 @@ from functools import cache
 from math import gcd, prod
 
 from .deformation import DeformationData
-from .exactalg import int_entries, kernel_elements, kernel_mod
+from .exactalg import int_entries, kernel_elements, kernel_mod, positive_int
 
 # Hard cap on the number of points walked for the invariant types below
 # (the kernel, or the multiples of b); the built-in families stay below
@@ -126,6 +126,7 @@ def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     a step leaves the unplaced types.  The blocks come out sorted by
     their first type.
     """
+    positive_int(d, "d")
     pool = set(map(tuple, types))
     minus_b = [-y for y in b]
     blocks = []
@@ -150,7 +151,7 @@ def unit_orbit(k, d: int) -> frozenset:
     mod d map onto the units mod e, so the orbit is built from those alone.
     The stabilizer of k/g is {u == 1 mod e}: the orbit has phi(e) members.
     """
-    g = gcd(d, *k)
+    g = gcd(positive_int(d, "d"), *k)
     e = d // g
     k = [x // g for x in k]
     return frozenset(tuple(g * (u * x % e) for x in k) for u in range(1, e + 1) if gcd(u, e) == 1)
@@ -216,8 +217,7 @@ def reduce_form(exponents, d: int) -> ReducedForm:
     an entry equal to d (numerator exponent d - 1) kills the class.
     The accumulated coefficient is independent of the reduction order.
     """
-    if type(d) is not int or d < 1:
-        raise ValueError(f"d is {d!r}, not an integer >= 1")
+    positive_int(d, "d")
     entries = list(int_entries(exponents, "exponent vector"))
     if any(e < 1 for e in entries):
         raise ValueError("all entries must be >= 1")

@@ -96,17 +96,7 @@ def _c_norm(c):
 
 
 def _c_div(a, b):
-    """a / b for coefficients a and nonzero b.
-
-    A cyclotomic b is divided through its norm: N(b) = prod_u sigma_u(b)
-    over the units u mod 8 is rational, so a / b = a * c / N(b) with c the
-    product of the conjugates sigma_3(b) sigma_5(b) sigma_7(b).
-    """
-    if isinstance(b, CyclotomicElement):
-        c = b.galois(3) * b.galois(5) * b.galois(7)
-        a, b = a * c, _c_norm(b * c)
-    if isinstance(a, CyclotomicElement):
-        return _c_norm(a * (1 / Fraction(b)))
+    """a / b for rational coefficients a and nonzero b."""
     if type(a) is int and type(b) is int and a % b == 0:
         return a // b
     return _c_norm(Fraction(a) / Fraction(b))
@@ -383,17 +373,19 @@ class MultiPoly:
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Exact polynomial quotient p / q; raises InexactDivisionError otherwise.
 
-    The leading monomial of the remainder is its largest key; it is
-    divisible by q's leading monomial iff no guard bit is borrowed when
-    subtracting that monomial from it with every guard bit set.  The
-    division raises at the first remainder lead that is not divisible.
+    Over Q alone, like `content_and_primitive`: an irrational coefficient
+    in either operand raises first.  The leading monomial of the remainder
+    is its largest key; it is divisible by q's leading monomial iff no
+    guard bit is borrowed when subtracting that monomial from it with
+    every guard bit set.  The division raises at the first remainder lead
+    that is not divisible.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    q_lead = max(q.terms)
+    q_lead = max(q.rationalized().terms)
     q_lead_c = q.terms[q_lead]
     q_rest = [(key, c) for key, c in q.terms.items() if key != q_lead]
-    rem = dict(p.terms)
+    rem = dict(p.rationalized().terms)
     out: dict = {}
     while rem:
         lead = max(rem)
@@ -406,8 +398,6 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         for kb, cb in q_rest:
             key = diff + kb
             val = rem.get(key, 0) - c * cb
-            if isinstance(val, CyclotomicElement):
-                val = _c_norm(val)
             if val:
                 rem[key] = val
             else:
@@ -565,7 +555,7 @@ FAMILY_INDICES = (1, 2, 3, 6, 7)
 def builtin(name: str) -> MultiPoly:
     """Named reference polynomial (h1..h5, q1, q2, q3, q6, q7)."""
     if name not in _REGISTRY:
-        raise KeyError(f"unknown polynomial {name!r}")
+        raise ValueError(f"unknown polynomial {name!r}")
     return _REGISTRY[name]
 
 

@@ -29,7 +29,7 @@ from operator import mul
 
 from .cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from .deformation import common_cover
-from .exactalg import int_entries, poly_divmod, poly_mul
+from .exactalg import int_entries, poly_divmod, poly_mul, positive_int
 from .monomials import g_invariant_types, unit_orbit
 from .pointcount import FiniteField
 
@@ -272,7 +272,7 @@ def frobenius_trace(types, table: CharacterTable) -> int:
 
 def lift_types(types, d_from: int, d_to: int) -> list[tuple[int, ...]]:
     """Rescale types along a cover-degree change d_from | d_to."""
-    if d_to % d_from != 0:
+    if positive_int(d_to, "d_to") % positive_int(d_from, "d_from") != 0:
         raise ValueError("d_from must divide d_to")
     scale = d_to // d_from
     return sorted(tuple(scale * e for e in k) for k in types)

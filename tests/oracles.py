@@ -24,11 +24,15 @@ and one table set per coordinate subset, and it adds up each trace by
 Zech addition where `count_cone` reads it off the modulus.
 `fermat_count_by_trace` reads the Fermat count off the implementation's
 `zetafermat.frobenius_trace`; the tests hold it to brute force.
+`eigenvalue_mod_p` (Stickelberger) and `hasse_witt` are congruences
+mod p, exact at any field size: each is a closed form in factorials mod
+p, sharing no code with the Jacobi sums or the point counts.
 `substitute_by_terms` and `sylvester_resultant` run on `MultiPoly`
 arithmetic but by other algorithms than `symbolic`: a running sum of one
 product per term, and the Bareiss determinant of the Sylvester matrix.
 """
 import cmath
+import functools
 import itertools
 from operator import getitem, mul
 from dataclasses import dataclass
@@ -456,6 +460,71 @@ def char_poly_by_types(types, table):
     return dense_expand([direct_eigenvalue(k, table) for k in sorted(tuple(e % d for e in k) for k in types)], d)
 
 
+# -- congruences mod p: exact at field sizes where no sum can be enumerated ------
+
+
+@functools.cache
+def _factorials_mod(p):
+    """[0!, 1!, ..., (p-1)!] mod p."""
+    table = [1] * p
+    for i in range(1, p):
+        table[i] = table[i - 1] * i % p
+    return table
+
+
+def eigenvalue_mod_p(k, e, p, g):
+    """The eigenvalue j(k) of `zetafermat.jacobi_eigenvalue` mod P, by Stickelberger's congruence.
+
+    P is the prime over p = 1 mod e with zeta_e = g^F mod P, F = (p-1)/e,
+    where psi(g) = zeta_e; then psi(x) = x^F mod P.  For the n + 1 entries
+    of k, b_i = k_i F and c_i = p - 1 - b_i, c' = b_(n-1) - sum c_i:
+    expanding v_(n-1) = 1 - v_0 - ... - v_(n-2) in the sum over v of
+    prod v_i^(b_i) keeps only v_i^(p-1), each summing to -1, so
+      J(psi^k_0, ..., psi^k_(n-1)) = (-1)^(n-1 + sum c_i) b_(n-1)! / (prod c_i! c'!)
+    when c' >= 0, and 0 otherwise (Ireland and Rosen, ch. 14).  The sign
+    of j is psi^(k_n)(-1) = (-1)^(k_n F), times -1 when n + 1 is odd.
+    Returns a residue in [0, p).
+    """
+    f = (p - 1) // e
+    n = len(k) - 1
+    b = [x % e * f for x in k[:n]]
+    c = [p - 1 - x for x in b[:-1]]
+    rest = b[-1] - sum(c)
+    if rest < 0:
+        return 0
+    fact = _factorials_mod(p)
+    value = fact[b[-1]] * pow(prod(fact[x] for x in c) * fact[rest], -1, p)
+    minus = (n - 1 + sum(c) + k[n] % e * f + (n + 1) % 2) % 2
+    return -value % p if minus else value % p
+
+
+def hasse_witt(data, p):
+    """Coefficients mod p, by power of lambda, of the Hasse-Witt invariant H_p(lambda).
+
+    For a Calabi-Yau family in m variables (weights summing to the degree
+    d, deformation monomial x_0 ... x_n), H_p(lambda) is the coefficient
+    of (x_0 ... x_n)^(p-1) in F_lambda^(p-1), and summing F^(p-1) over
+    F_p^m gives #X_lambda(F_p) = 1 + (-1)^m H_p(lambda) mod p (Katz,
+    Invent. Math. 1972).  A term lambda^t needs the exponents
+    e_A = ((p-1) - t) * (1, ..., 1) * A^(-1) of the rows of A to be
+    non-negative integers, and then has coefficient
+    multinomial(p-1; e_A, t), read off one factorial table mod p.
+    """
+    m = len(data.weights)
+    assert sum(data.weights) == data.degree and data.deformation == (1,) * m, "not a Calabi-Yau family"
+    # d * (1, ..., 1) * A^(-1) = (1, ..., 1) * B: d times the dual weights
+    dual = [sum(col) for col in zip(*data.map_matrix.rows)]
+    fact = _factorials_mod(p)
+    coeffs = [0] * p
+    for t in range(p):
+        scaled = [(p - 1 - t) * w for w in dual]
+        if any(x < 0 or x % data.degree for x in scaled):
+            continue
+        e_a = [x // data.degree for x in scaled]
+        coeffs[t] = fact[p - 1] * pow(prod(fact[x] for x in e_a) * fact[t], -1, p) % p
+    return coeffs
+
+
 def brute_count_cone(spec, field):
     """Solutions of the spec in the affine cone, with no memo.
 
@@ -714,20 +783,6 @@ def _ref_coeff_mul(a, b):
     return tuple(out)
 
 
-def _ref_coeff_inverse(c):
-    """1 / c in Q(zeta_8): solves c * x = 1, column j of its matrix being c * z^j."""
-    columns = [_ref_coeff_mul(c, ref_coeff(1, j)) for j in range(4)]
-    rows = [[columns[j][i] for j in range(4)] + [Fraction(i == 0)] for i in range(4)]
-    for t in range(4):  # Gauss-Jordan; c != 0 makes the matrix invertible
-        pivot = next(i for i in range(t, 4) if rows[i][t])
-        rows[t], rows[pivot] = rows[pivot], rows[t]
-        rows[t] = [x / rows[t][t] for x in rows[t]]
-        for i in range(4):
-            if i != t and rows[i][t]:
-                rows[i] = [x - rows[i][t] * y for x, y in zip(rows[i], rows[t])]
-    return tuple(row[4] for row in rows)
-
-
 def _ref_coeff_text(c):
     """A coefficient as MultiPoly prints it: rationals bare, the rest in parentheses."""
     if not any(c[1:]):
@@ -793,15 +848,19 @@ class RefPoly:
         i = REF_VARS.index(name)
         return RefPoly({e[:i] + (0,) + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == power})
 
+    def is_rational(self):
+        return not any(any(c[1:]) for c in self.terms.values())
+
     def exact_div(self, q):
-        """The quotient self / q, or None when q does not divide self.
+        """The quotient self / q over Q, or None when q does not divide self.
 
         Each step divides the graded-lex leading term of the remainder by
         that of q; when q divides self, the leading term of q divides the
         leading term of every remainder, because lt(q*h) = lt(q)*lt(h).
         """
+        assert self.is_rational() and q.is_rational(), "division is over Q"
         q_lead = max(q.terms, key=_graded_lex)
-        q_inverse = _ref_coeff_inverse(q.terms[q_lead])
+        q_inverse = ref_coeff(1 / q.terms[q_lead][0])
         rem = self
         out = {}
         while rem.terms:

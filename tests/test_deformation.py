@@ -209,3 +209,9 @@ def test_build_refuses_a_non_integer_deformation_entry():
     for a_vec, entry in (((1, 1, 1.0, 1), "2 is 1.0"), ((1, True, 1, 1), "1 is True")):
         with pytest.raises(ValueError, match=f"deformation vector entry {entry}, not an integer"):
             build(fermat, a_vec)
+
+
+def test_unknown_family_is_a_plain_value_error():
+    with pytest.raises(ValueError, match=r"^unknown family 'family11'; expected family1\.\.family10$") as info:
+        family("family11")
+    assert type(info.value) is ValueError

@@ -297,3 +297,35 @@ def test_refused_input_is_a_plain_value_error():
     # callers catch ValueError and never a subclass; ArithmeticError subclasses report internal failures
     found = {path.stem: names for path in SOURCES if (names := value_error_classes(path.read_text()))}
     assert found == {}
+
+
+def raised_classes(source: str) -> list[str]:
+    """The class named by each `raise` of a name or a call of one, sorted; a bare `raise` names none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                found.append(getattr(exc, "id", getattr(exc, "attr", None)))
+    return sorted(found)
+
+
+def test_raised_classes_detector():
+    source = (
+        "import builtins\n"
+        "def f(key, table):\n"
+        "    if key not in table:\n"
+        "        raise KeyError(key)\n"
+        "    try:\n"
+        "        return table[key]\n"
+        "    except TypeError:\n"
+        "        raise\n"
+        "    raise builtins.ValueError\n"
+    )
+    assert raised_classes(source) == ["KeyError", "ValueError"]
+
+
+def test_an_unknown_name_is_refused_with_a_value_error():
+    # an unknown family or polynomial name is refused input like any other
+    found = {path.stem: names for path in SOURCES if "KeyError" in (names := raised_classes(path.read_text()))}
+    assert found == {}

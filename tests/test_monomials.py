@@ -18,8 +18,10 @@ from delsarte.monomials import (
     is_g_invariant,
     reduce_form,
     strong_classes,
+    unit_orbit,
     weak_classes,
 )
+from delsarte.zetafermat import lift_types
 
 from conftest import quintic
 from golden_data import INVARIANT_TABLES, SUMMARY_TABLE
@@ -473,6 +475,24 @@ def test_reduce_form_refuses_a_non_integer_entry():
 def test_reduce_form_refuses_a_bad_degree(d, exponents):
     with pytest.raises(ValueError, match=re.escape(f"d is {d!r}, not an integer >= 1")):
         reduce_form(exponents, d)
+
+
+# unchecked, d = 0 gave an empty orbit or a ZeroDivisionError, and d = -4 a class list
+_MODULUS_CALLS = {
+    "unit_orbit": ("d", lambda d: unit_orbit((1, 2, 3), d)),
+    "strong_classes": ("d", lambda d: strong_classes([(1, 3)], (1, 1), d)),
+    "weak_classes": ("d", lambda d: weak_classes([(1, 3)], (1, 1), d)),
+    "lift_types_from": ("d_from", lambda d: lift_types([(1, 3)], d, 4)),
+    "lift_types_to": ("d_to", lambda d: lift_types([(1, 3)], 2, d)),
+}
+
+
+@pytest.mark.parametrize("d", [0, -4, True, 4.0])
+@pytest.mark.parametrize("call", sorted(_MODULUS_CALLS))
+def test_a_modulus_below_one_is_refused(call, d):
+    name, run = _MODULUS_CALLS[call]
+    with pytest.raises(ValueError, match=re.escape(f"{name} is {d!r}, not an integer >= 1")):
+        run(d)
 
 
 def test_reduce_form_at_degree_one_is_the_zero_class():

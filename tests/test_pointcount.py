@@ -1,13 +1,22 @@
 import contextlib
 import io
 import itertools
+from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import OracleField, brute_count_cone, brute_general_position, count_cone_by_strata, verify_cover_map
+from conftest import quintic
+from oracles import (
+    OracleField,
+    brute_count_cone,
+    brute_general_position,
+    count_cone_by_strata,
+    hasse_witt,
+    verify_cover_map,
+)
 
 from delsarte import cli, pointcount
 from delsarte.deformation import FAMILIES, family
@@ -639,3 +648,51 @@ def test_cover_map_rejects_bad_characteristic():
     f = FiniteField(2)
     with pytest.raises(ValueError):
         verify_cover_map(family("family1"), 0, f)
+
+
+# -- the Hasse-Witt congruence: every count mod p ------------------------------------
+
+
+def _check_hasse_witt(data, p, lams):
+    """#X_lambda(F_p) = 1 + (-1)^m H_p(lambda) mod p, m the number of variables, at each lambda."""
+    coeffs = hasse_witt(data, p)
+    sign = (-1) ** len(data.weights)
+    for lam in lams:
+        h = sum(c * pow(lam, t, p) for t, c in enumerate(coeffs))
+        assert (count_points(family_hypersurface(data, lam), p, 1) - 1 - sign * h) % p == 0, (p, lam)
+
+
+@pytest.mark.parametrize("key", sorted(FAMILIES))
+def test_every_count_mod_p_is_the_hasse_witt_invariant(key):
+    data = family(key)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29):
+        if data.degree % p:
+            _check_hasse_witt(data, p, range(p))
+
+
+@pytest.mark.parametrize("name", ["fermat", "f1l4", "l2f3", "l2l3", "l5"])
+def test_every_quintic_count_mod_p_is_the_hasse_witt_invariant(name):
+    data = quintic(name)
+    for p in (7, 11, 13):
+        if data.degree % p:
+            _check_hasse_witt(data, p, range(p))
+
+
+def test_hasse_witt_holds_at_a_readme_count():
+    # delsarte count family1 --q 1021 --lambda 2
+    _check_hasse_witt(family("family1"), 1021, [2])
+
+
+@pytest.mark.parametrize("p", [29, 41, 53, 61, 73, 97])
+def test_hasse_witt_invariants_split_the_families_by_dual_weights(p):
+    # H_p depends on the weights of the transposed polynomial alone, and here tells them apart
+    by_invariant, by_dual = {}, {}
+    for key in FAMILIES:
+        data = family(key)
+        by_invariant.setdefault(tuple(hasse_witt(data, p)), set()).add(key)
+        dual = sorted(Fraction(sum(col), data.degree) for col in zip(*data.map_matrix.rows))
+        by_dual.setdefault(tuple(dual), set()).add(key)
+    blocks = [(1, 2, 3, 4, 5), (6, 7), (8,), (9,), (10,)]
+    assert sorted(map(sorted, by_invariant.values())) == sorted(sorted(f"family{i}" for i in b) for b in blocks)
+    assert sorted(map(sorted, by_invariant.values())) == sorted(map(sorted, by_dual.values()))
+

@@ -15,6 +15,7 @@ from oracles import (
     chi_exponent,
     dense_expand,
     direct_eigenvalue,
+    eigenvalue_mod_p,
     embedding,
     enumerate_basis,
     fermat_count_by_trace,
@@ -926,3 +927,63 @@ def test_quintic_orbit_polys_match_dense_conjugate_product():
         e = 15 // g
         alpha = jacobi_eigenvalue(tuple(x // g for x in k), table, e)
         assert poly == dense_expand([alpha.galois(u) for u in _units(e)], e), orbit
+
+
+# -- Stickelberger's congruence: every eigenvalue mod P at a split prime ------------
+
+_PRIMES_TO_10K = [p for p in range(3, 10**4) if all(p % r for r in range(2, math.isqrt(p) + 1))]
+
+
+@functools.cache
+def _prime_table(p, d):
+    return multiplicative_character(FiniteField(p), d)
+
+
+def _mod_p(alpha, p, root):
+    """The eigenvalue alpha in Z[zeta_e] sent to F_p by zeta_e -> root."""
+    return sum(c * pow(root, i, p) for i, c in enumerate(alpha.coeffs)) % p
+
+
+def _check_stickelberger(k, e, table):
+    p, g = table.field.q, table.generator
+    residue = eigenvalue_mod_p(k, e, p, g)
+    # psi = chi^(d/e) has psi(g) = zeta_e, and zeta_e -> g^((p-1)/e) is a ring map onto F_p
+    assert _mod_p(jacobi_eigenvalue(k, table, e), p, pow(g, (p - 1) // e, p)) == residue, (p, e, k)
+    # the residue is a unit exactly at the top Hodge level sum(k) = n*e
+    assert (residue != 0) == (sum(k) == (len(k) - 1) * e), (p, e, k)
+
+
+@st.composite
+def _split_cases(draw):
+    """(d, p, [(e, k)]): a prime p = 1 mod d below 10^4 and, for every e | d, maybe a type k mod e of 3-5 entries."""
+    d = draw(st.sampled_from((4, 5, 6, 8, 12, 24)))
+    p = draw(st.sampled_from([p for p in _PRIMES_TO_10K if p % d == 1]))
+    cases = []
+    for e in range(2, d + 1):  # e = 1 has no interior type
+        if d % e == 0:
+            head = draw(st.lists(st.integers(1, e - 1), min_size=2, max_size=4))
+            if sum(head) % e:
+                cases.append((e, (*head, -sum(head) % e)))
+    return d, p, cases
+
+
+@settings(max_examples=200)
+@given(_split_cases())
+def test_eigenvalues_match_stickelberger_at_split_primes(case):
+    d, p, cases = case
+    table = _prime_table(p, d)
+    for e, k in cases:
+        _check_stickelberger(k, e, table)
+
+
+@pytest.mark.parametrize("q, name", [(1171, "fermat"), (1171, "l2f3"), (1171, "l2l3"), (6151, "fermat"), (6151, "l5")])
+def test_orbit_representatives_match_stickelberger_at_the_common_factor_fields(q, name):
+    # the fields of the pinned common-factor reports, beyond any direct Jacobi sum
+    data = quintic(name)
+    d = data.degree
+    table = multiplicative_character(FiniteField(q), d)
+    for orbit in {unit_orbit(k, d) for k in g_invariant_types(data)}:
+        k = min(orbit)
+        g = math.gcd(d, *k)
+        _check_stickelberger(tuple(x // g for x in k), d // g, table)
+
