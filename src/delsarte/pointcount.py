@@ -17,8 +17,8 @@ of the residue polynomial modulo a primitive polynomial f, so the root x
 of f is the multiplicative generator.  `FiniteField` holds the
 discrete-log tables over x and a Zech-logarithm table, one set for every
 q, and no arithmetic methods: `count_cone` and `zetafermat` read the
-tables inline, and the trace to F_p is read off f.  The method
-arithmetic of the brute-force oracles lives in `tests/oracles.py`.
+tables inline.  The method arithmetic of the brute-force oracles lives
+in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from math import gcd, lcm, prod
 from operator import getitem, mul
 
 from .deformation import DeformationData
-from .exactalg import int_entries, kernel_elements, kernel_mod, poly_divmod, poly_mul, power
+from .exactalg import int_entries, kernel_elements, kernel_mod, poly_divmod, poly_mul, positive_int, power
 
 DEFAULT_MAX_Q = 2**20
 # (q-1)^2 for the Gauss-sum table plus |K| for the character sums
@@ -157,20 +157,27 @@ class HypersurfaceSpec(namedtuple("HypersurfaceSpec", "weights terms")):
 
     Each term is (exponents, coefficient), the coefficient a prime-field
     integer representative; a deformed family lists its deformation
-    monomial last.
+    monomial last.  Weights, exponents and coefficients are ints
+    (`exactalg.int_entries`) and exponents are at least 0, so every term
+    is a monomial.
     """
 
     __slots__ = ()
 
     def __new__(cls, weights: tuple[int, ...], terms: tuple[tuple[tuple[int, ...], int], ...]):
-        degrees = set()
-        for exps, _ in terms:
+        weights, terms = int_entries(weights, "weights"), tuple(terms)
+        coefficients = int_entries((c for _, c in terms), "coefficients")
+        rows = tuple(int_entries(exps, f"term {i} exponents") for i, (exps, _) in enumerate(terms))
+        for i, exps in enumerate(rows):
             if len(exps) != len(weights):
                 raise ValueError("term length does not match the weight vector")
-            degrees.add(sum(w * e for w, e in zip(weights, exps)))
+            for j, e in enumerate(exps):
+                if e < 0:
+                    raise ValueError(f"term {i} exponents entry {j} is {e}, not >= 0")
+        degrees = {sum(map(mul, weights, exps)) for exps in rows}
         if len(degrees) > 1:
             raise ValueError(f"terms have different weighted degrees: {sorted(degrees)}")
-        return super().__new__(cls, weights, terms)
+        return super().__new__(cls, weights, tuple(zip(rows, coefficients)))
 
 
 def family_hypersurface(data: DeformationData, lam: int) -> HypersurfaceSpec:
@@ -183,6 +190,7 @@ def family_hypersurface(data: DeformationData, lam: int) -> HypersurfaceSpec:
 
 def fermat_hypersurface(d: int, n: int, lam: int = 0, b=None) -> HypersurfaceSpec:
     """The (deformed) degree-d Fermat hypersurface in plain P^n."""
+    positive_int(d, "d")
     weights = (1,) * (n + 1)
     terms = tuple(
         (tuple(d if j == i else 0 for j in range(n + 1)), 1) for i in range(n + 1)
@@ -220,7 +228,7 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata: tuple) -> int
     The sum over coordinate subsets S of the torus counts N*_S, each a sum
     of products of Gauss sums (Weil 1949; Koblitz 1983).  With N = q - 1,
     the m terms c_j x^(a_j) whose support lies in S, and
-    G(chi^k) = sum_(u != 0) chi^k(u) psi(u) for psi(u) = eta^Tr(u),
+    G(chi^k) = sum_(u != 0) chi^k(u) psi(u) for psi(u) = eta^L(u),
 
         N*_S = (N^s + N^(s+1)/N^m * sum_(k in K_S) prod_j G(chi^(-k_j)) chi^(k_j)(c_j)) / q
 
@@ -230,6 +238,10 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata: tuple) -> int
     walked once with one table per term, prod_j over all r terms is
     summed into one bucket per support of k, and the sum over K_S is the
     buckets inside the live terms of S times G(1)^(r - m) = (-1)^(r - m).
+    L(u) = u mod p, the constant digit of u's code, is F_p-linear (addition
+    is digit-wise mod p) with L(1) = 1, so psi is a nontrivial additive
+    character, and any nontrivial one gives the same count: the count rests
+    only on sum_t psi(t*y) = q*[y = 0] (Lidl-Niederreiter, Thm 5.7).
     The count lies in [0, q^(n+1)], so it is computed exactly in F_l for
     the prime l of `auxiliary_prime`, with chi(g) and eta sent to elements
     of order N and p there.  `strata` is `torus_strata(spec, p, q)`.
@@ -241,10 +253,9 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata: tuple) -> int
     pw = [1] * n
     for i in range(1, n):
         pw[i] = pw[i - 1] * omega % ell
-    # psi(g^j) = eta^Tr(g^j); the trace of g^j is a prime-field code
+    # psi(g^j) = eta^L(g^j), L(c) = c mod p the constant digit of the code
     eta_pw = [pow(eta, t, ell) for t in range(p)]
-    tr = _trace_table(field)
-    psi = [eta_pw[tr[c]] for c in field.exp]
+    psi = [eta_pw[c % p] for c in field.exp]
     # gauss[k] = G(chi^(-k)) = sum_j psi(g^j) * omega^(-k*j)
     gauss = [sum(psi) % ell]
     for k in range(1, n):
@@ -272,25 +283,6 @@ def count_cone(spec: HypersurfaceSpec, field: FiniteField, strata: tuple) -> int
         char_sum = (-1) ** (len(terms) - m) * sum(v for mask, v in buckets.items() if not mask & ~live)
         total += (n**s + n ** (s + 1) * pow(inv_n, m, ell) * char_sum) * inv_q
     return total % ell
-
-
-def _trace_table(field: FiniteField) -> list[int]:
-    """Tr(c) from F_q to F_p for every code c, read off the modulus f.
-
-    Tr is F_p-linear, so Tr(c) weighs the base-p digits of c by
-    Tr(x^i), i < k, which are the power sums P_i of the roots of f.  For
-    f = x^k + f_(k-1) x^(k-1) + ... + f_0, Newton's identities give
-    P_i = -(i*f_(k-i) + sum_(0<j<i) f_(k-j) P_(i-j)) and P_0 = k
-    (Lidl-Niederreiter, *Finite Fields*, 2.3), in k^2/2 steps mod p.
-    """
-    p, k, f = field.p, field.k, field.modulus
-    sums = [k % p]
-    for i in range(1, k):
-        sums.append(-(i * f[k - i] + sum(f[k - j] * sums[i - j] for j in range(1, i))) % p)
-    tr = [0]
-    for t in sums:  # digit i of a code is the outer index of step i
-        tr = [(s + a * t) % p for a in range(p) for s in tr]
-    return tr
 
 
 def torus_strata(spec: HypersurfaceSpec, p: int, q: int) -> tuple:

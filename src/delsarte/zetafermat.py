@@ -121,7 +121,7 @@ class CharacterTable:
 def multiplicative_character(field: FiniteField, d: int, generator: int | None = None) -> CharacterTable:
     """Table of the character of exact order d | q - 1 with chi(generator) = zeta_d (default: x mod f)."""
     q = field.q
-    if d < 1 or (q - 1) % d != 0:
+    if (q - 1) % positive_int(d, "d") != 0:
         raise ValueError(f"no character of order {d}: {d} does not divide q - 1 = {q - 1}")
     if generator is None:
         generator = field.generator

@@ -20,8 +20,10 @@ The integer-matrix helpers, the floating-point `embedding` and the
 element-wise field arithmetic of `OracleField` serve only the tests.
 `count_cone_by_strata` reuses the implementation's kernel and is
 checked against brute force: it is the Gauss-sum count with one kernel
-and one table set per coordinate subset, and it adds up each trace by
-Zech addition where `count_cone` reads it off the modulus.
+and one table set per coordinate subset, and its additive character is
+the canonical `eta^Tr(u)`, each trace added up by Zech addition
+(`zech_traces`), where `count_cone` reads `eta^(u mod p)` off the
+constant digit; any nontrivial additive character gives the same count.
 `fermat_count_by_trace` reads the Fermat count off the implementation's
 `zetafermat.frobenius_trace`; the tests hold it to brute force.
 `eigenvalue_mod_p` (Stickelberger) and `hasse_witt` are congruences
@@ -567,6 +569,19 @@ def brute_count_cone(spec, field):
     return count
 
 
+def zech_traces(field):
+    """Tr(g^j) = sum_i g^(j*p^i) from F_q to F_p for j < q - 1, added up by Zech addition."""
+    field = OracleField.of(field)
+    n = field.q - 1
+    traces = []
+    for j in range(n):
+        tr = 0
+        for i in range(field.k):
+            tr = field.add(tr, field.exp[j * field.p**i % n])
+        traces.append(tr)
+    return traces
+
+
 def count_cone_by_strata(spec, field):
     """The Gauss-sum cone count with its own kernel K_S for every subset S.
 
@@ -584,12 +599,7 @@ def count_cone_by_strata(spec, field):
     ell = auxiliary_prime(p, q, q**n1)
     omega, eta = _element_of_order(n, ell), _element_of_order(p, ell)
     pw = [pow(omega, i, ell) for i in range(n)]
-    psi = []
-    for j in range(n):
-        tr = 0
-        for i in range(field.k):
-            tr = field.add(tr, field.exp[j * p**i % n])
-        psi.append(pow(eta, tr, ell))
+    psi = [pow(eta, tr, ell) for tr in zech_traces(field)]
     gauss = [sum(map(mul, psi, [pw[-k * j % n] for j in range(n)])) % ell for k in range(n)]
     inv_n, inv_q = pow(n, -1, ell), pow(q, -1, ell)
     total = 0

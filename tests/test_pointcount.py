@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import re
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -16,6 +17,7 @@ from oracles import (
     count_cone_by_strata,
     hasse_witt,
     verify_cover_map,
+    zech_traces,
 )
 
 from delsarte import cli, pointcount
@@ -33,6 +35,7 @@ from delsarte.pointcount import (
     prime_factors,
     torus_strata,
 )
+from delsarte.zetafermat import multiplicative_character
 
 
 def naive_projective_count(spec, field):
@@ -189,22 +192,6 @@ def test_prime_modulus_is_the_least_primitive_root():
             assert pointcount._find_primitive(p, 1) == [-g % p, 1], p
 
 
-def test_trace_table_matches_zech_sum_trace():
-    # Tr(g^j) = sum_i g^(j*p^i), added up by the oracle's Zech addition
-    for q in PRIME_POWERS_TO_1024 + [2187, 4096]:
-        p = prime_factors(q)[0]
-        k = next(j for j in range(1, 13) if p**j == q)
-        f = OracleField(p, k)
-        n = q - 1
-        tr = pointcount._trace_table(f)
-        assert len(tr) == q and tr[0] == 0, q
-        for j, c in enumerate(f.exp):
-            want = 0
-            for i in range(k):
-                want = f.add(want, f.exp[j * p**i % n])
-            assert tr[c] == want, (q, j)
-
-
 def test_field_size_bound(monkeypatch):
     monkeypatch.setenv("DELSARTE_MAX_Q", "100")
     with pytest.raises(ValueError, match="bound"):
@@ -247,6 +234,53 @@ def test_spec_checks_and_keyword_construction():
         HypersurfaceSpec(weights=(1, 2), terms=(((2, 0, 0), 1),))
     with pytest.raises(ValueError, match=r"^terms have different weighted degrees: \[2, 4\]$"):
         HypersurfaceSpec(weights=(1, 2), terms=(((2, 0), 1), ((0, 2), 1)))
+
+
+_REFUSALS = {
+    **{
+        f"{name}-{d!r}": (lambda d=d, run=run: run(d), f"d is {d!r}, not an integer >= 1")
+        for d in (0, -4, True, 4.0)
+        for name, run in (
+            ("fermat_hypersurface", lambda d: fermat_hypersurface(d, 3)),
+            ("multiplicative_character", lambda d: multiplicative_character(FiniteField(13), d)),
+        )
+    },
+    "negative exponent": (
+        lambda: HypersurfaceSpec((1, 1, 1), (((3, -1, 0), 1), ((0, 0, 2), 1))),
+        "term 0 exponents entry 1 is -1, not >= 0",
+    ),
+    "float exponent": (
+        lambda: HypersurfaceSpec((1, 1), (((0, 2), 1), ((2.0, 0), 1))),
+        "term 1 exponents entry 0 is 2.0, not an integer",
+    ),
+    "bool exponent": (
+        lambda: HypersurfaceSpec((1, 1), (((True, 1), 1),)),
+        "term 0 exponents entry 0 is True, not an integer",
+    ),
+    "float weight": (
+        lambda: HypersurfaceSpec((1, 2.0), (((2, 0), 1),)),
+        "weights entry 1 is 2.0, not an integer",
+    ),
+    "bool weight": (
+        lambda: HypersurfaceSpec((True, 1), (((2, 0), 1),)),
+        "weights entry 0 is True, not an integer",
+    ),
+    "float coefficient": (
+        lambda: family_hypersurface(family("family1"), 2.0),
+        "coefficients entry 4 is 2.0, not an integer",
+    ),
+    "bool coefficient": (
+        lambda: HypersurfaceSpec((1, 1), (((2, 0), True),)),
+        "coefficients entry 0 is True, not an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_a_bad_degree_or_spec_entry_is_refused(case):
+    run, message = _REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
 
 
 def test_empty_polynomial_is_projective_space():
@@ -450,7 +484,20 @@ def test_every_stratum_kernel_is_a_slice_of_the_full_kernel(case):
 
 
 # q <= 32 includes the fields `count --ext` builds as 4^2, 3^2, 2^3 and 2^5
-STRATA_FIELDS = [FiniteField(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for k in range(1, 6) if p**k <= 32]
+STRATA_FIELDS = [FiniteField(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for k in range(1, 6) if p**k <= 32] + [
+    FiniteField(7, 2),
+    FiniteField(2, 6),
+]
+
+
+def test_oracle_trace_is_another_additive_character():
+    # count_cone's psi reads the constant digit c mod p and the oracle's the trace;
+    # where the two differ, the count comparison below checks a change of character.
+    # On F_8 they coincide for its modulus x^3 + x + 1, so F_8 alone would prove nothing.
+    for f in STRATA_FIELDS:
+        if f.k > 1:
+            differ = any(tr != c % f.p for tr, c in zip(zech_traces(f), f.exp))
+            assert differ == (f.q != 8), f.q
 
 
 def test_count_cone_matches_per_stratum_count_on_families():
