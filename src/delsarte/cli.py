@@ -39,15 +39,14 @@ def resolve_family(ref: str) -> DeformationData:
 
 
 def parse_prime_power(q: int, ext: int = 1) -> tuple[int, int]:
-    """p, k with q = p^k; F_(q^ext) above the DELSARTE_MAX_Q bound is refused before q is factored."""
+    """p, k with q = p^k; F_(q^ext) above `pointcount.MAX_Q` is refused before q is factored."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    bound = pointcount._max_q()
     # q^ext >= 2^ext, so a huge ext exceeds the bound without being computed
-    if ext > max(bound, 1).bit_length():
-        raise ValueError(f"field size {q}^{ext} exceeds the configured bound")
-    if q**ext > bound:
-        raise ValueError(f"field size {q**ext} exceeds the configured bound")
+    if ext > pointcount.MAX_Q.bit_length():
+        raise ValueError(f"field size {q}^{ext} exceeds the bound {pointcount.MAX_Q}")
+    if q**ext > pointcount.MAX_Q:
+        raise ValueError(f"field size {q**ext} exceeds the bound {pointcount.MAX_Q}")
     factors = pointcount.prime_factors(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")

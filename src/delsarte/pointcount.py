@@ -23,7 +23,6 @@ in `tests/oracles.py`.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import namedtuple
 from math import gcd, lcm, prod
 from operator import getitem, mul
@@ -31,21 +30,14 @@ from operator import getitem, mul
 from .deformation import DeformationData
 from .exactalg import int_entries, kernel_elements, kernel_mod, poly_divmod, poly_mul, positive_int, power
 
-DEFAULT_MAX_Q = 2**20
+# every table over F_q has q entries
+MAX_Q = 2**20
 # (q-1)^2 for the Gauss-sum table plus |K| for the character sums
 COUNT_WORK_LIMIT = 40_000_000
 # Miller-Rabin with the 13 prime bases up to 41 is exact below this bound
 # (Sorenson-Webster 2015, psi_13)
 MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _max_q() -> int:
-    raw = os.environ.get("DELSARTE_MAX_Q", DEFAULT_MAX_Q)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"DELSARTE_MAX_Q must be an integer, got {raw!r}") from None
 
 
 def prime_factors(n: int) -> list[int]:
@@ -123,8 +115,8 @@ class FiniteField:
             raise ValueError("extension degree must be positive")
         p, k = self.p, self.k
         q = self.q = p**k
-        if q > _max_q():
-            raise ValueError(f"field size {q} exceeds the configured bound")
+        if q > MAX_Q:
+            raise ValueError(f"field size {q} exceeds the bound {MAX_Q}")
         self.modulus = _find_primitive(p, k)
         top = p ** (k - 1)
         # carry[t] is the code of t*x^k = t*h(x) mod f, for a top digit t
@@ -158,14 +150,19 @@ class HypersurfaceSpec(namedtuple("HypersurfaceSpec", "weights terms")):
     Each term is (exponents, coefficient), the coefficient a prime-field
     integer representative; a deformed family lists its deformation
     monomial last.  Weights, exponents and coefficients are ints
-    (`exactalg.int_entries`) and exponents are at least 0, so every term
-    is a monomial.
+    (`exactalg.int_entries`); there is at least one weight, every weight
+    is at least 1 and every exponent at least 0, so every term is a
+    monomial of P(w).
     """
 
     __slots__ = ()
 
     def __new__(cls, weights: tuple[int, ...], terms: tuple[tuple[tuple[int, ...], int], ...]):
         weights, terms = int_entries(weights, "weights"), tuple(terms)
+        if not weights:
+            raise ValueError("the weight vector is empty")
+        for i, w in enumerate(weights):
+            positive_int(w, f"weights entry {i}")
         coefficients = int_entries((c for _, c in terms), "coefficients")
         rows = tuple(int_entries(exps, f"term {i} exponents") for i, (exps, _) in enumerate(terms))
         for i, exps in enumerate(rows):
@@ -189,8 +186,9 @@ def family_hypersurface(data: DeformationData, lam: int) -> HypersurfaceSpec:
 
 
 def fermat_hypersurface(d: int, n: int, lam: int = 0, b=None) -> HypersurfaceSpec:
-    """The (deformed) degree-d Fermat hypersurface in plain P^n."""
+    """The (deformed) degree-d Fermat hypersurface in plain P^n, n >= 1."""
     positive_int(d, "d")
+    positive_int(n, "n")
     weights = (1,) * (n + 1)
     terms = tuple(
         (tuple(d if j == i else 0 for j in range(n + 1)), 1) for i in range(n + 1)

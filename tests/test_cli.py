@@ -380,15 +380,7 @@ def test_field_bound_checked_before_factoring(monkeypatch, capsys):
         assert run_main(argv) == cli.USAGE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: field size {size} exceeds the configured bound" in captured.err
-
-
-def test_max_q_not_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("DELSARTE_MAX_Q", "abc")
-    status = run_main(["count", "family1", "--q", "5"])
-    assert status == cli.USAGE_ERROR
-    err = capsys.readouterr().err
-    assert "DELSARTE_MAX_Q" in err and "'abc'" in err and "Traceback" not in err
+        assert f"error: field size {size} exceeds the bound 1048576" in captured.err
 
 
 def test_verify_appendix():
@@ -635,3 +627,15 @@ def test_parse_prime_power():
     for q in (12, 1, 0, -4):
         with pytest.raises(ValueError, match=f"{q} is not a prime power"):
             cli.parse_prime_power(q)
+
+
+def test_parse_prime_power_at_the_field_size_bound(monkeypatch):
+    assert cli.parse_prime_power(2**20) == (2, 20)
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(pointcount, "prime_factors", refuse)
+    for q, ext, size in [(2**20 + 1, 1, "1048577"), (2, 21, "2097152")]:
+        with pytest.raises(ValueError, match=f"^field size {size} exceeds the bound 1048576$"):
+            cli.parse_prime_power(q, ext)

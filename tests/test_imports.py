@@ -225,16 +225,22 @@ def test_exactalg_imports_nothing_from_the_package():
     assert modules and not [m for m in modules if m.startswith(".") or m.split(".")[0] == "delsarte"]
 
 
+def enclosing_functions(tree) -> dict[int, str]:
+    """id of each node inside a function -> the name of the innermost such function."""
+    owner = {}
+    for node in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(inner), node.name) for inner in ast.walk(node))
+    return owner
+
+
 def int_conversions(source: str) -> list[str]:
     """The innermost function around each `int(...)` call and each `map(int, ...)`, sorted.
 
     A call outside every function counts as `<module>`.
     """
     tree = ast.parse(source)
-    owner = {}
-    for node in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner.update((id(inner), node.name) for inner in ast.walk(node))
+    owner = enclosing_functions(tree)
     found = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
@@ -257,10 +263,50 @@ def test_int_conversions_detector():
 
 
 def test_library_input_is_not_truncated_to_int():
-    # int(4.7) is 4 and int(True) is 1; entries are refused unless type(x) is int,
-    # and only the environment string of the field-size bound is parsed
+    # int(4.7) is 4 and int(True) is 1; entries are refused unless type(x) is int
     found = {path.stem: names for path in SOURCES if (names := int_conversions(path.read_text()))}
-    assert found == {"pointcount": ["_max_q"]}
+    assert found == {}
+
+
+def environment_reads(source: str) -> list[str]:
+    """The innermost function around each `os.environ` or `os.getenv` read, sorted.
+
+    `environ` or `getenv` imported from `os` counts as `<import>`, a read
+    outside every function as `<module>`.
+    """
+    tree = ast.parse(source)
+    owner = enclosing_functions(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += ["<import>" for alias in node.names if alias.name in ("environ", "getenv")]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            found.append(owner.get(id(node), "<module>"))
+    return sorted(found)
+
+
+def test_environment_reads_detector():
+    source = (
+        "import os\n"
+        "from os import getenv as env, path\n"
+        "LIMIT = os.environ.get('LIMIT')\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return os.getenv('X'), os.path.sep, env\n"
+        "    return os.environ['Y'], os.sep\n"
+    )
+    assert environment_reads(source) == ["<import>", "<module>", "inner", "outer"]
+
+
+def test_no_module_reads_the_environment():
+    # every bound is a module constant, so a run's results depend on its arguments alone
+    found = {path.stem: names for path in SOURCES if (names := environment_reads(path.read_text()))}
+    assert found == {}
 
 
 def value_error_classes(source: str) -> list[str]:

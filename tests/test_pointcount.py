@@ -193,13 +193,14 @@ def test_prime_modulus_is_the_least_primitive_root():
 
 
 def test_field_size_bound(monkeypatch):
-    monkeypatch.setenv("DELSARTE_MAX_Q", "100")
-    with pytest.raises(ValueError, match="bound"):
+    with pytest.raises(ValueError, match="^field size 2097152 exceeds the bound 1048576$"):
+        FiniteField(2, 21)
+    monkeypatch.setattr(pointcount, "MAX_Q", 100)
+    with pytest.raises(ValueError, match="^field size 101 exceeds the bound 100$"):
         FiniteField(101)
     FiniteField(97)  # within the bound
-    monkeypatch.setenv("DELSARTE_MAX_Q", "abc")
-    with pytest.raises(ValueError, match="DELSARTE_MAX_Q must be an integer, got 'abc'"):
-        FiniteField(5)
+    monkeypatch.setattr(pointcount, "MAX_Q", 97)
+    FiniteField(97)  # at the bound
 
 
 def test_nonprime_rejected():
@@ -257,6 +258,19 @@ _REFUSALS = {
         lambda: HypersurfaceSpec((1, 1), (((True, 1), 1),)),
         "term 0 exponents entry 0 is True, not an integer",
     ),
+    **{
+        f"fermat_hypersurface-n={n!r}": (lambda n=n: fermat_hypersurface(4, n), f"n is {n!r}, not an integer >= 1")
+        for n in (0, -1, True, 3.0)
+    },
+    "negative weight": (
+        lambda: HypersurfaceSpec((-1, 1), (((1, 1), 1), ((2, 2), 1))),
+        "weights entry 0 is -1, not an integer >= 1",
+    ),
+    "zero weight": (
+        lambda: HypersurfaceSpec((0, 1), (((1, 1), 1), ((2, 1), 1))),
+        "weights entry 0 is 0, not an integer >= 1",
+    ),
+    "empty weights": (lambda: HypersurfaceSpec((), ()), "the weight vector is empty"),
     "float weight": (
         lambda: HypersurfaceSpec((1, 2.0), (((2, 0), 1),)),
         "weights entry 1 is 2.0, not an integer",
@@ -700,13 +714,18 @@ def test_cover_map_rejects_bad_characteristic():
 # -- the Hasse-Witt congruence: every count mod p ------------------------------------
 
 
-def _check_hasse_witt(data, p, lams):
-    """#X_lambda(F_p) = 1 + (-1)^m H_p(lambda) mod p, m the number of variables, at each lambda."""
+def _check_hasse_witt(data, p, lams, k=1):
+    """#X_lambda(F_(p^k)) = 1 + (-1)^m H_p(lambda)^k mod p, m the number of variables, at each lambda in F_p.
+
+    The Hasse-Witt matrix is 1 x 1 and lambda is fixed by Frobenius, so over
+    F_(p^k) it is the k-th power of the one over F_p.
+    """
     coeffs = hasse_witt(data, p)
     sign = (-1) ** len(data.weights)
     for lam in lams:
         h = sum(c * pow(lam, t, p) for t, c in enumerate(coeffs))
-        assert (count_points(family_hypersurface(data, lam), p, 1) - 1 - sign * h) % p == 0, (p, lam)
+        count = count_points(family_hypersurface(data, lam), p, k)
+        assert (count - 1 - sign * pow(h, k, p)) % p == 0, (p, k, lam)
 
 
 @pytest.mark.parametrize("key", sorted(FAMILIES))
@@ -715,6 +734,15 @@ def test_every_count_mod_p_is_the_hasse_witt_invariant(key):
     for p in (5, 7, 11, 13, 17, 19, 23, 29):
         if data.degree % p:
             _check_hasse_witt(data, p, range(p))
+
+
+@pytest.mark.parametrize("key", sorted(FAMILIES))
+def test_every_extension_field_count_mod_p_is_a_power_of_the_hasse_witt_invariant(key):
+    # F_125 and F_81 are beyond the brute-force oracles
+    data = family(key)
+    for p, k in ((5, 2), (7, 2), (11, 2), (3, 3), (3, 4), (5, 3)):
+        if data.degree % p:
+            _check_hasse_witt(data, p, range(p), k)
 
 
 @pytest.mark.parametrize("name", ["fermat", "f1l4", "l2f3", "l2l3", "l5"])
