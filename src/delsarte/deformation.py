@@ -124,14 +124,11 @@ def data_from_json(obj: dict) -> DeformationData:
     """Build deformation data from {"matrix": [[int,...],...], "deformation": [int,...]}."""
     if not isinstance(obj, dict) or "matrix" not in obj or "deformation" not in obj:
         raise ValueError('expected an object with "matrix" and "deformation" keys')
-
-    def ints(value) -> bool:  # JSON true and 4.5 are not integers
-        return isinstance(value, list) and all(type(x) is int for x in value)
-
+    # the shape alone: IntMatrix and build refuse an entry that is not an int (JSON true, 4.5), naming it
     matrix, a_vec = obj["matrix"], obj["deformation"]
-    if not isinstance(matrix, list) or not all(map(ints, matrix)):
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
         raise ValueError('"matrix" must be a list of lists of integers')
-    if not ints(a_vec):
+    if not isinstance(a_vec, list):
         raise ValueError('"deformation" must be a list of integers')
     return build(IntMatrix(matrix), a_vec)
 

@@ -109,14 +109,17 @@ class FiniteField:
 
     # a separate method under this name: bench/tracer.py times field construction by wrapping it
     def __post_init__(self):
-        if prime_factors(self.p) != [self.p]:
-            raise ValueError(f"{self.p} is not prime")
-        if self.k < 1:
-            raise ValueError("extension degree must be positive")
         p, k = self.p, self.k
+        if k < 1:
+            raise ValueError("extension degree must be positive")
+        # the bound comes before p is trial-divided, and before p^k is computed: |p^k| >= 2^k for |p| >= 2
+        if k > MAX_Q.bit_length() and abs(p) > 1:
+            raise ValueError(f"field size {p}^{k} exceeds the bound {MAX_Q}")
         q = self.q = p**k
         if q > MAX_Q:
             raise ValueError(f"field size {q} exceeds the bound {MAX_Q}")
+        if prime_factors(p) != [p]:
+            raise ValueError(f"{p} is not prime")
         self.modulus = _find_primitive(p, k)
         top = p ** (k - 1)
         # carry[t] is the code of t*x^k = t*h(x) mod f, for a top digit t
@@ -193,10 +196,7 @@ def fermat_hypersurface(d: int, n: int, lam: int = 0, b=None) -> HypersurfaceSpe
     terms = tuple(
         (tuple(d if j == i else 0 for j in range(n + 1)), 1) for i in range(n + 1)
     )
-    if b is not None:
-        b = tuple(b)
-        if sum(b) != d:
-            raise ValueError("cover exponents must sum to d")
+    if b is not None:  # HypersurfaceSpec refuses a b that does not sum to d
         terms += ((b, lam),)
     return HypersurfaceSpec(weights=weights, terms=terms)
 

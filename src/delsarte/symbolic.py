@@ -560,7 +560,7 @@ def builtin(name: str) -> MultiPoly:
 
 
 def _family_entry(i: int) -> tuple:
-    if i not in FAMILY_INDICES:
+    if type(i) is not int or i not in FAMILY_INDICES:
         raise ValueError(f"family index must be one of {FAMILY_INDICES}")
     return deformation.FAMILIES[f"family{i}"]
 
@@ -743,17 +743,17 @@ def vertical_bitangents(i: int) -> MultiPoly:
 
 
 def expected_leading_factor(i: int) -> MultiPoly:
+    _family_entry(i)
     a2 = _v("a2")
     if i == 1:
         return 8 * a2**4 - 8
     if i in (2, 6):
         return 8 * a2**4
-    if i in (3, 7):
-        return a2**4
-    raise ValueError(f"family index must be one of {FAMILY_INDICES}")
+    return a2**4
 
 
 def expected_vertical_bitangents(i: int) -> MultiPoly:
+    _family_entry(i)
     lam, a = _v("lam"), _v("a")
     if i == 1:
         return 8 * a**4 + lam**2 * a**2 + 8
@@ -763,13 +763,12 @@ def expected_vertical_bitangents(i: int) -> MultiPoly:
         return a * (a**2 + 1)
     if i == 6:
         return 8 * a**3 + lam**2 * a**2 + 8
-    if i == 7:
-        return (a + 1) * (a**2 - a + 1)
-    raise ValueError(f"family index must be one of {FAMILY_INDICES}")
+    return (a + 1) * (a**2 - a + 1)
 
 
 def expected_eliminant_factors(i: int) -> list[MultiPoly]:
     """Factors whose product equals the eliminant up to a rational scalar."""
+    _family_entry(i)
     lam, a2 = _v("lam"), _v("a2")
     i_unit = MultiPoly.constant(root_i())
     if i == 1:
@@ -820,20 +819,18 @@ def expected_eliminant_factors(i: int) -> list[MultiPoly]:
             + 192 * lam * a2**2
             + 16
         ]
-    if i == 7:
-        return [
-            -3 * a2**8 + 2 * lam * a2**6 + (lam**2 + 12) * a2**4 + 4 * lam * a2**2 + 4,
-            9 * a2**16
-            + 6 * lam * a2**14
-            + (7 * lam**2 + 36) * a2**12
-            + (60 * lam - 2 * lam**3) * a2**10
-            + (lam**4 - 20 * lam**2 + 156) * a2**8
-            + (8 * lam**3 - 56 * lam) * a2**6
-            + (24 * lam**2 - 48) * a2**4
-            + 32 * lam * a2**2
-            + 16,
-        ]
-    raise ValueError(f"family index must be one of {FAMILY_INDICES}")
+    return [
+        -3 * a2**8 + 2 * lam * a2**6 + (lam**2 + 12) * a2**4 + 4 * lam * a2**2 + 4,
+        9 * a2**16
+        + 6 * lam * a2**14
+        + (7 * lam**2 + 36) * a2**12
+        + (60 * lam - 2 * lam**3) * a2**10
+        + (lam**4 - 20 * lam**2 + 156) * a2**8
+        + (8 * lam**3 - 56 * lam) * a2**6
+        + (24 * lam**2 - 48) * a2**4
+        + 32 * lam * a2**2
+        + 16,
+    ]
 
 
 @cache

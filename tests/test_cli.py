@@ -160,17 +160,6 @@ def test_table10_only_matches_whole_keys():
     assert [line.split("\t")[0] for line in text.splitlines()[1:]] == ["family1", "family10"]
 
 
-def test_table10_diagnostic_row(monkeypatch):
-    monkeypatch.setitem(
-        deformation.FAMILIES, "family1", (((1, 1), (1, 1)), (1, 1))
-    )
-    status, text = run_cli(["table10"])
-    assert status == 1
-    first_row = text.splitlines()[1]
-    assert first_row.startswith("family1\tERROR:")
-    assert text.count("\n") == 11  # all ten rows still emitted
-
-
 def test_invariants_family7():
     status, text = run_cli(["invariants", "family7"])
     assert status == 0
@@ -453,27 +442,50 @@ def test_json_family_invalid(tmp_path, capsys):
 _SQUARE = [[4, 0], [0, 4]]
 
 
+# (file content, the malformed field, the whole message)
+_MALFORMED = [
+    ({"matrix": 5, "deformation": [1, 1]}, "matrix", '"matrix" must be a list of lists of integers'),
+    ({"matrix": [5, 5], "deformation": [1, 1]}, "matrix", '"matrix" must be a list of lists of integers'),
+    ({"matrix": [[4.5, 0], [0, 4]], "deformation": [1, 1]}, "matrix", "matrix row 0 entry 0 is 4.5, not an integer"),
+    ({"matrix": [[True, 0], [0, 4]], "deformation": [1, 1]}, "matrix", "matrix row 0 entry 0 is True, not an integer"),
+    ({"matrix": _SQUARE, "deformation": 3}, "deformation", '"deformation" must be a list of integers'),
+    ({"matrix": _SQUARE, "deformation": [1.5, 1]}, "deformation", "deformation vector entry 0 is 1.5, not an integer"),
+    ({"matrix": _SQUARE, "deformation": [True, 1]}, "deformation", "deformation vector entry 0 is True, not an integer"),
+    ({"matrix": _SQUARE, "deformation": [1.0, 1]}, "deformation", "deformation vector entry 0 is 1.0, not an integer"),
+    ({"matrix": [[4.0, 0], [0, 4]], "deformation": [1, 1]}, "matrix", "matrix row 0 entry 0 is 4.0, not an integer"),
+    (
+        {"matrix": [[4, 0, 0], [0, 4, 0], [-1, 0, 4]], "deformation": [1, 1, 1]},
+        "matrix",
+        "matrix has a negative entry",
+    ),
+    (
+        {"matrix": [[4, 0, 0], [0, 4, 0], [0, 0, 4]], "deformation": [2, 2, -1]},
+        "deformation",
+        "deformation vector has a negative entry",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "obj, field",
-    [
-        ({"matrix": 5, "deformation": [1, 1]}, "matrix"),
-        ({"matrix": [5, 5], "deformation": [1, 1]}, "matrix"),
-        ({"matrix": [[4.5, 0], [0, 4]], "deformation": [1, 1]}, "matrix"),
-        ({"matrix": [[True, 0], [0, 4]], "deformation": [1, 1]}, "matrix"),
-        ({"matrix": _SQUARE, "deformation": 3}, "deformation"),
-        ({"matrix": _SQUARE, "deformation": [1.5, 1]}, "deformation"),
-        ({"matrix": _SQUARE, "deformation": [True, 1]}, "deformation"),
-        ({"matrix": _SQUARE, "deformation": [1.0, 1]}, "deformation"),
-        ({"matrix": [[4.0, 0], [0, 4]], "deformation": [1, 1]}, "matrix"),
-    ],
+    "obj, field, message", _MALFORMED, ids=[f"obj{i}-{field}" for i, (_, field, _) in enumerate(_MALFORMED)]
 )
-def test_json_family_malformed_field(tmp_path, capsys, obj, field):
+def test_json_family_malformed_field(tmp_path, capsys, obj, field, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(obj))
     assert run_main(["analyze", str(path)]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f'invalid family data in {path}: "{field}" must be a list of' in captured.err
+    assert message.lstrip('"').startswith(field)  # each message names its field first
+    assert captured.err == f"error: invalid family data in {path}: {message}\n"
+
+
+def test_json_family_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"matrix": [[4, 0], [0, 4]], "deformation": [1,')
+    assert run_main(["analyze", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read family file {path}: Expecting value")
 
 
 def test_analyze_unequal_weights_prints_nothing(tmp_path, capsys):

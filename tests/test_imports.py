@@ -375,3 +375,56 @@ def test_an_unknown_name_is_refused_with_a_value_error():
     # an unknown family or polynomial name is refused input like any other
     found = {path.stem: names for path in SOURCES if "KeyError" in (names := raised_classes(path.read_text()))}
     assert found == {}
+
+
+def broad_handlers(source: str) -> list[str]:
+    """The innermost function around each bare `except:` and each handler of `Exception` or `BaseException`, sorted.
+
+    A handler names its class by a bare name, a module attribute
+    (`builtins.Exception`) or a tuple of either; one outside every
+    function counts as `<module>`.
+    """
+    tree = ast.parse(source)
+    owner = enclosing_functions(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {getattr(c, "id", getattr(c, "attr", None)) for c in caught}
+        if node.type is None or names & {"Exception", "BaseException"}:
+            found.append(owner.get(id(node), "<module>"))
+    return sorted(found)
+
+
+def test_broad_handlers_detector():
+    source = (
+        "import builtins\n"
+        "try:\n"
+        "    import fast\n"
+        "except ImportError:\n"
+        "    fast = None\n"
+        "def outer(rows):\n"
+        "    def inner(row):\n"
+        "        try:\n"
+        "            return int(row)\n"
+        "        except (ValueError, builtins.Exception):\n"
+        "            return None\n"
+        "    try:\n"
+        "        return [inner(r) for r in rows]\n"
+        "    except:\n"
+        "        raise\n"
+        "try:\n"
+        "    outer([])\n"
+        "except BaseException as exc:\n"
+        "    print(exc)\n"
+        "except ValueError:\n"
+        "    pass\n"
+    )
+    assert broad_handlers(source) == ["<module>", "inner", "outer"]
+
+
+def test_no_handler_catches_everything():
+    # each refusal is a ValueError that cli.main alone turns into a message; a broad handler would hide a defect too
+    found = {path.stem: names for path in SOURCES if (names := broad_handlers(path.read_text()))}
+    assert found == {}

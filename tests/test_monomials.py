@@ -104,6 +104,9 @@ def test_is_g_invariant_examples():
     assert not is_g_invariant((1, 1, 1, 5), fam2)
     fam1 = family("family1")
     assert all(is_g_invariant(k, fam1) for k in enumerate_basis(4, 3))
+    for k in ((1, 1, 2), (1, 1, 1, 1, 0)):
+        with pytest.raises(ValueError, match="^type length does not match matrix size$"):
+            is_g_invariant(k, fam1)
 
 
 def test_invariant_tables_golden():

@@ -35,7 +35,7 @@ from delsarte.pointcount import (
     prime_factors,
     torus_strata,
 )
-from delsarte.zetafermat import multiplicative_character
+from delsarte.zetafermat import multiplicative_character, verify_common_factor
 
 
 def naive_projective_count(spec, field):
@@ -203,6 +203,29 @@ def test_field_size_bound(monkeypatch):
     FiniteField(97)  # at the bound
 
 
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (lambda: FiniteField(2**61 - 1), "2305843009213693951"),
+        (lambda: FiniteField(1048583), "1048583"),
+        (lambda: FiniteField(2, 22), "2^22"),
+        (lambda: FiniteField(2, 10**5), "2^100000"),
+        (lambda: FiniteField(4, 10**5), "4^100000"),
+        (lambda: verify_common_factor([family("family1")], 2305843009213694009, 1), "2305843009213694009"),
+    ],
+)
+def test_field_size_bound_comes_before_primality_and_before_p_to_the_k(monkeypatch, build, size):
+    # trial division of a 61-bit prime takes about 1.5e9 steps, and 2^100000 has 30103 digits
+    def refuse(n):
+        if n > pointcount.MAX_Q:
+            raise AssertionError(f"factored {n}")
+        return prime_factors(n)
+
+    monkeypatch.setattr(pointcount, "prime_factors", refuse)
+    with pytest.raises(ValueError, match=f"^field size {re.escape(size)} exceeds the bound 1048576$"):
+        build()
+
+
 def test_nonprime_rejected():
     with pytest.raises(ValueError):
         FiniteField(6)
@@ -210,6 +233,9 @@ def test_nonprime_rejected():
         FiniteField(1)
     with pytest.raises(ValueError, match="^4 is not prime$"):
         FiniteField(4)
+    for p in (1, 0, -1):  # |p^k| < 2, so no k reaches the bound
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            FiniteField(p, 10**5)
     with pytest.raises(ValueError, match="^extension degree must be positive$"):
         FiniteField(5, 0)
     f = FiniteField(5)
@@ -278,6 +304,10 @@ _REFUSALS = {
     "bool weight": (
         lambda: HypersurfaceSpec((True, 1), (((2, 0), 1),)),
         "weights entry 0 is True, not an integer",
+    ),
+    "fermat_hypersurface b not summing to d": (
+        lambda: fermat_hypersurface(4, 3, lam=1, b=(1, 1, 1, 2)),
+        "terms have different weighted degrees: [4, 5]",
     ),
     "float coefficient": (
         lambda: family_hypersurface(family("family1"), 2.0),

@@ -685,6 +685,22 @@ def test_quotient_identities():
     assert verify_quotient_identity(2)
 
 
+def test_quotient_surface_and_identity_refuse_what_the_appendix_lacks():
+    with pytest.raises(ValueError, match="^sheet 3 exists for families 1, 2, 6 only$"):
+        quotient_surface(3, 3)
+    with pytest.raises(ValueError, match="^sheet must be 1, 2 or 3$"):
+        quotient_surface(1, 4)
+    with pytest.raises(ValueError, match="^j must be 1 or 2$"):
+        verify_quotient_identity(3)
+
+
+@pytest.mark.parametrize("expected", [expected_leading_factor, expected_vertical_bitangents, expected_eliminant_factors])
+@pytest.mark.parametrize("i", [4, 0, True, 1.0])
+def test_expected_polynomials_refuse_a_family_outside_the_appendix(expected, i):
+    with pytest.raises(ValueError, match=r"^family index must be one of \(1, 2, 3, 6, 7\)$"):
+        expected(i)
+
+
 def test_quotient_identity_negative_control():
     h1 = builtin("h1") + V("v")  # perturbed
     f1 = family_split(1)[0]

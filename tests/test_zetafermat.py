@@ -674,6 +674,11 @@ def test_common_factor_report_keywords():
     assert report.family_polys == (other,)
 
 
+def test_common_factor_requires_a_family():
+    with pytest.raises(ValueError, match="^need at least one family$"):
+        verify_common_factor([], 17, 1)
+
+
 def test_common_factor_requires_common_cover():
     f = FiniteField(17)
     with pytest.raises(ValueError, match="no common cover"):
@@ -935,8 +940,13 @@ _PRIMES_TO_10K = [p for p in range(3, 10**4) if all(p % r for r in range(2, math
 
 
 @functools.cache
+def _prime_field(p):
+    return FiniteField(p)
+
+
+@functools.cache
 def _prime_table(p, d):
-    return multiplicative_character(FiniteField(p), d)
+    return multiplicative_character(_prime_field(p), d)
 
 
 def _mod_p(alpha, p, root):
@@ -976,14 +986,27 @@ def test_eigenvalues_match_stickelberger_at_split_primes(case):
         _check_stickelberger(k, e, table)
 
 
-@pytest.mark.parametrize("q, name", [(1171, "fermat"), (1171, "l2f3"), (1171, "l2l3"), (6151, "fermat"), (6151, "l5")])
-def test_orbit_representatives_match_stickelberger_at_the_common_factor_fields(q, name):
-    # the fields of the pinned common-factor reports, beyond any direct Jacobi sum
-    data = quintic(name)
-    d = data.degree
-    table = multiplicative_character(FiniteField(q), d)
-    for orbit in {unit_orbit(k, d) for k in g_invariant_types(data)}:
+def _check_orbit_representatives(types, d, table):
+    for orbit in {unit_orbit(k, d) for k in types}:
         k = min(orbit)
         g = math.gcd(d, *k)
         _check_stickelberger(tuple(x // g for x in k), d // g, table)
 
+
+@pytest.mark.parametrize(
+    "q, name",
+    [(1171, "fermat"), (1171, "l2f3"), (1171, "l2l3"), (6151, "fermat"), (6151, "l5"), (104551, "f1l4"), (104551, "l5")],
+)
+def test_orbit_representatives_match_stickelberger_at_the_common_factor_fields(q, name):
+    # the fields of the pinned common-factor reports, beyond any direct Jacobi sum
+    data = quintic(name)
+    _check_orbit_representatives(g_invariant_types(data), data.degree, _prime_table(q, data.degree))
+
+
+def test_orbit_representatives_match_stickelberger_on_the_lifted_types_of_families_1_to_3():
+    # the report `common-factor family1 family2 family3 --q 1048433` reads one order-8 table
+    data = [family(f"family{i}") for i in (1, 2, 3)]
+    d, _ = common_cover(data)
+    types = set().union(*(lift_types(g_invariant_types(item), item.degree, d) for item in data))
+    assert d == 8 and len({unit_orbit(k, d) for k in types}) == 15
+    _check_orbit_representatives(types, d, multiplicative_character(FiniteField(1048433), d))
