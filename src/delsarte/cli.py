@@ -39,14 +39,10 @@ def resolve_family(ref: str) -> DeformationData:
 
 
 def parse_prime_power(q: int, ext: int = 1) -> tuple[int, int]:
-    """p, k with q = p^k; F_(q^ext) above `pointcount.MAX_Q` is refused before q is factored."""
+    """p, k with q = p^k; F_(q^ext) above the bound of `pointcount.bounded_power` is refused before q is factored."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    # q^ext >= 2^ext, so a huge ext exceeds the bound without being computed
-    if ext > pointcount.MAX_Q.bit_length():
-        raise ValueError(f"field size {q}^{ext} exceeds the bound {pointcount.MAX_Q}")
-    if q**ext > pointcount.MAX_Q:
-        raise ValueError(f"field size {q**ext} exceeds the bound {pointcount.MAX_Q}")
+    pointcount.bounded_power(q, ext)
     factors = pointcount.prime_factors(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")

@@ -128,6 +128,9 @@ def strong_classes(types, b, d: int) -> list[list[tuple[int, ...]]]:
     """
     positive_int(d, "d")
     pool = set(map(tuple, types))
+    for k in pool:
+        if len(k) != len(b):
+            raise ValueError(f"b has {len(b)} entries, not {len(k)} like the types")
     minus_b = [-y for y in b]
     blocks = []
     for start in sorted(pool):

@@ -55,6 +55,31 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def bounded_power(base: int, exponent: int) -> int:
+    """The field size base^exponent, refused above `MAX_Q`: the one owner of the bound."""
+    # |base^exponent| >= 2^exponent for |base| >= 2, so a large exponent is refused before the power is formed
+    if exponent > MAX_Q.bit_length() and abs(base) > 1:
+        raise ValueError(f"field size {base}^{exponent} exceeds the bound {MAX_Q}")
+    size = base**exponent
+    if size > MAX_Q:
+        raise ValueError(f"field size {size} exceeds the bound {MAX_Q}")
+    return size
+
+
+def field_order(p: int, k: int = 1) -> int:
+    """q = p^k for an admitted (p, k): ints, k >= 1, q <= MAX_Q, and p prime, tested in that order.
+
+    The one admission of F_q, which every entry that takes (p, k) applies before any work.
+    """
+    int_entries((p, k), "(p, k)")
+    if k < 1:
+        raise ValueError("extension degree must be positive")
+    q = bounded_power(p, k)
+    if prime_factors(p) != [p]:
+        raise ValueError(f"{p} is not prime")
+    return q
+
+
 def _find_primitive(p: int, k: int) -> list[int]:
     """The first primitive f = x^k - h(x) over F_p, h running over codes 1, 2, ...
 
@@ -104,22 +129,13 @@ class FiniteField:
     __slots__ = ("p", "k", "q", "generator", "exp", "log", "zech", "modulus")
 
     def __init__(self, p: int, k: int = 1):
-        self.p, self.k = int_entries((p, k), "(p, k)")
+        self.q = field_order(p, k)
+        self.p, self.k = p, k
         self.__post_init__()
 
     # a separate method under this name: bench/tracer.py times field construction by wrapping it
     def __post_init__(self):
-        p, k = self.p, self.k
-        if k < 1:
-            raise ValueError("extension degree must be positive")
-        # the bound comes before p is trial-divided, and before p^k is computed: |p^k| >= 2^k for |p| >= 2
-        if k > MAX_Q.bit_length() and abs(p) > 1:
-            raise ValueError(f"field size {p}^{k} exceeds the bound {MAX_Q}")
-        q = self.q = p**k
-        if q > MAX_Q:
-            raise ValueError(f"field size {q} exceeds the bound {MAX_Q}")
-        if prime_factors(p) != [p]:
-            raise ValueError(f"{p} is not prime")
+        p, k, q = self.p, self.k, self.q
         self.modulus = _find_primitive(p, k)
         top = p ** (k - 1)
         # carry[t] is the code of t*x^k = t*h(x) mod f, for a top digit t
@@ -204,12 +220,13 @@ def fermat_hypersurface(d: int, n: int, lam: int = 0, b=None) -> HypersurfaceSpe
 def count_points(spec: HypersurfaceSpec, p: int, k: int) -> int:
     """Point count of the coarse space over F_q, q = p^k: (#affine cone - 1) / (q - 1).
 
-    `torus_strata` makes every refusal before F_q is built.  The division
+    `field_order` and then `torus_strata` make every refusal before F_q
+    is built.  The division
     is asserted exact so that any discrepancy between the cone count and a
     genuine projective count fails loudly instead of returning a silently
     wrong value.
     """
-    q = p**k
+    q = field_order(p, k)
     strata = torus_strata(spec, p, q)
     n_cone = count_cone(spec, FiniteField(p, k), strata)
     if (n_cone - 1) % (q - 1) != 0:
@@ -373,7 +390,11 @@ def cover_in_general_position(d: int, b, lam: int, p: int) -> bool:
     the subtorus cut out by the primitive character b/g, g = gcd(b), so the
     cover is singular iff prod over b_i > 0 of c_i^(b_i/g) == 1 in F_p.  A
     zero c_i (lam = 0, or p | b_i) makes the product 0: general position.
+    A p that is not an int >= 2 is refused; that p is prime is the
+    caller's contract, as a test per call would cost `--scan` one per lambda.
     """
+    if type(p) is not int or p < 2:
+        raise ValueError(f"p is {p!r}, not an integer >= 2")
     if d % p == 0:
         raise ValueError(f"the closed form needs gcd(p, d) = 1, got p = {p}, d = {d}")
     g = gcd(*b)

@@ -31,7 +31,7 @@ from .cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from .deformation import common_cover
 from .exactalg import int_entries, poly_divmod, poly_mul, positive_int
 from .monomials import g_invariant_types, unit_orbit
-from .pointcount import FiniteField
+from .pointcount import FiniteField, field_order
 
 
 class RationalityError(ArithmeticError):
@@ -119,12 +119,15 @@ class CharacterTable:
 
 
 def multiplicative_character(field: FiniteField, d: int, generator: int | None = None) -> CharacterTable:
-    """Table of the character of exact order d | q - 1 with chi(generator) = zeta_d (default: x mod f)."""
+    """Table of the character of exact order d | q - 1 with chi(generator) = zeta_d (default: x mod f), a unit code."""
     q = field.q
     if (q - 1) % positive_int(d, "d") != 0:
         raise ValueError(f"no character of order {d}: {d} does not divide q - 1 = {q - 1}")
     if generator is None:
         generator = field.generator
+    int_entries((generator,), "generator")
+    if not 0 < generator < q:
+        raise ValueError(f"generator is {generator}, not a unit code in [1, {q - 1}]")
     # g' = g^j has log_g'(v) = u * log_g(v) mod q - 1, u = 1/j
     j = field.log[generator]
     if j < 0 or gcd(j, q - 1) != 1:
@@ -292,7 +295,8 @@ def verify_common_factor(data_list, p: int, k: int) -> CommonFactorReport:
     all the quotient groups), builds the characteristic polynomial of the
     intersection, and tests exact divisibility into each family's
     invariant characteristic polynomial, all at lambda = 0.  Every
-    refusal, d not dividing q - 1 among them, comes before F_q is built.
+    refusal, (p, k) by `pointcount.field_order` and d not dividing q - 1
+    among them, comes before F_q is built.
     """
     data_list = list(data_list)
     if not data_list:
@@ -301,8 +305,9 @@ def verify_common_factor(data_list, p: int, k: int) -> CommonFactorReport:
     if cover is None:
         raise ValueError("no common cover")
     d_joint, _ = cover
-    if (p**k - 1) % d_joint != 0:
-        raise ValueError(f"joint degree {d_joint} does not divide q - 1 = {p**k - 1}")
+    q = field_order(p, k)
+    if (q - 1) % d_joint != 0:
+        raise ValueError(f"joint degree {d_joint} does not divide q - 1 = {q - 1}")
     lifted = [
         set(lift_types(g_invariant_types(item), item.degree, d_joint))
         for item in data_list

@@ -428,3 +428,48 @@ def test_no_handler_catches_everything():
     # each refusal is a ValueError that cli.main alone turns into a message; a broad handler would hide a defect too
     found = {path.stem: names for path in SOURCES if (names := broad_handlers(path.read_text()))}
     assert found == {}
+
+
+def bound_refusals(source: str) -> list[str]:
+    """The functions that raise a message containing `exceeds the bound`, each once, sorted.
+
+    The phrase counts in a string constant anywhere inside the `raise`,
+    an f-string's literal parts among them; a raise outside every
+    function counts as `<module>`.
+    """
+    tree = ast.parse(source)
+    owner = enclosing_functions(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and any(
+            isinstance(part, ast.Constant) and "exceeds the bound" in str(part.value) for part in ast.walk(node)
+        ):
+            found.add(owner.get(id(node), "<module>"))
+    return sorted(found)
+
+
+def test_bound_refusals_detector():
+    source = (
+        "LIMIT = 8\n"
+        "if LIMIT < 1:\n"
+        "    raise ValueError('size exceeds the bound')\n"
+        "def bounded(n):\n"
+        "    if n > 99:\n"
+        "        raise ValueError(f'size {n}^2 exceeds the bound {LIMIT}')\n"
+        "    if n * n > LIMIT:\n"
+        "        raise ValueError(f'size {n * n} exceeds the bound {LIMIT}')\n"
+        "    return n * n\n"
+        "def caller(n):\n"
+        "    def inner():\n"
+        "        raise ValueError('work ' + 'exceeds the bound')\n"
+        "    print('exceeds the bound')\n"
+        "    raise ValueError(f'work {n} exceeds the limit')\n"
+    )
+    # print is not a raise, and `exceeds the limit` is another refusal
+    assert bound_refusals(source) == ["<module>", "bounded", "inner"]
+
+
+def test_one_function_refuses_a_field_above_the_bound():
+    # pointcount.field_order and cli.parse_prime_power both call it, so the bound has one owner
+    found = {path.stem: names for path in SOURCES if (names := bound_refusals(path.read_text()))}
+    assert found == {"pointcount": ["bounded_power"]}

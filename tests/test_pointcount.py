@@ -20,7 +20,7 @@ from oracles import (
     zech_traces,
 )
 
-from delsarte import cli, pointcount
+from delsarte import cli, monomials, pointcount
 from delsarte.deformation import FAMILIES, family
 from delsarte.exactalg import kernel_elements, kernel_mod
 from delsarte.pointcount import (
@@ -212,6 +212,8 @@ def test_field_size_bound(monkeypatch):
         (lambda: FiniteField(2, 10**5), "2^100000"),
         (lambda: FiniteField(4, 10**5), "4^100000"),
         (lambda: verify_common_factor([family("family1")], 2305843009213694009, 1), "2305843009213694009"),
+        (lambda: count_points(fermat_hypersurface(4, 3), 2, 10**5), "2^100000"),
+        (lambda: verify_common_factor([family("family1")], 2, 10**5), "2^100000"),
     ],
 )
 def test_field_size_bound_comes_before_primality_and_before_p_to_the_k(monkeypatch, build, size):
@@ -316,6 +318,46 @@ _REFUSALS = {
     "bool coefficient": (
         lambda: HypersurfaceSpec((1, 1), (((2, 0), True),)),
         "coefficients entry 0 is True, not an integer",
+    ),
+    # (p, k) goes through pointcount.field_order before any work
+    **{
+        f"count_points-k={k!r}": (lambda k=k: count_points(fermat_hypersurface(4, 3), 5, k), message)
+        for k, message in (
+            (0, "extension degree must be positive"),
+            (-1, "extension degree must be positive"),
+            (2.0, "(p, k) entry 1 is 2.0, not an integer"),
+        )
+    },
+    "verify_common_factor-k=-1": (
+        lambda: verify_common_factor([family("family1")], 5, -1),
+        "extension degree must be positive",
+    ),
+    **{
+        f"multiplicative_character-generator={g!r}-F_{p}^{k}": (
+            lambda g=g, p=p, k=k: multiplicative_character(FiniteField(p, k), 4, g),
+            message,
+        )
+        for g, p, k, message in (
+            (9, 3, 2, "generator is 9, not a unit code in [1, 8]"),
+            (-3, 3, 2, "generator is -3, not a unit code in [1, 8]"),
+            (0, 3, 2, "generator is 0, not a unit code in [1, 8]"),
+            (2.0, 5, 1, "generator entry 0 is 2.0, not an integer"),
+        )
+    },
+    **{
+        f"{split.__name__}-short b": (
+            lambda split=split: split(
+                monomials.g_invariant_types(family("family4")),
+                family("family4").cover_exponents[:-1],
+                family("family4").degree,
+            ),
+            "b has 3 entries, not 4 like the types",
+        )
+        for split in (monomials.strong_classes, monomials.weak_classes)
+    },
+    "cover_in_general_position-p=0": (
+        lambda: cover_in_general_position(4, (1, 1, 1, 1), 1, 0),
+        "p is 0, not an integer >= 2",
     ),
 }
 
